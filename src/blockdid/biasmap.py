@@ -13,6 +13,7 @@ bias).
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .panel import CellIndex, CohortLayout
 
@@ -82,57 +83,39 @@ def build_w_csnyt(layout: CohortLayout, cells: CellIndex) -> BiasMap:
 
 
 def invert(bias_map: BiasMap) -> BiasMap:
-    """Populate the inverse by block back-substitution.
+    """Populate the inverse with one unit-triangular solve.
 
     Cells sharing a calendar time form the diagonal blocks; each block is
     unit upper-triangular, and any off-diagonal blocks sit strictly below the
-    diagonal, so the system W x = e solves exactly by marching forward over
-    calendar times and backward within each block.
+    diagonal.  Reversing the cell order within every block therefore makes W
+    unit lower-triangular.
     """
     cells = bias_map.cells
-    W = bias_map.W
-    n = len(cells)
-    blocks = _calendar_blocks(cells)
-
-    W_inv = np.zeros((n, n))
-    for col in range(n):
-        W_inv[:, col] = _solve_block_triangular(W, blocks, _unit_vector(n, col))
+    cal = np.array([c.cal for c in cells.cells])
+    # reverses each run of equal calendar times; its own inverse
+    perm = (
+        np.searchsorted(cal, cal, "left")
+        + np.searchsorted(cal, cal, "right")
+        - 1
+        - np.arange(len(cal))
+    )
+    ix = np.ix_(perm, perm)
+    # gathered from W.T and transposed back: Fortran order, which LAPACK
+    # takes without a copy
+    lower = bias_map.W.T[ix].T
+    if np.any(np.triu(lower, 1)):
+        raise ValueError("W is not block-triangular over calendar times")
+    inverse = solve_triangular(
+        lower, np.eye(len(cal), order="F"), lower=True, unit_diagonal=True,
+        overwrite_b=True,
+    )
+    del lower  # at most two n x n temporaries alive besides W
+    W_inv = inverse[ix]
+    del inverse
     W_inv.setflags(write=False)
     return BiasMap(
-        estimator=bias_map.estimator, cells=cells, W=W, W_inverse=W_inv
+        estimator=bias_map.estimator, cells=cells, W=bias_map.W, W_inverse=W_inv
     )
-
-
-def _unit_vector(n, j):
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
-
-
-def _calendar_blocks(cells: CellIndex):
-    """Contiguous position ranges sharing one calendar time."""
-    blocks = []
-    start = 0
-    for p in range(1, len(cells) + 1):
-        if p == len(cells) or cells.cell(p).cal != cells.cell(start).cal:
-            blocks.append(range(start, p))
-            start = p
-    return blocks
-
-
-def _solve_block_triangular(W, blocks, b):
-    x = np.zeros_like(b)
-    for block in blocks:
-        idx = np.array(block)
-        rhs = b[idx] - W[np.ix_(idx, np.arange(0, idx[0]))] @ x[: idx[0]]
-        # unit upper-triangular block: back-substitute
-        for i in range(len(idx) - 1, -1, -1):
-            row = idx[i]
-            acc = rhs[i]
-            for j in range(i + 1, len(idx)):
-                acc -= W[row, idx[j]] * x[idx[j]]
-            x[row] = acc
-    return x
 
 
 def write_biasmap_csv(bias_map: BiasMap, stream, inverse=False):

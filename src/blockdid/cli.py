@@ -34,7 +34,13 @@ from .restrictions import map_to_delta_space, rm_cohort, rm_global, sd
 from .simgen import gen_example1, gen_example2, gen_toy
 from .vcov import BootstrapSpec, bootstrap_vcov
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["RunConfig", "UnsupportedOption", "run", "main"]
+
+
+class UnsupportedOption(ValueError):
+    """A configuration this version cannot honour, rejected before any work."""
+
+    code = "UNSUPPORTED_OPTION"
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class RunConfig:
     grid: tuple = None  # (lo, hi, n)
     framework: str = "cohort"
     target: str = "att"
-    workers: int = 1
+    workers: int = 1  # only 1 is supported
     example: str = None
     sizes: tuple = (4, 4, 4)
     noise_variance: float = 2.0
@@ -117,7 +123,6 @@ def _build_parser():
     sp = sub.add_parser("vcov", help="bootstrap covariance CSV")
     common(sp)
     sp.add_argument("--bootstrap", type=int, default=1000)
-    sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("biasmap", help="export the bias map as CSV")
     sp.add_argument("action", nargs="?", default="export", choices=["export"])
@@ -133,7 +138,6 @@ def _build_parser():
         sp.add_argument("--param", default="0", help="value or lo:hi:step sweep")
         sp.add_argument("--alpha", type=float, default=0.05)
         sp.add_argument("--bootstrap", type=int, default=1000)
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--grid", help="lo:hi:n")
         sp.add_argument("--kappa", type=float)
         sp.add_argument("--draws", type=int, default=10_000)
@@ -156,8 +160,8 @@ def _build_parser():
 def _config_from_args(args):
     kw = {"command": args.command}
     for field in (
-        "input", "out", "estimator", "alpha", "bootstrap", "seed", "framework",
-        "target", "workers", "example", "noise_variance", "inverse", "kappa",
+        "input", "out", "estimator", "family", "alpha", "bootstrap", "seed",
+        "framework", "target", "example", "noise_variance", "inverse", "kappa",
         "draws",
     ):
         if hasattr(args, field.replace("-", "_")):
@@ -179,9 +183,11 @@ def _family_builder(kind):
     return {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}[kind]
 
 
-def _cohort_target(config, layout, cells):
+def _target(config, layout, cells, agg=None):
     if config.target == "att":
-        return overall_att_target(layout, cells)
+        if agg is None:
+            return overall_att_target(layout, cells)
+        return aggregated_att_target(agg, cells)
     if config.target.startswith("period:"):
         return by_period_target(layout, cells, int(config.target.split(":")[1]))
     raise ValueError(f"bad target {config.target!r}")
@@ -194,18 +200,15 @@ def _grid_spec(config, coeffs, family, target):
     return default_grid(coeffs, family, target)
 
 
-def _cohort_records(config, panel):
-    layout = build_layout(panel)
-    coeffs = bootstrap_vcov(
-        panel,
-        BootstrapSpec(config.bootstrap, config.seed, config.estimator),
-        workers=config.workers,
+def _bootstrap(config, panel):
+    return bootstrap_vcov(
+        panel, BootstrapSpec(config.bootstrap, config.seed, config.estimator)
     )
-    cells = coeffs.cells
-    bias_map = invert(_w_builder(config.estimator)(layout, cells))
-    target = _cohort_target(config, layout, cells)
-    build = _family_builder(config.family)
 
+
+def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
+    """One framework's set records, one per sensitivity parameter."""
+    build = _family_builder(config.family)
     families = {
         p: map_to_delta_space(build(layout, cells, p), bias_map)
         for p in config.params
@@ -222,7 +225,7 @@ def _cohort_records(config, panel):
         )
         records.append(
             {
-                "framework": "cohort",
+                "framework": framework,
                 "target": config.target,
                 "family": config.family,
                 "parameter": p,
@@ -237,55 +240,27 @@ def _cohort_records(config, panel):
                 "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
             }
         )
-    return records, (layout, coeffs, bias_map, target)
+    return records
 
 
-def _aggregated_records(config, panel):
+def _records(config, panel):
+    """Set records of every requested framework, all from one bootstrap."""
     layout = build_layout(panel)
-    coeffs = bootstrap_vcov(
-        panel,
-        BootstrapSpec(config.bootstrap, config.seed, config.estimator),
-        workers=config.workers,
-    )
-    agg = aggregate(coeffs, layout)
-    agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
-    if config.target == "att":
-        target = aggregated_att_target(agg, agg_cells)
-    else:
-        target = by_period_target(
-            agg_layout, agg_cells, int(config.target.split(":")[1])
-        )
-    build = _family_builder(config.family)
-    families = {
-        p: map_to_delta_space(build(agg_layout, agg_cells, p), agg_map)
-        for p in config.params
-    }
-    grid = _grid_spec(config, agg_coeffs, families[max(config.params)], target)
+    coeffs = _bootstrap(config, panel)
     records = []
-    for p in config.params:
-        t0 = time.perf_counter()
-        fam = families[p]
-        plug = plugin_identified_set(agg_coeffs, fam, target)
-        cset = confidence_set(
-            agg_coeffs, fam, target, alpha=config.alpha, grid=grid,
-            kappa=config.kappa, draws=config.draws, seed=config.seed,
+    if config.framework in ("cohort", "both"):
+        cells = coeffs.cells
+        bias_map = invert(_w_builder(config.estimator)(layout, cells))
+        target = _target(config, layout, cells)
+        records += _set_records(
+            config, "cohort", layout, cells, coeffs, bias_map, target
         )
-        records.append(
-            {
-                "framework": "aggregated",
-                "target": config.target,
-                "family": config.family,
-                "parameter": p,
-                "alpha": config.alpha,
-                "grid": {"lo": grid.lo, "hi": grid.hi, "n": grid.n},
-                "intervals": [list(iv) for iv in cset.intervals],
-                "plugin_bounds": [plug.lo, plug.hi],
-                "corrected_point": corrected_point(
-                    agg_coeffs, config.family, agg_map, target
-                ),
-                "member_count": fam.member_count,
-                "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
-            }
+    if config.framework in ("aggregated", "both"):
+        agg = aggregate(coeffs, layout)
+        agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
+        target = _target(config, agg_layout, agg_cells, agg)
+        records += _set_records(
+            config, "aggregated", agg_layout, agg_cells, agg_coeffs, agg_map, target
         )
     return records
 
@@ -302,6 +277,15 @@ def _write_json(path, payload, config):
 
 
 def run(config: RunConfig) -> int:
+    if config.workers != 1:
+        raise UnsupportedOption(
+            f"workers={config.workers} is not supported: the pipeline runs "
+            "in one process"
+        )
+    if config.command == "byperiod" and config.framework == "both":
+        raise UnsupportedOption(
+            "byperiod runs one framework at a time: choose cohort or aggregated"
+        )
     if config.command == "validate":
         load_panel(config.input)
         print("ok")
@@ -351,11 +335,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "vcov":
-        coeffs = bootstrap_vcov(
-            panel,
-            BootstrapSpec(config.bootstrap, config.seed, config.estimator),
-            workers=config.workers,
-        )
+        coeffs = _bootstrap(config, panel)
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(_meta_line(config))
             write_vcov_csv(coeffs, fh)
@@ -371,24 +351,14 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "sets":
-        records = []
-        if config.framework in ("cohort", "both"):
-            recs, _ = _cohort_records(config, panel)
-            records.extend(recs)
-        if config.framework in ("aggregated", "both"):
-            records.extend(_aggregated_records(config, panel))
-        _write_json(config.out, {"results": records}, config)
+        _write_json(config.out, {"results": _records(config, panel)}, config)
         return 0
 
     if config.command == "byperiod":
         if len(config.params) != 1:
             raise ValueError("byperiod expects a single --param value")
         layout = build_layout(panel)
-        coeffs = bootstrap_vcov(
-            panel,
-            BootstrapSpec(config.bootstrap, config.seed, config.estimator),
-            workers=config.workers,
-        )
+        coeffs = _bootstrap(config, panel)
         if config.framework == "aggregated":
             agg = aggregate(coeffs, layout)
             layout, _, coeffs, bias_map = aggregated_system(agg)
@@ -424,12 +394,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "compare":
-        records = []
-        if config.framework in ("cohort", "both"):
-            recs, _ = _cohort_records(config, panel)
-            records.extend(recs)
-        if config.framework in ("aggregated", "both"):
-            records.extend(_aggregated_records(config, panel))
+        records = _records(config, panel)
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(_meta_line(config))
             fh.write("parameter,framework,bound,lo,hi\n")

@@ -11,7 +11,11 @@ Two estimators are supported:
   block biases use the fixed initial control group.
 
 Both produce one coefficient per cohort-period cell, stacked in the canonical
-cell order, so downstream code treats them interchangeably.
+cell order, so downstream code treats them interchangeably.  Both are linear
+in the (G+1) x T matrix of stratum-period outcome means (cohorts, then the
+never-treated), with weights that depend only on cohort sizes;
+:func:`estimate` applies that linear operator.  The unit-level two-way fit
+and the sequential imputation are kept as independent cross-checks.
 """
 
 from dataclasses import dataclass
@@ -224,37 +228,116 @@ class CoefficientSet:
         return tuple(all_labels[p] for p in self.positions)
 
 
-def _group_period_mean(outcome, units, t):
-    return float(outcome[units, t - 1].mean())
+def _stratum_units(layout: CohortLayout):
+    """Unit indices per stratum in operator column order: cohorts in layout
+    order, the never-treated last."""
+    return list(layout.cohort_units) + [layout.never_units]
 
 
-def _group_premean(outcome, units, periods):
-    cols = [t - 1 for t in periods]
-    return float(outcome[np.ix_(units, cols)].mean())
+def _strata_means(stacked, sizes):
+    """Column means of consecutive row blocks of the given sizes."""
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return np.add.reduceat(stacked, starts, axis=0) / np.asarray(sizes)[:, None]
 
 
-def imputation_estimates(panel: PanelData, fit: FixedEffectsFit = None) -> CoefficientSet:
-    """Post-treatment effects: observed minus imputed, averaged per cell."""
-    if fit is None:
-        fit = fit_twfe_untreated(panel)
-    layout = build_layout(panel)
-    cells = build_cell_index(layout, panel.n_periods, "imputation")
-    imputed = fit.imputed()
-    positions, values = [], []
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if not c.post:
-            continue
-        units = layout.cohort_units[c.cohort]
-        gap = panel.outcome[units, c.cal - 1] - imputed[units, c.cal - 1]
-        positions.append(p)
-        values.append(float(gap.mean()))
-    return CoefficientSet(
-        estimator="imputation",
-        cells=cells,
-        positions=np.array(positions),
-        values=np.array(values),
+def _period_effects_operator(adopt, sizes, T):
+    """Period effects xi = X @ vec(M), normalized to xi_1 = 0.
+
+    The size-weighted two-way fit of the stratum means M on the untreated
+    stratum-period cells: the same Schur-complement solve as
+    ``_dense_period_solve``, with strata in place of units.
+    """
+    m = (np.arange(1, T + 1)[None, :] < adopt[:, None]).astype(float)
+    w = sizes / m.sum(axis=1)
+    S = np.diag(sizes @ m) - (m * w[:, None]).T @ m
+    # rhs_t = sum_k N_k m_kt M_kt - sum_k w_k m_kt sum_s m_ks M_ks
+    R = np.einsum("k,kt,ts->tks", sizes, m, np.eye(T)) - np.einsum(
+        "k,kt,ks->tks", w, m, m
     )
+    X = np.zeros((T, len(sizes) * T))
+    X[1:] = np.linalg.solve(S[1:, 1:], R[1:].reshape(T - 1, -1))
+    return X
+
+
+def _coefficient_operator(layout: CohortLayout, T: int, estimator: str) -> np.ndarray:
+    """Matrix E with ``coefficients = E @ vec(M)``.
+
+    ``M`` is the (G+1) x T matrix of stratum-period means, cohorts in layout
+    order and the never-treated last, flattened row by row.  Rows follow
+    ``build_cell_index(layout, T, estimator).value_positions``.  Each row is
+    a stratum contrast times a period contrast: the cohort against its
+    control group (initial control group, or the not-yet-treated group on
+    csnyt post cells), and the cell's period against the reference period
+    (csnyt) or the cohort's pre-treatment mean (imputation).  Imputation post
+    cells replace the control group by the period effects of the two-way fit
+    on untreated stratum-period cells.
+    """
+    G = layout.n_cohorts
+    times = np.array(layout.times)
+    sizes = np.array(layout.sizes + (layout.never_size,), dtype=float)
+    adopt = np.append(times, T + 1)  # the never-treated stay untreated
+    pos = np.arange(G * T)
+    g, t = pos % G, pos // G + 1  # canonical order: calendar time, then cohort
+    t_g = times[g]
+    if estimator == "csnyt":
+        keep = t != t_g - 1  # reference cells are structural zeros
+        g, t, t_g = g[keep], t[keep], t_g[keep]
+    elif estimator != "imputation":
+        raise ValueError(f"unknown estimator tag {estimator!r}")
+    n = len(g)
+    post = t >= t_g
+    periods = np.arange(1, T + 1)
+
+    own = np.zeros((n, G + 1))
+    own[np.arange(n), g] = 1.0
+    period = (periods[None, :] == t[:, None]).astype(float)
+    if estimator == "csnyt":
+        period -= periods[None, :] == (t_g - 1)[:, None]
+        cutoff = np.where(post, t, t_g)
+    else:
+        window = periods[None, :] < t_g[:, None]
+        period -= window / (t_g - 1)[:, None]
+        cutoff = t_g
+    control = (adopt[None, :] > cutoff[:, None]) * sizes
+    control /= control.sum(axis=1, keepdims=True)
+    if estimator == "imputation":
+        control[post] = 0.0
+    E = ((own - control)[:, :, None] * period[:, None, :]).reshape(n, -1)
+    if estimator == "imputation":
+        E -= (period * post[:, None]) @ _period_effects_operator(adopt, sizes, T)
+    return E
+
+
+def estimate(panel: PanelData, estimator: str) -> CoefficientSet:
+    """Full stacked coefficient vector (pre block biases and post effects)."""
+    layout = build_layout(panel)
+    cells = build_cell_index(layout, panel.n_periods, estimator)
+    E = _coefficient_operator(layout, panel.n_periods, estimator)
+    strata = _stratum_units(layout)
+    means = _strata_means(
+        panel.outcome[np.concatenate(strata)], [len(u) for u in strata]
+    )
+    return CoefficientSet(
+        estimator=estimator,
+        cells=cells,
+        positions=cells.value_positions,
+        values=E @ means.ravel(),
+    )
+
+
+def _select(coeffs: CoefficientSet, keep) -> CoefficientSet:
+    return CoefficientSet(
+        estimator=coeffs.estimator,
+        cells=coeffs.cells,
+        positions=coeffs.positions[keep],
+        values=coeffs.values[keep],
+    )
+
+
+def imputation_estimates(panel: PanelData) -> CoefficientSet:
+    """Post-treatment effects: observed minus imputed, averaged per cell."""
+    full = estimate(panel, "imputation")
+    return _select(full, full.post_mask)
 
 
 def block_bias_pre_imputation(panel: PanelData) -> CoefficientSet:
@@ -264,31 +347,19 @@ def block_bias_pre_imputation(panel: PanelData) -> CoefficientSet:
     relative to their averages over the cohort's pre-treatment window.  The
     per-cohort biases sum to zero by construction.
     """
-    layout = build_layout(panel)
-    cells = build_cell_index(layout, panel.n_periods, "imputation")
-    positions, values = [], []
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if not c.pre:
-            continue
-        g = c.cohort
-        treated = layout.cohort_units[g]
-        control = layout.initial_control_units(g)
-        pre = layout.pre_periods(g)
-        lhs = _group_period_mean(panel.outcome, treated, c.cal) - _group_premean(
-            panel.outcome, treated, pre
-        )
-        rhs = _group_period_mean(panel.outcome, control, c.cal) - _group_premean(
-            panel.outcome, control, pre
-        )
-        positions.append(p)
-        values.append(lhs - rhs)
-    return CoefficientSet(
-        estimator="imputation",
-        cells=cells,
-        positions=np.array(positions),
-        values=np.array(values),
-    )
+    full = estimate(panel, "imputation")
+    return _select(full, full.pre_mask)
+
+
+def csnyt_estimates(panel: PanelData) -> CoefficientSet:
+    """Not-yet-treated estimator: pre block biases and post effects.
+
+    Post cells compare the cohort's change from its reference period t_g - 1
+    with the contemporaneous not-yet-treated group's change; pre cells use
+    the fixed initial control group.  The reference cell (s = 0) is a
+    structural zero and carries no coefficient.
+    """
+    return estimate(panel, "csnyt")
 
 
 def sequential_imputation(panel: PanelData) -> CoefficientSet:
@@ -338,62 +409,6 @@ def sequential_imputation(panel: PanelData) -> CoefficientSet:
     )
 
 
-def csnyt_estimates(panel: PanelData) -> CoefficientSet:
-    """Not-yet-treated estimator: pre block biases and post effects.
-
-    Post cells compare the cohort's change from its reference period t_g - 1
-    with the contemporaneous not-yet-treated group's change; pre cells use
-    the fixed initial control group.  The reference cell (s = 0) is a
-    structural zero and carries no coefficient.
-    """
-    layout = build_layout(panel)
-    cells = build_cell_index(layout, panel.n_periods, "csnyt")
-    positions, values = [], []
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if cells.structural_zero(p):
-            continue
-        g = c.cohort
-        t_ref = layout.times[g] - 1
-        own = layout.cohort_units[g]
-        ctrl = (
-            layout.not_yet_treated_units(c.cal)
-            if c.post
-            else layout.initial_control_units(g)
-        )
-        own_trend = _group_period_mean(panel.outcome, own, c.cal) - _group_period_mean(
-            panel.outcome, own, t_ref
-        )
-        ctrl_trend = _group_period_mean(
-            panel.outcome, ctrl, c.cal
-        ) - _group_period_mean(panel.outcome, ctrl, t_ref)
-        positions.append(p)
-        values.append(own_trend - ctrl_trend)
-    return CoefficientSet(
-        estimator="csnyt",
-        cells=cells,
-        positions=np.array(positions),
-        values=np.array(values),
-    )
-
-
-def estimate(panel: PanelData, estimator: str) -> CoefficientSet:
-    """Full stacked coefficient vector (pre block biases and post effects)."""
-    if estimator == "imputation":
-        pre = block_bias_pre_imputation(panel)
-        post = imputation_estimates(panel)
-        positions = np.concatenate([pre.positions, post.positions])
-        values = np.concatenate([pre.values, post.values])
-        order = np.argsort(positions)
-        return CoefficientSet(
-            estimator="imputation",
-            cells=pre.cells,
-            positions=positions[order],
-            values=values[order],
-        )
-    if estimator == "csnyt":
-        return csnyt_estimates(panel)
-    raise ValueError(f"unknown estimator tag {estimator!r}")
 
 
 def cohort_loo(panel: PanelData, cohort_time: int) -> np.ndarray:

@@ -2,28 +2,28 @@
 
 Units are resampled with replacement within their own cohorts (never-treated
 included), keeping every cohort's size fixed, and each drawn unit carries its
-full time series.  The full set of pre-treatment block biases and
-post-treatment effects is re-estimated on every replicate; the covariance of
-the stacked draws estimates the joint sampling covariance of the original
-coefficients.  Point values always come from the original sample.
+full time series.  Both estimators are linear in the stratum-period means, so
+each replicate is a resampled means matrix pushed through the same
+coefficient operator as :func:`estimate`; the covariance of the stacked
+draws estimates the joint sampling covariance of the original coefficients.
+Point values always come from the original sample.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CoefficientSet, EstimationError, estimate
+from .estimators import (
+    CoefficientSet,
+    _coefficient_operator,
+    _strata_means,
+    _stratum_units,
+    estimate,
+)
 from .panel import PanelData, build_layout
 
-__all__ = ["BootstrapSpec", "ResamplingDegenerate", "bootstrap_vcov"]
-
-_MAX_REDRAWS = 100
-
-
-class ResamplingDegenerate(EstimationError):
-    code = "RESAMPLING_DEGENERATE"
+__all__ = ["BootstrapSpec", "bootstrap_vcov"]
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class BootstrapSpec:
 
 
 def _strata(panel: PanelData):
-    layout = build_layout(panel)
-    groups = list(layout.cohort_units) + [layout.never_units]
-    return groups
+    return _stratum_units(build_layout(panel))
 
 
 def _resample_rows(groups, rng):
@@ -55,36 +53,30 @@ def _resample_rows(groups, rng):
     return rows
 
 
-def _replicate(panel, groups, estimator, seed, b):
-    """One replicate's stacked coefficient values (redrawn on failures)."""
-    for attempt in range(_MAX_REDRAWS):
+def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec) -> np.ndarray:
+    """Stacked coefficient draws, one row per replicate.
+
+    Replicate b resamples rows from its own substream keyed by (seed, b)
+    and is the coefficient operator applied to the resampled stratum means.
+    """
+    groups = _strata(panel)
+    sizes = [len(g) for g in groups]
+    means = np.empty((spec.replications, len(groups), panel.n_periods))
+    for b in range(spec.replications):
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(b, attempt))
+            np.random.SeedSequence(entropy=spec.seed, spawn_key=(b, 0))
         )
         rows = _resample_rows(groups, rng)
-        resampled = PanelData(
-            units=tuple(f"b{j}" for j in range(len(rows))),
-            n_periods=panel.n_periods,
-            outcome=panel.outcome[rows],
-            adoption=tuple(panel.adoption[r] for r in rows),
-            time_labels=panel.time_labels,
-        )
-        try:
-            return estimate(resampled, estimator).values
-        except EstimationError:
-            continue
-    raise ResamplingDegenerate(
-        f"replicate {b}: {_MAX_REDRAWS} consecutive resampling failures"
-    )
+        means[b] = _strata_means(panel.outcome[rows], sizes)
+    E = _coefficient_operator(build_layout(panel), panel.n_periods, spec.estimator)
+    return means.reshape(spec.replications, -1) @ E.T
 
 
-def bootstrap_vcov(
-    panel: PanelData, spec: BootstrapSpec, workers: int = 1
-) -> CoefficientSet:
+def bootstrap_vcov(panel: PanelData, spec: BootstrapSpec) -> CoefficientSet:
     """Point estimates from the original sample plus a bootstrap covariance.
 
     Replicate b draws from a dedicated random substream keyed by (seed, b),
-    so results are identical whether replicates run serially or in parallel.
+    so its draw depends only on the seed and its index.
     """
     layout = build_layout(panel)
     singletons = [
@@ -100,28 +92,9 @@ def bootstrap_vcov(
         )
 
     point = estimate(panel, spec.estimator)
-    groups = _strata(panel)
-    B = spec.replications
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            draws = list(
-                pool.map(
-                    _replicate,
-                    [panel] * B,
-                    [groups] * B,
-                    [spec.estimator] * B,
-                    [spec.seed] * B,
-                    range(B),
-                    chunksize=max(1, B // (4 * workers)),
-                )
-            )
-    else:
-        draws = [_replicate(panel, groups, spec.estimator, spec.seed, b) for b in range(B)]
-
-    stacked = np.vstack(draws)
+    stacked = _bootstrap_draws(panel, spec)
     centered = stacked - stacked.mean(axis=0, keepdims=True)
-    vcov = centered.T @ centered / (B - 1)
+    vcov = centered.T @ centered / (spec.replications - 1)
     vcov = (vcov + vcov.T) / 2.0
     return CoefficientSet(
         estimator=point.estimator,

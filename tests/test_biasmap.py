@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
+from blockdid.biasmap import BiasMap, build_w_csnyt, build_w_imputation, invert
 from blockdid.estimators import csnyt_estimates, estimate, imputation_estimates
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
@@ -91,6 +91,29 @@ def test_inverse_structure(staircase_layout):
             off_block = cals[:, None] != cals[None, :]
             assert np.max(np.abs(bm.W[off_block])) == 0
             assert np.max(np.abs(bm.W_inverse[off_block])) == 0
+
+
+@pytest.mark.parametrize(
+    "estimator, builder",
+    [("imputation", build_w_imputation), ("csnyt", build_w_csnyt)],
+)
+def test_inverse_wide_layout(estimator, builder):
+    # T=40, twenty cohorts of unequal sizes: 800 cells
+    units = [(f"g{t}_{i}", str(t)) for t in range(2, 41, 2) for i in range(t % 5 + 1)]
+    units += [(f"n{i}", "never") for i in range(7)]
+    layout = build_layout(load_panel(grid_csv(units, T=40)))
+    cells = build_cell_index(layout, 40, estimator)
+    bm = invert(builder(layout, cells))
+    resid = np.abs(bm.W @ bm.W_inverse - np.eye(len(cells))).sum(axis=1).max()
+    assert resid < 1e-12
+
+
+def test_invert_rejects_entries_in_later_calendar_blocks(staircase_layout):
+    cells = build_cell_index(staircase_layout, 8, "imputation")
+    W = np.eye(len(cells))
+    W[cells.position(4, 1), cells.position(4, 2)] = 0.5  # t=4 row, t=5 column
+    with pytest.raises(ValueError, match="block-triangular"):
+        invert(BiasMap(estimator="imputation", cells=cells, W=W))
 
 
 def test_identity_map_inverts_to_identity():

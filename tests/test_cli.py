@@ -173,3 +173,67 @@ def test_reruns_reproduce_results(panel_csv, tmp_path):
         for r in d["results"]:
             r.pop("runtime_ms")  # wall-clock, excluded from reproducibility
     assert da == db
+
+
+def test_family_flag_reaches_records(panel_csv, tmp_path):
+    from blockdid.estimators import aggregate, estimate
+    from blockdid.inference import aggregated_system
+    from blockdid.panel import build_cell_index, build_layout, load_panel
+    from blockdid.restrictions import rm_cohort, sd
+
+    panel = load_panel(str(panel_csv))
+    layout = build_layout(panel)
+    cells = build_cell_index(layout, panel.n_periods, "imputation")
+    agg_layout, agg_cells, _, _ = aggregated_system(
+        aggregate(estimate(panel, "imputation"), layout)
+    )
+    hashes = {}
+    for family, build in (("sd", sd), ("rm-cohort", rm_cohort)):
+        out = tmp_path / f"{family}.json"
+        assert run_cli(
+            "sets", "--input", str(panel_csv), "--family", family,
+            "--param", "0.5", "--bootstrap", "20", "--seed", "2",
+            "--draws", "500", "--grid=-6:6:41", "--framework", "both",
+            "--out", str(out),
+        ) == 0
+        payload = json.loads(out.read_text())
+        hashes[family] = payload["config_hash"]
+        members = {
+            "cohort": build(layout, cells, 0.5).member_count,
+            "aggregated": build(agg_layout, agg_cells, 0.5).member_count,
+        }
+        records = payload["results"]
+        assert [r["framework"] for r in records] == ["cohort", "aggregated"]
+        for r in records:
+            assert r["family"] == family
+            assert r["member_count"] == members[r["framework"]]
+    assert hashes["sd"] != hashes["rm-cohort"]
+
+
+def test_byperiod_both_frameworks_rejected(panel_csv, tmp_path, capsys, monkeypatch):
+    import blockdid.cli
+
+    calls = []
+    monkeypatch.setattr(
+        blockdid.cli, "bootstrap_vcov", lambda *a, **k: calls.append(a)
+    )
+    assert run_cli(
+        "byperiod", "--input", str(panel_csv), "--family", "sd", "--param", "0",
+        "--bootstrap", "40", "--framework", "both", "--out", str(tmp_path / "bp.json"),
+    ) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == "UNSUPPORTED_OPTION"
+    assert calls == []
+
+
+def test_workers_other_than_one_rejected(panel_csv, tmp_path):
+    from blockdid.cli import RunConfig, UnsupportedOption, run
+
+    config = RunConfig(
+        command="vcov", input=str(panel_csv), out=str(tmp_path / "v.csv"),
+        bootstrap=10, workers=2,
+    )
+    with pytest.raises(UnsupportedOption) as info:
+        run(config)
+    assert info.value.code == "UNSUPPORTED_OPTION"
+    assert not (tmp_path / "v.csv").exists()

@@ -13,7 +13,7 @@ from blockdid.estimators import (
     imputation_estimates,
     sequential_imputation,
 )
-from blockdid.panel import build_layout, load_panel
+from blockdid.panel import PanelData, build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 
 from conftest import random_panel
@@ -80,6 +80,71 @@ def test_sequential_matches_direct():
         seq = sequential_imputation(panel)
         assert np.array_equal(direct.positions, seq.positions)
         assert np.max(np.abs(direct.values - seq.values)) < 1e-10
+
+
+def _oracle_values(panel, estimator):
+    """Direct group-mean contrasts per cell; imputation post cells as
+    observed minus the unit-level two-way fit."""
+    layout = build_layout(panel)
+    cells = build_cell_index(layout, panel.n_periods, estimator)
+    y = panel.outcome
+    if estimator == "imputation":
+        imputed = fit_twfe_untreated(panel).imputed()
+    out = []
+    for p in cells.value_positions:
+        c = cells.cell(p)
+        own, col = layout.cohort_units[c.cohort], c.cal - 1
+        if estimator == "imputation" and c.post:
+            out.append((y[own, col] - imputed[own, col]).mean())
+            continue
+        if estimator == "imputation":
+            ctrl = layout.initial_control_units(c.cohort)
+            window = list(range(c.cohort_time - 1))
+
+            def contrast(units):
+                return y[units, col].mean() - y[np.ix_(units, window)].mean()
+        else:
+            ctrl = (
+                layout.not_yet_treated_units(c.cal)
+                if c.post
+                else layout.initial_control_units(c.cohort)
+            )
+
+            def contrast(units):
+                return (y[units, col] - y[units, c.cohort_time - 2]).mean()
+        out.append(contrast(own) - contrast(ctrl))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_estimate_matches_direct_oracles(estimator):
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        panel = random_panel(rng).panel
+        got = estimate(panel, estimator).values
+        want = _oracle_values(panel, estimator)
+        assert np.max(np.abs(got - want)) < 1e-10 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_mean_preserving_perturbation_leaves_estimates(estimator):
+    # estimates depend on the panel only through stratum-period means
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        panel = random_panel(rng).panel
+        layout = build_layout(panel)
+        noise = rng.normal(scale=5.0, size=panel.outcome.shape)
+        for units in layout.cohort_units + (layout.never_units,):
+            noise[units] -= noise[units].mean(axis=0)
+        perturbed = PanelData(
+            units=panel.units,
+            n_periods=panel.n_periods,
+            outcome=panel.outcome + noise,
+            adoption=panel.adoption,
+        )
+        a = estimate(panel, estimator).values
+        b = estimate(perturbed, estimator).values
+        assert np.max(np.abs(a - b)) < 1e-12 * (1 + np.max(np.abs(a)))
 
 
 def test_sequential_single_cohort_is_plain_block_did():

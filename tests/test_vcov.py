@@ -68,31 +68,31 @@ def test_unit_relabeling_invariance(noisy_panel):
     assert np.array_equal(a.vcov, b.vcov)
 
 
-def test_parallel_matches_serial(noisy_panel):
-    spec = BootstrapSpec(24, 13, "imputation")
-    serial = bootstrap_vcov(noisy_panel, spec, workers=1)
-    parallel = bootstrap_vcov(noisy_panel, spec, workers=2)
-    assert np.array_equal(serial.vcov, parallel.vcov)
-
-
 def test_replications_floor():
     with pytest.raises(ValueError):
         BootstrapSpec(replications=1)
 
 
-def test_persistent_estimation_failure_aborts(noisy_panel, monkeypatch):
-    from blockdid import vcov as vcov_mod
-    from blockdid.estimators import EstimationError
-    from blockdid.vcov import ResamplingDegenerate
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_draws_match_reestimation_on_resampled_rows(noisy_panel, estimator):
+    # replicate b re-estimates on the rows drawn from substream (seed, b)
+    from blockdid.estimators import estimate
+    from blockdid.vcov import _bootstrap_draws, _resample_rows, _strata
 
-    def always_fails(panel, estimator):
-        raise EstimationError("induced failure")
-
-    monkeypatch.setattr(vcov_mod, "estimate", always_fails)
-    with pytest.raises(ResamplingDegenerate):
-        vcov_mod._replicate(
-            noisy_panel, vcov_mod._strata(noisy_panel), "imputation", 0, 0
+    spec = BootstrapSpec(12, 21, estimator)
+    draws = _bootstrap_draws(noisy_panel, spec)
+    groups = _strata(noisy_panel)
+    for b in (0, 5, 11):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(b, 0)))
+        rows = _resample_rows(groups, rng)
+        resampled = PanelData(
+            units=tuple(f"b{j}" for j in range(len(rows))),
+            n_periods=noisy_panel.n_periods,
+            outcome=noisy_panel.outcome[rows],
+            adoption=tuple(noisy_panel.adoption[r] for r in rows),
         )
+        want = estimate(resampled, estimator).values
+        assert np.max(np.abs(draws[b] - want)) < 1e-10 * (1 + np.max(np.abs(want)))
 
 
 def test_cohort_structure_preserved(noisy_panel):
