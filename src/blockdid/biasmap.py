@@ -10,6 +10,7 @@ identity rows (pre-treatment overall bias is defined to equal the block
 bias).
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,9 @@ def invert(bias_map: BiasMap) -> BiasMap:
     W_inv = inverse[ix]
     del inverse
     W_inv.setflags(write=False)
-    return BiasMap(
-        estimator=bias_map.estimator, cells=cells, W=bias_map.W, W_inverse=W_inv
-    )
+    out = copy.copy(bias_map)  # shares the already-frozen W
+    object.__setattr__(out, "W_inverse", W_inv)
+    return out
 
 
 def write_biasmap_csv(bias_map: BiasMap, stream, inverse=False):

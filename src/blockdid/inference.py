@@ -12,12 +12,12 @@ member constraints become moment inequalities linear in the nuisance gamma.
 Stage one compares the studentized max moment, profiled over gamma by linear
 programming, against a seeded Monte Carlo least-favorable critical value at
 level kappa; stage two is a conditional test at level (alpha-kappa)/(1-kappa)
-that conditions on the optimal vertex of the profiling program (and on
-first-stage acceptance) via a truncated normal.  Degenerate vertices fall
-back to the stage-one decision, which never over-rejects.  The profiling
-program is solved as a maximum over the vertices of its dual polytope, which
-makes the Monte Carlo stage and the grid sweep cheap; an LP path covers the
-rare systems where vertex enumeration is unavailable.
+that conditions on the basis of the optimal dual vertex (and on first-stage
+acceptance) via a truncated normal.  Degenerate or tied optima fall back to
+the stage-one decision, which never over-rejects.  The profiling program is
+solved as a maximum over the vertices of its dual polytope, which makes the
+Monte Carlo stage and the grid sweep cheap; where vertex enumeration would
+exceed its cap, one LP per point takes its place and nothing else changes.
 """
 
 import itertools
@@ -192,10 +192,10 @@ class IntervalSet:
         )
 
 
-def _merge_intervals(pairs, gap=0.0):
+def _merge_intervals(pairs):
     out = []
     for a, b in sorted(pairs):
-        if out and a <= out[-1][1] + gap:
+        if out and a <= out[-1][1]:
             out[-1][1] = max(out[-1][1], b)
         else:
             out.append([a, b])
@@ -209,19 +209,12 @@ def _merge_intervals(pairs, gap=0.0):
 
 def _reduced_member(member: Polyhedron, cells: CellIndex, positions):
     """Member rows restricted to the coefficient coordinate system."""
-    A = member.A[:, positions]
-    rows = [A]
-    rhs = [member.d]
-    if member.A_eq is not None:
-        rows.append(member.A_eq[:, positions])
-        rhs.append(member.d_eq)
     structural = [p for p in range(len(cells)) if cells.structural_zero(p)]
     for blk in (member.A, member.A_eq):
         if blk is not None and structural and np.abs(blk[:, structural]).max() > 1e-12:
             raise InferenceError("structural-zero columns must carry zero coefficients")
-    return rows[0], rhs[0], (rows[1] if len(rows) > 1 else None), (
-        rhs[1] if len(rhs) > 1 else None
-    )
+    A_eq = None if member.A_eq is None else member.A_eq[:, positions]
+    return member.A[:, positions], member.d, A_eq, member.d_eq
 
 
 def _check_alignment(coeffs: CoefficientSet, family: RestrictionFamily):
@@ -361,22 +354,16 @@ def _build_moments(coeffs, member, target, nuisance_override=None):
         d = np.concatenate([d, d_eq, -d_eq])
 
     post = np.array([cells.cell(p).post for p in positions])
-    q = int(post.sum())
     l_post = target.weights[positions][post]
     if not np.any(l_post):
         raise InferenceError("target has no weight on any post cell")
     lbar, X_post = _nuisance_basis(l_post)
     if nuisance_override is not None:
         X_post = nuisance_override
-    n = len(positions)
-    L_full = np.zeros(n)
-    L_full[post] = lbar
-    X_full = np.zeros((n, X_post.shape[1]))
-    X_full[post, :] = X_post
 
     a0 = A @ coeffs.values - d
-    a1 = A @ L_full
-    X = _column_space(A @ X_full)
+    a1 = A[:, post] @ lbar
+    X = _column_space(A[:, post] @ X_post)
     sigma = A @ coeffs.vcov @ A.T
     sd = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
 
@@ -427,18 +414,14 @@ def _dual_vertices(sd, X):
     ok = np.abs(dets) > 1e-12
     if not ok.any():
         return None
-    e1 = np.zeros((p, 1))
-    e1[0, 0] = 1.0
-    rhs = np.broadcast_to(e1, (int(ok.sum()), p, 1)).copy()
-    sols = np.linalg.solve(mats[ok], rhs)[..., 0]
+    sols = np.linalg.solve(mats[ok], np.eye(p, 1)[None])[..., 0]  # W_S'^-1 e1 per combo
     feas = (sols >= -1e-9).all(axis=1)
     if not feas.any():
         return None
     verts = np.zeros((int(feas.sum()), m))
     rows = np.arange(int(feas.sum()))[:, None]
     verts[rows, combos[ok][feas]] = np.clip(sols[feas], 0.0, None)
-    verts = np.unique(np.round(verts, 12), axis=0)
-    return verts
+    return np.unique(np.round(verts, 12), axis=0)
 
 
 def _eta_star_lp(y, X, sd):
@@ -464,6 +447,21 @@ def _eta_star_lp(y, X, sd):
     return float(res.x[0]), np.clip(lam, 0.0, None)
 
 
+def _profile(moments, vertices, Y, duals=False):
+    """eta* for every column of ``Y`` and, with ``duals``, an optimal dual
+    vertex per column: from the enumerated vertices, or one LP per column
+    when ``vertices`` is None.  The only place the evaluator is chosen."""
+    if vertices is not None:
+        vals = vertices @ Y
+        best = vertices[vals.argmax(axis=0)] if duals else None
+        return vals.max(axis=0), best
+    sols = (_eta_star_lp(y, moments.X, moments.sd) for y in Y.T)
+    if not duals:  # keep no dual per Monte Carlo draw
+        return np.array([eta for eta, _ in sols]), None
+    sols = list(sols)
+    return np.array([eta for eta, _ in sols]), np.array([lam for _, lam in sols])
+
+
 @dataclass
 class _HybridContext:
     """Per-(member, target) state shared across the whole grid."""
@@ -484,117 +482,88 @@ def _prepare_context(moments, kappa, draws, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     root = _gaussian_root(moments.sigma)
     xi = rng.standard_normal((draws, root.shape[1])) @ root.T
-    if verts is not None:
-        eta = (verts @ xi.T).max(axis=0)
-    else:
-        eta = np.array(
-            [_eta_star_lp(x, moments.X, moments.sd)[0] for x in xi]
-        )
-    lf_cv = float(np.quantile(eta, 1.0 - kappa))
+    lf_cv = float(np.quantile(_profile(moments, verts, xi.T)[0], 1.0 - kappa))
     return _HybridContext(moments=moments, vertices=verts, lf_cv=lf_cv, kappa=kappa)
 
 
 def _truncnorm_quantile(p, lo, hi):
-    """Quantile of a standard normal truncated to [lo, hi]."""
-    if lo >= hi:
-        return lo
-    if np.isinf(lo) and np.isinf(hi):
-        return float(scistats.norm.ppf(p))
-    val = float(scistats.truncnorm.ppf(p, a=lo, b=hi))
-    if not np.isfinite(val):
-        return hi if np.isfinite(hi) else lo
-    return val
+    """Quantiles of standard normals truncated to [lo[i], hi[i]].
+
+    An empty interval gives ``lo``; a far-tail interval where scipy returns a
+    non-finite value gives its finite bound.
+    """
+    lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi)))
+    free = np.isinf(lo) & np.isinf(hi) & (lo < hi)
+    cut = ~(lo >= hi) & ~free
+    out = np.where(free, scistats.norm.ppf(p), lo)
+    if cut.any():
+        out[cut] = scistats.truncnorm.ppf(p, a=lo[cut], b=hi[cut])
+    bad = cut & ~np.isfinite(out)
+    out[bad] = np.where(np.isfinite(hi[bad]), hi[bad], lo[bad])
+    return out
 
 
-def _conditional_stage(ctx, y, alpha, eta=None, vals=None):
-    """Second-stage decision given first-stage acceptance at theta0.
+def _decisions(ctx, points, alpha):
+    """Hybrid rejection decision at every candidate value in ``points``.
 
-    Conditions on the optimal dual vertex; a degenerate optimum (tie or
-    short support) falls back to the first-stage decision, i.e. acceptance.
+    Stage one rejects when eta* exceeds the least-favorable critical value.
+    Stage two conditions on the basis of the optimal dual vertex lam: the
+    basis stays optimal while every non-basic moment keeps its primal slack,
+    y_j <= [sd_j, X_j] W_B^-1 y_B, which is linear in the statistic along
+    y(S) = z + c S and so cuts out [vlo, vup].  A degenerate optimum (support
+    not of size 1+k, or a non-basic moment with zero slack, i.e. a tied
+    optimum) keeps the stage-one acceptance, which never over-rejects.
     """
     mom = ctx.moments
-    verts = ctx.vertices
-    if vals is None:
-        vals = verts @ y
-    order = np.argsort(vals)
-    best = order[-1]
-    eta_star = vals[best] if eta is None else eta
-    scale = 1.0 + abs(eta_star)
-    if len(vals) > 1 and vals[order[-2]] > eta_star - _VERTEX_TIE_TOL * scale:
-        return False  # degenerate vertex: keep the (accepting) stage-one call
-    lam = verts[best]
-    p_expected = 1 + mom.X.shape[1]
-    if int((lam > _VERTEX_TIE_TOL).sum()) != p_expected:
-        return False
-    sig2 = float(lam @ mom.sigma @ lam)
-    if sig2 <= 1e-24:
-        return bool(eta_star > 0)
-    sig = math.sqrt(sig2)
-    c = mom.sigma @ lam / sig2
-    vc = verts @ c
-    vz = vals - vc * eta_star
-    lo_set = 1.0 - vc > _VERTEX_TIE_TOL
-    hi_set = 1.0 - vc < -_VERTEX_TIE_TOL
-    vlo = (
-        float(np.max(vz[lo_set] / (1.0 - vc[lo_set]))) if lo_set.any() else -np.inf
-    )
-    vup = (
-        float(np.min(vz[hi_set] / (1.0 - vc[hi_set]))) if hi_set.any() else np.inf
-    )
-    vup = min(vup, ctx.lf_cv)  # condition on first-stage acceptance
-    if not (vlo - 1e-9 * scale <= eta_star <= vup + 1e-9 * scale):
-        return False
-    alpha_mod = (alpha - ctx.kappa) / (1.0 - ctx.kappa)
-    cval = max(0.0, sig * _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig))
-    return bool(eta_star > cval)
+    points = np.asarray(points, dtype=float)
+    reject = (
+        mom.det_a0[:, None] - np.outer(mom.det_a1, points) > mom.det_tol[:, None]
+    ).any(axis=0)
+    live = np.flatnonzero(~reject)
+    Y = mom.a0[:, None] - np.outer(mom.a1, points[live])
+    eta, lam = _profile(mom, ctx.vertices, Y, duals=True)
+    reject[live] = eta > ctx.lf_cv
+
+    W = np.column_stack([mom.sd, mom.X])
+    conditional = []  # (point, sigma, vlo, vup)
+    for j in np.flatnonzero(eta <= ctx.lf_cv):
+        basic = lam[j] > _VERTEX_TIE_TOL
+        if int(basic.sum()) != W.shape[1]:
+            continue  # degenerate vertex
+        y, eta_j, scale = Y[:, j], eta[j], 1.0 + abs(eta[j])
+        try:
+            proj = W[~basic] @ np.linalg.inv(W[basic])
+        except np.linalg.LinAlgError:
+            continue
+        if np.any(proj @ y[basic] - y[~basic] <= _VERTEX_TIE_TOL * scale):
+            continue  # tied optimum
+        sig2 = float(lam[j] @ mom.sigma @ lam[j])
+        if sig2 <= 1e-24:
+            reject[live[j]] = eta_j > 0
+            continue
+        c = mom.sigma @ lam[j] / sig2
+        z = y - c * eta_j
+        const = proj @ z[basic] - z[~basic]
+        slope = proj @ c[basic] - c[~basic]
+        lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
+        hi_set = slope < -_VERTEX_TIE_TOL
+        vlo = np.max(-const[lo_set] / slope[lo_set], initial=-np.inf)
+        vup = np.min(-const[hi_set] / slope[hi_set], initial=np.inf)
+        vup = min(vup, ctx.lf_cv)  # condition on first-stage acceptance
+        # every non-basic slack is positive, so vlo < eta_j <= vup
+        conditional.append((j, math.sqrt(sig2), vlo, vup))
+    if conditional:
+        at, sig, vlo, vup = np.array(conditional).T
+        at = at.astype(int)
+        alpha_mod = (alpha - ctx.kappa) / (1.0 - ctx.kappa)
+        q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
+        reject[live[at]] = eta[at] > np.maximum(0.0, sig * q)
+    return reject
 
 
 def _test_point(ctx, theta0, alpha):
     """Hybrid rejection decision for one candidate value."""
-    mom = ctx.moments
-    if len(mom.det_a0) and np.any(mom.det_a0 - mom.det_a1 * theta0 > mom.det_tol):
-        return True
-    y = mom.a0 - mom.a1 * theta0
-    if ctx.vertices is not None:
-        vals = ctx.vertices @ y
-        eta_star = float(vals.max())
-        if eta_star > ctx.lf_cv:
-            return True
-        return _conditional_stage(ctx, y, alpha, eta=eta_star, vals=vals)
-    eta_star, lam = _eta_star_lp(y, mom.X, mom.sd)
-    if eta_star > ctx.lf_cv:
-        return True
-    # degenerate-vertex detection on the LP duals; fall back to stage one
-    basic = lam > _VERTEX_TIE_TOL
-    if int(basic.sum()) != 1 + mom.X.shape[1]:
-        return False
-    sig2 = float(lam @ mom.sigma @ lam)
-    if sig2 <= 1e-24:
-        return bool(eta_star > 0)
-    sig = math.sqrt(sig2)
-    c = mom.sigma @ lam / sig2
-    z = y - c * eta_star
-    # the basis stays optimal while every non-basic moment keeps its slack:
-    # y_j <= [sd_j, X_j] W_B^-1 y_B, linear in the statistic along y(S)=z+cS
-    W_full = np.column_stack([mom.sd, mom.X])
-    try:
-        WB_inv = np.linalg.inv(W_full[basic])
-    except np.linalg.LinAlgError:
-        return False
-    proj = W_full[~basic] @ WB_inv
-    const = proj @ z[basic] - z[~basic]
-    slope = proj @ c[basic] - c[~basic]
-    scale = 1.0 + abs(eta_star)
-    lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
-    hi_set = slope < -_VERTEX_TIE_TOL
-    vlo = float(np.max(-const[lo_set] / slope[lo_set])) if lo_set.any() else -np.inf
-    vup = float(np.min(-const[hi_set] / slope[hi_set])) if hi_set.any() else np.inf
-    vup = min(vup, ctx.lf_cv)
-    if not (vlo - 1e-9 * scale <= eta_star <= vup + 1e-9 * scale):
-        return False
-    alpha_mod = (alpha - ctx.kappa) / (1.0 - ctx.kappa)
-    cval = max(0.0, sig * _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig))
-    return bool(eta_star > cval)
+    return bool(_decisions(ctx, [theta0], alpha)[0])
 
 
 def hybrid_test(
@@ -671,45 +640,16 @@ def confidence_set(
             break
         moments = _build_moments(coeffs, member, target)
         ctx = _prepare_context(moments, kappa, draws, seed)
-        if ctx.vertices is not None and len(moments.det_a0) == 0:
-            vals0 = ctx.vertices @ moments.a0
-            vals1 = ctx.vertices @ moments.a1
-            etas = vals0[:, None] - np.outer(vals1, points[todo])
-            eta_star = etas.max(axis=0)
-            pass1 = eta_star <= ctx.lf_cv
-            for j, idx in enumerate(todo):
-                if not pass1[j]:
-                    continue
-                accepted[idx] = not _conditional_stage(
-                    ctx,
-                    moments.a0 - moments.a1 * points[idx],
-                    alpha,
-                    eta=float(eta_star[j]),
-                    vals=etas[:, j],
-                )
-        else:
-            for idx in todo:
-                accepted[idx] = not _test_point(ctx, points[idx], alpha)
-    if accepted.any() and (accepted[0] or accepted[-1]):
+        accepted[todo] = ~_decisions(ctx, points[todo], alpha)
+    if accepted[0] or accepted[-1]:
         warnings.warn(
-            "confidence set touches the grid boundary; widen the grid",
-            stacklevel=2,
+            "confidence set touches the grid boundary; widen the grid", stacklevel=2
         )
     if not accepted.any():
-        warnings.warn(
-            "confidence set is empty on the supplied grid",
-            stacklevel=2,
-        )
-    intervals = []
-    run_start = None
-    for i, ok in enumerate(accepted):
-        if ok and run_start is None:
-            run_start = i
-        if not ok and run_start is not None:
-            intervals.append((points[run_start], points[i - 1]))
-            run_start = None
-    if run_start is not None:
-        intervals.append((points[run_start], points[-1]))
+        warnings.warn("confidence set is empty on the supplied grid", stacklevel=2)
+    # runs of accepted points: starts at even, one-past-ends at odd edges
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], accepted, [0]])))
+    intervals = [(points[a], points[b - 1]) for a, b in edges.reshape(-1, 2)]
     return IntervalSet(
         intervals=tuple(intervals), provenance="confidence", alpha=alpha, grid=grid
     )

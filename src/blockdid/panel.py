@@ -23,6 +23,7 @@ __all__ = [
     "PanelError",
     "DuplicateCell",
     "UnbalancedPanel",
+    "NonFiniteOutcome",
     "NonIntegerTime",
     "BadAdoptionTime",
     "InconsistentCohortLabel",
@@ -49,6 +50,10 @@ class DuplicateCell(PanelError):
 
 class UnbalancedPanel(PanelError):
     code = "UNBALANCED_PANEL"
+
+
+class NonFiniteOutcome(PanelError):
+    code = "NON_FINITE_OUTCOME"
 
 
 class NonIntegerTime(PanelError):
@@ -99,7 +104,7 @@ class PanelData:
                 f"({len(self.units)}, {self.n_periods})"
             )
         if not np.all(np.isfinite(out)):
-            raise UnbalancedPanel("outcome grid contains non-finite values")
+            raise NonFiniteOutcome("outcome grid contains non-finite values")
         out = out.copy()
         out.setflags(write=False)
         object.__setattr__(self, "outcome", out)

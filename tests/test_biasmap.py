@@ -116,6 +116,17 @@ def test_invert_rejects_entries_in_later_calendar_blocks(staircase_layout):
         invert(BiasMap(estimator="imputation", cells=cells, W=W))
 
 
+def test_invert_shares_the_frozen_map(staircase_layout):
+    cells = build_cell_index(staircase_layout, 8, "csnyt")
+    bm = build_w_csnyt(staircase_layout, cells)
+    inv = invert(bm)
+    assert np.shares_memory(inv.W, bm.W)
+    assert not inv.W.flags.writeable and not inv.W_inverse.flags.writeable
+    assert bm.W_inverse is None  # the input map is left as it was
+    with pytest.raises(ValueError):
+        inv.W[0, 0] = 2.0
+
+
 def test_identity_map_inverts_to_identity():
     layout = build_layout(load_panel(grid_csv([("a", "3"), ("n", "never")], T=4)))
     cells = build_cell_index(layout, 4, "imputation")

@@ -47,6 +47,18 @@ def test_validate_all_treated_exits_with_code(tmp_path, capsys):
     assert err["error"]["code"] == "NO_NEVER_TREATED"
 
 
+def test_validate_non_finite_outcome_exits_with_code(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    rows = ["unit,time,outcome,cohort"]
+    for u, g in (("a", "2"), ("b", "never")):
+        for t in (1, 2, 3):
+            rows.append(f"{u},{t},{'nan' if (u, t) == ('a', 2) else 1.0},{g}")
+    bad.write_text("\n".join(rows) + "\n")
+    assert run_cli("validate", "--input", str(bad)) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == "NON_FINITE_OUTCOME"
+
+
 def test_estimate_csv_schema(panel_csv, tmp_path):
     out = tmp_path / "coeffs.csv"
     assert run_cli(

@@ -13,6 +13,7 @@ from blockdid.inference import (
     _HybridContext,
     _prepare_context,
     _test_point,
+    _truncnorm_quantile,
     aggregated_att_target,
     aggregated_system,
     by_period_sets,
@@ -308,9 +309,11 @@ def test_confidence_sets_nested_in_parameter(boot_toy):
         prev = cur
 
 
-def test_hybrid_fallback_no_smaller_than_least_favorable():
+@pytest.mark.parametrize("path", ["vertex", "lp"])
+def test_hybrid_fallback_no_smaller_than_least_favorable(path):
     # duplicated moment rows force vertex ties, so the conditional stage
-    # always defers to the first-stage decision
+    # always defers to the first-stage decision, whichever evaluator supplies
+    # the optimal dual vertex
     units = [("a", "4"), ("b", "never")]
     layout = build_layout(load_panel(grid_csv(units, T=7)))
     cells = build_cell_index(layout, 7, "imputation")
@@ -332,8 +335,12 @@ def test_hybrid_fallback_no_smaller_than_least_favorable():
     hybrid_ctx = _prepare_context(moments, kappa=alpha / 10, draws=4000, seed=2)
     lf_ctx = _prepare_context(moments, kappa=alpha, draws=4000, seed=2)
     assert hybrid_ctx.lf_cv >= lf_ctx.lf_cv
+    tested_ctx = (
+        hybrid_ctx if path == "vertex"
+        else dataclasses.replace(hybrid_ctx, vertices=None)
+    )
     for theta0 in np.linspace(-2, 2, 41):
-        hybrid_rejects = _test_point(hybrid_ctx, theta0, alpha)
+        hybrid_rejects = _test_point(tested_ctx, theta0, alpha)
         lf_rejects = _test_point(
             dataclasses.replace(lf_ctx, lf_cv=lf_ctx.lf_cv), theta0, 1.0 - 1e-9
         )
@@ -347,6 +354,40 @@ def test_hybrid_fallback_no_smaller_than_least_favorable():
     vals = hybrid_ctx.vertices @ y
     top = np.sort(vals)[-2:]
     assert abs(top[0] - top[1]) < 1e-9
+
+
+def _scalar_truncnorm_quantile(p, lo, hi):
+    """One interval at a time, with scalar scipy calls."""
+    if lo >= hi:
+        return lo
+    if np.isinf(lo) and np.isinf(hi):
+        return float(scistats.norm.ppf(p))
+    val = float(scistats.truncnorm.ppf(p, a=lo, b=hi))
+    if not np.isfinite(val):
+        return hi if np.isfinite(hi) else lo
+    return val
+
+
+def test_truncnorm_quantile_array_matches_scalar():
+    bounds = [
+        (1.0, 0.5), (0.3, 0.3), (np.inf, np.inf),  # empty
+        (-np.inf, np.inf),  # both infinite
+        (-np.inf, 0.5), (1.0, np.inf), (-np.inf, -3.0),  # one infinite
+        (-1.0, 2.0), (0.2, 0.4), (-41.0, -40.0), (38.0, 39.0),
+        (1e200, 1e201), (1e200, np.inf), (-1e201, -1e200),  # far tail
+    ]
+    lo, hi = np.array(bounds).T
+    for p in (0.005, 0.5, 0.95):
+        got = _truncnorm_quantile(p, lo, hi)
+        want = np.array([_scalar_truncnorm_quantile(p, a, b) for a, b in bounds])
+        np.testing.assert_array_equal(got, want)
+        # scipy itself gives no finite answer in the far tail: the quantile
+        # falls back to the finite bound
+        with np.errstate(all="ignore"):
+            raw = scistats.truncnorm.ppf(p, lo[-3:], hi[-3:])
+        assert not np.isfinite(raw).any()
+        assert list(got[-3:]) == [1e201, 1e200, -1e200]
+    assert _truncnorm_quantile(0.5, np.empty(0), np.empty(0)).shape == (0,)
 
 
 def test_lp_path_matches_vertex_path(boot_toy):

@@ -8,6 +8,7 @@ from blockdid.panel import (
     DuplicateCell,
     InconsistentCohortLabel,
     NoNeverTreated,
+    NonFiniteOutcome,
     NonIntegerTime,
     UnbalancedPanel,
     build_cell_index,
@@ -82,6 +83,17 @@ def test_missing_cell():
     text = text.replace("b,2,12,never\n", "")
     with pytest.raises(UnbalancedPanel):
         load_panel(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_outcome_has_its_own_code(value):
+    text = grid_csv([("a", "2"), ("b", "never")], T=3).replace(
+        "b,2,12,never", f"b,2,{value},never"
+    )
+    with pytest.raises(NonFiniteOutcome) as err:
+        load_panel(text)
+    assert err.value.code == "NON_FINITE_OUTCOME"
+    assert not isinstance(err.value, UnbalancedPanel)
 
 
 def test_non_integer_time():
