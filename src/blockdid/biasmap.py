@@ -127,4 +127,4 @@ def write_biasmap_csv(bias_map: BiasMap, stream, inverse=False):
     labels = bias_map.cells.labels()
     stream.write("cell," + ",".join(labels) + "\n")
     for lab, row in zip(labels, M):
-        stream.write(lab + "," + ",".join(repr(float(x)) for x in row) + "\n")
+        stream.write(lab + "," + ",".join(map(repr, row.tolist())) + "\n")

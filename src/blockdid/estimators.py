@@ -510,4 +510,4 @@ def write_vcov_csv(coeffs: CoefficientSet, stream):
     labels = coeffs.labels()
     stream.write(",".join(labels) + "\n")
     for row in coeffs.vcov:
-        stream.write(",".join(repr(float(x)) for x in row) + "\n")
+        stream.write(",".join(map(repr, row.tolist())) + "\n")

@@ -16,16 +16,20 @@ that conditions on the basis of the optimal dual vertex (and on first-stage
 acceptance) via a truncated normal.  Degenerate or tied optima fall back to
 the stage-one decision, which never over-rejects.  The profiling program is
 solved as a maximum over the vertices of its dual polytope, which makes the
-Monte Carlo stage and the grid sweep cheap; where vertex enumeration would
-exceed its cap, one LP per point takes its place and nothing else changes.
+Monte Carlo stage and the grid sweep cheap.  The vertices come from a
+double-description enumeration of the extreme rays of {lam >= 0 : X'lam = 0};
+only where its working ray count would exceed the cap, or the moment system
+is rank-deficient, does one LP per point take their place, and nothing else
+changes.
 """
 
-import itertools
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as scilinalg
 from scipy import optimize as sciopt
 from scipy import stats as scistats
 
@@ -62,7 +66,9 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 _VERTEX_TIE_TOL = 1e-9
-_VERTEX_ENUM_CAP = 300_000
+# working rays of the vertex enumeration; the Monte Carlo product holds
+# cap x draws values, so it also bounds that product's memory
+_VERTEX_ENUM_CAP = 2_000
 _DEFAULT_DRAWS = 10_000
 
 
@@ -397,31 +403,53 @@ def _dual_vertices(sd, X):
 
     The profiled max-moment statistic equals the maximum of lam'y over this
     polytope, so enumerating its vertices turns every later evaluation into a
-    matrix product.
+    matrix product.  The vertices are the extreme rays of the pointed cone
+    {lam >= 0 : X'lam = 0} scaled to sd'lam = 1, found by the double
+    description method (Fukuda & Prodon 1996): the cone of r = m - rank X
+    independent sign constraints on the null space of X' is simplicial, and
+    the remaining constraints are added one at a time, keeping the rays that
+    satisfy each one and joining every adjacent pair it separates.  Two rays
+    are adjacent when no third ray's zero set contains their common zero
+    set, which holds at degenerate vertices too.  None when [sd, X] lacks
+    full column rank, when the cone is {0}, or when the working ray count
+    exceeds ``_VERTEX_ENUM_CAP``.
     """
     m = len(sd)
     W = np.column_stack([sd, X])
     p = W.shape[1]
-    if m < p or np.linalg.matrix_rank(W) < p:
+    r = m - (p - 1)
+    if m < p or r > _VERTEX_ENUM_CAP or np.linalg.matrix_rank(W) < p:
         return None
-    if math.comb(m, p) > _VERTEX_ENUM_CAP:
-        return None
-
-    combos = np.array(list(itertools.combinations(range(m), p)))
-    bases = W[combos, :]  # (n_combos, p, p), rows of W stacked per combo
-    mats = np.transpose(bases, (0, 2, 1))  # W_S' per combo
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-12
-    if not ok.any():
-        return None
-    sols = np.linalg.solve(mats[ok], np.eye(p, 1)[None])[..., 0]  # W_S'^-1 e1 per combo
-    feas = (sols >= -1e-9).all(axis=1)
-    if not feas.any():
-        return None
-    verts = np.zeros((int(feas.sum()), m))
-    rows = np.arange(int(feas.sum()))[:, None]
-    verts[rows, combos[ok][feas]] = np.clip(sols[feas], 0.0, None)
-    return np.unique(np.round(verts, 12), axis=0)
+    N = np.linalg.svd(X, full_matrices=True)[0][:, p - 1:]  # null space of X'
+    basis = scilinalg.qr(N.T, mode="r", pivoting=True)[1][:r]
+    rays = np.linalg.solve(N[basis].T, N.T)  # row j is N N_S^-1 e_j
+    rays[:, basis] = np.eye(r)
+    rays /= np.abs(rays).max(axis=1, keepdims=True)
+    done = np.zeros(m, dtype=bool)
+    done[basis] = True
+    for i in np.flatnonzero(~done):
+        v = rays[:, i]  # a view: rounding zeros below writes into rays
+        v[np.abs(v) <= 1e-10] = 0.0
+        pos, neg = np.flatnonzero(v > 0), np.flatnonzero(v < 0)
+        zero = (rays[:, done] == 0.0).astype(float)  # zero sets so far
+        cp, cn = np.nonzero(zero[pos] @ zero[neg].T >= r - 2)
+        # adjacent: no third ray vanishes on the pair's common zero set
+        alone = np.zeros(len(cp), dtype=bool)
+        step = 1 + (1 << 22) // len(rays)  # bounds the containment block
+        for s in range(0, len(cp), step):
+            common = zero[pos[cp[s:s + step]]] * zero[neg[cn[s:s + step]]]
+            alone[s:s + step] = ((common @ (1.0 - zero).T) == 0).sum(axis=1) == 2
+        pp, nn = pos[cp[alone]], neg[cn[alone]]
+        if len(rays) - len(neg) + len(pp) > _VERTEX_ENUM_CAP:
+            return None
+        new = v[pp, None] * rays[nn] - v[nn, None] * rays[pp]
+        new[:, i] = 0.0
+        new /= np.abs(new).max(axis=1, keepdims=True)
+        rays = np.vstack([np.delete(rays, neg, axis=0), new])
+        if len(rays) == 0:
+            return None
+        done[i] = True
+    return rays / (rays @ sd)[:, None]
 
 
 def _eta_star_lp(y, X, sd):
@@ -477,11 +505,20 @@ def _gaussian_root(sigma):
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+@functools.lru_cache(maxsize=4)
+def _standard_normals(seed, draws, dim):
+    """The Monte Carlo stage's (draws, dim) standard normals, read-only and
+    drawn once for all the members of a set that have ``dim`` moments."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    z = rng.standard_normal((draws, dim))
+    z.setflags(write=False)
+    return z
+
+
 def _prepare_context(moments, kappa, draws, seed):
     verts = _dual_vertices(moments.sd, moments.X)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     root = _gaussian_root(moments.sigma)
-    xi = rng.standard_normal((draws, root.shape[1])) @ root.T
+    xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
     lf_cv = float(np.quantile(_profile(moments, verts, xi.T)[0], 1.0 - kappa))
     return _HybridContext(moments=moments, vertices=verts, lf_cv=lf_cv, kappa=kappa)
 
@@ -561,6 +598,17 @@ def _decisions(ctx, points, alpha):
     return reject
 
 
+def _first_stage_level(alpha, kappa):
+    """The first-stage level ``kappa``, alpha / 10 by default.  Levels
+    outside 0 < kappa < alpha < 1 are refused: with kappa >= alpha the second
+    stage could never reject."""
+    if kappa is None:
+        kappa = alpha / 10.0
+    if not 0.0 < kappa < alpha < 1.0:
+        raise ValueError("need 0 < kappa < alpha < 1")
+    return kappa
+
+
 def _test_point(ctx, theta0, alpha):
     """Hybrid rejection decision for one candidate value."""
     return bool(_decisions(ctx, [theta0], alpha)[0])
@@ -582,10 +630,7 @@ def hybrid_test(
     Returns True when the hybrid test rejects.  ``kappa`` defaults to
     alpha / 10; ``draws`` sizes the least-favorable Monte Carlo stage.
     """
-    if kappa is None:
-        kappa = alpha / 10.0
-    if not 0.0 < kappa < alpha < 1.0:
-        raise ValueError("need 0 < kappa < alpha < 1")
+    kappa = _first_stage_level(alpha, kappa)
     moments = _build_moments(coeffs, member, target, nuisance_override)
     ctx = _prepare_context(moments, kappa, draws, seed)
     return _test_point(ctx, theta0, alpha)
@@ -628,8 +673,7 @@ def confidence_set(
     on scheduling.  An empty set is a legal outcome.
     """
     _check_alignment(coeffs, family)
-    if kappa is None:
-        kappa = alpha / 10.0
+    kappa = _first_stage_level(alpha, kappa)
     if grid is None:
         grid = default_grid(coeffs, family, target)
     points = grid.points()

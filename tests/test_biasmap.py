@@ -1,7 +1,15 @@
+import io
+
 import numpy as np
 import pytest
 
-from blockdid.biasmap import BiasMap, build_w_csnyt, build_w_imputation, invert
+from blockdid.biasmap import (
+    BiasMap,
+    build_w_csnyt,
+    build_w_imputation,
+    invert,
+    write_biasmap_csv,
+)
 from blockdid.estimators import csnyt_estimates, estimate, imputation_estimates
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
@@ -125,6 +133,21 @@ def test_invert_shares_the_frozen_map(staircase_layout):
     assert bm.W_inverse is None  # the input map is left as it was
     with pytest.raises(ValueError):
         inv.W[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_biasmap_csv_bytes_match_per_element_repr(staircase_layout, inverse):
+    cells = build_cell_index(staircase_layout, 8, "imputation")
+    bm = invert(build_w_imputation(staircase_layout, cells))
+    out = io.StringIO()
+    write_biasmap_csv(bm, out, inverse=inverse)
+    M = bm.W_inverse if inverse else bm.W
+    labels = cells.labels()
+    want = "cell," + ",".join(labels) + "\n" + "".join(
+        lab + "," + ",".join(repr(float(x)) for x in row) + "\n"
+        for lab, row in zip(labels, M)
+    )
+    assert out.getvalue() == want
 
 
 def test_identity_map_inverts_to_identity():

@@ -160,6 +160,18 @@ def test_sets_period_target(panel_csv, tmp_path):
     assert all(r["target"] == "period:2" for r in payload["results"])
 
 
+def test_sets_rejects_kappa_not_below_alpha(panel_csv, tmp_path, capsys):
+    out = tmp_path / "kappa.json"
+    assert run_cli(
+        "sets", "--input", str(panel_csv), "--family", "sd", "--param", "0.1",
+        "--bootstrap", "40", "--draws", "500", "--alpha", "0.05",
+        "--kappa", "0.9", "--out", str(out),
+    ) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert "kappa" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_byperiod_aggregated_framework(panel_csv, tmp_path):
     out = tmp_path / "bp_agg.json"
     assert run_cli(

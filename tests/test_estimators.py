@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from blockdid.estimators import (
     fit_twfe_untreated,
     imputation_estimates,
     sequential_imputation,
+    write_vcov_csv,
 )
 from blockdid.panel import PanelData, build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
@@ -327,3 +330,24 @@ def test_coefficient_set_rejects_bad_vcov(toy_panel):
             coeffs.estimator, coeffs.cells, coeffs.positions, coeffs.values,
             -np.eye(n),
         )
+
+
+def test_vcov_csv_bytes_match_per_element_repr(toy_panel):
+    coeffs = estimate(toy_panel, "imputation")
+    n = len(coeffs.values)
+    rng = np.random.default_rng(4)
+    root = rng.normal(size=(n, n))
+    vcov = root @ root.T / 3.0 + n * np.eye(n)
+    vcov[0, 1] = vcov[1, 0] = -0.0
+    vcov[0, 2] = vcov[2, 0] = 5e-324
+    vcov[1, 2] = vcov[2, 1] = 0.1 + 0.2
+    vcov[3, 3] = 1e5 / 3.0
+    coeffs = CoefficientSet(
+        coeffs.estimator, coeffs.cells, coeffs.positions, coeffs.values, vcov
+    )
+    out = io.StringIO()
+    write_vcov_csv(coeffs, out)
+    want = ",".join(coeffs.labels()) + "\n" + "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in coeffs.vcov
+    )
+    assert out.getvalue() == want

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from blockdid.estimators import CoefficientSet, aggregate, estimate
 from blockdid.inference import (
     GridSpec,
     _build_moments,
+    _dual_vertices,
+    _eta_star_lp,
     _HybridContext,
     _prepare_context,
+    _standard_normals,
     _test_point,
     _truncnorm_quantile,
     aggregated_att_target,
@@ -35,8 +40,10 @@ from blockdid.restrictions import (
     sd,
     with_normalization,
 )
+from blockdid.simgen import DGPSpec, gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
+from conftest import random_panel
 from test_panel import grid_csv
 
 
@@ -341,9 +348,6 @@ def test_hybrid_fallback_no_smaller_than_least_favorable(path):
     )
     for theta0 in np.linspace(-2, 2, 41):
         hybrid_rejects = _test_point(tested_ctx, theta0, alpha)
-        lf_rejects = _test_point(
-            dataclasses.replace(lf_ctx, lf_cv=lf_ctx.lf_cv), theta0, 1.0 - 1e-9
-        )
         # pure least-favorable decision: first stage at level alpha only
         y = moments.a0 - moments.a1 * theta0
         lf_rejects = float((hybrid_ctx.vertices @ y).max()) > lf_ctx.lf_cv
@@ -409,6 +413,165 @@ def test_lp_path_matches_vertex_path(boot_toy):
             assert _test_point(ctx, theta0, 0.05) == _test_point(
                 forced, theta0, 0.05
             ), (member.label, theta0)
+
+
+# ---------------------------------------------------------------------------
+# dual-polytope vertices
+# ---------------------------------------------------------------------------
+
+
+def brute_force_vertices(sd_vec, X):
+    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0} from every basis of
+    W = [sd, X]: each nonsingular p-row subset S with W_S'^-1 e1 >= 0 is a
+    vertex.  Feasible bases repeat a vertex when it is degenerate, so rows
+    are deduplicated after rounding."""
+    m = len(sd_vec)
+    W = np.column_stack([sd_vec, X])
+    p = W.shape[1]
+    if m < p or np.linalg.matrix_rank(W) < p:
+        return None
+    assert math.comb(m, p) <= 300_000, "system too large for the oracle"
+    combos = np.array(list(itertools.combinations(range(m), p)))
+    mats = np.transpose(W[combos, :], (0, 2, 1))
+    ok = np.abs(np.linalg.det(mats)) > 1e-12
+    if not ok.any():
+        return None
+    sols = np.linalg.solve(mats[ok], np.eye(p, 1)[None])[..., 0]
+    feas = (sols >= -1e-9).all(axis=1)
+    if not feas.any():
+        return None
+    verts = np.zeros((int(feas.sum()), m))
+    rows = np.arange(int(feas.sum()))[:, None]
+    verts[rows, combos[ok][feas]] = np.clip(sols[feas], 0.0, None)
+    return np.unique(np.round(verts, 12), axis=0)
+
+
+def assert_same_vertices(got, want):
+    """Same vertex sets up to rounding; ``got`` must list each vertex once
+    (the oracle can keep near-copies that rounding did not merge)."""
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    tol = 1e-8 * (1.0 + np.abs(want).max())
+    dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    assert (dist.min(axis=1) <= tol).all()
+    assert (dist.min(axis=0) <= tol).all()
+    self_dist = np.abs(got[:, None, :] - got[None, :, :]).max(axis=2)
+    np.fill_diagonal(self_dist, np.inf)
+    assert (self_dist > tol).all()
+
+
+def test_dual_vertices_match_brute_force_on_random_systems():
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        m = int(rng.integers(2, 13))
+        k = int(rng.integers(0, min(m, 6)))
+        X = rng.normal(size=(m, k))
+        sd_vec = rng.uniform(0.5, 2.0, size=m)
+        kind = trial % 5
+        if kind == 1 and m >= 4:  # +/- row pairs, as from equality rows
+            h = m // 2
+            X[h:2 * h] = -X[:h]
+            sd_vec[h:2 * h] = sd_vec[:h]
+        elif kind == 2 and k >= 2:  # rank-deficient [sd, X]
+            X[:, -1] = X[:, 0] - 2.0 * X[:, 1]
+        elif kind == 3:  # small integers: many degenerate vertices
+            X = np.round(X)
+        elif kind == 4 and m >= 6:
+            # the cone {N mu >= 0} for a 0/+-1 matrix N: its rays sit on
+            # more facets than its dimension, where pairs pass the size
+            # pre-filter without being adjacent
+            N = rng.integers(-1, 2, size=(m, int(rng.integers(3, 7)))).astype(float)
+            N[:, -1] = 1.0
+            r = np.linalg.matrix_rank(N)
+            X = np.linalg.svd(N)[0][:, r:]  # X'lam = 0 iff lam = N mu
+        assert_same_vertices(_dual_vertices(sd_vec, X), brute_force_vertices(sd_vec, X))
+
+
+def test_dual_vertices_of_a_cone_reduced_to_zero_is_none():
+    # lam1 + lam2 = 0 with lam >= 0 leaves only lam = 0: the nuisance can push
+    # every moment down without bound, and the LP path reports -inf
+    X = np.array([[1.0], [1.0]])
+    assert _dual_vertices(np.ones(2), X) is None
+    assert brute_force_vertices(np.ones(2), X) is None
+    assert _eta_star_lp(np.array([0.3, -0.2]), X, np.ones(2))[0] == -np.inf
+
+
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_dual_vertices_match_brute_force_on_design_members(estimator):
+    rng = np.random.default_rng(17 if estimator == "csnyt" else 16)
+    checked = 0
+    for _ in range(5):
+        sim = random_panel(rng, max_n=20, max_t=7, max_g=2, min_pre=2)
+        layout = build_layout(sim.panel)
+        coeffs = bootstrap_vcov(sim.panel, BootstrapSpec(40, 3, estimator))
+        builder = build_w_csnyt if estimator == "csnyt" else build_w_imputation
+        bm = invert(builder(layout, coeffs.cells))
+        target = overall_att_target(layout, coeffs.cells)
+        for fam in (
+            rm_global(layout, coeffs.cells, 0.5),
+            rm_cohort(layout, coeffs.cells, 1.0),
+            sd(layout, coeffs.cells, 0.1),
+        ):
+            for member in map_to_delta_space(fam, bm).members:
+                mom = _build_moments(coeffs, member, target)
+                assert_same_vertices(
+                    _dual_vertices(mom.sd, mom.X), brute_force_vertices(mom.sd, mom.X)
+                )
+                checked += 1
+    assert checked > 20
+
+
+@pytest.fixture(scope="module")
+def sd_cliff_systems():
+    """Cohort and aggregated moment systems of the sd family at T=12 with
+    cohorts adopting at 5, 7, 9 and 11 (csnyt): C(40, 20) bases for the
+    cohort member, so only the double description reaches its vertices."""
+    sim = gen_custom(
+        DGPSpec(
+            T=12, cohorts=((5, 20), (7, 20), (9, 20), (11, 20)), never_size=60,
+            noise_sd=1.0, violations=(), effect=1.0, seed=5,
+        )
+    )
+    layout = build_layout(sim.panel)
+    coeffs = bootstrap_vcov(sim.panel, BootstrapSpec(60, 5, "csnyt"))
+    bm = invert(build_w_csnyt(layout, coeffs.cells))
+    fam = map_to_delta_space(sd(layout, coeffs.cells, 0.05), bm)
+    cohort = _build_moments(
+        coeffs, fam.members[0], overall_att_target(layout, coeffs.cells)
+    )
+    agg = aggregate(coeffs, layout)
+    agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
+    agg_fam = map_to_delta_space(sd(agg_layout, agg_cells, 0.05), agg_map)
+    pooled = _build_moments(
+        agg_coeffs, agg_fam.members[0], aggregated_att_target(agg, agg_cells)
+    )
+    return {"cohort": cohort, "aggregated": pooled}
+
+
+@pytest.mark.parametrize("framework", ["cohort", "aggregated"])
+def test_sd_cliff_vertices_match_profiling_lp(sd_cliff_systems, framework):
+    mom = sd_cliff_systems[framework]
+    verts = _dual_vertices(mom.sd, mom.X)
+    assert verts is not None
+    if framework == "cohort":
+        assert len(mom.sd) == 40 and mom.X.shape[1] == 19
+    rng = np.random.default_rng(6)
+    root = np.linalg.cholesky(mom.sigma + 1e-12 * np.eye(len(mom.sd)))
+    for _ in range(60):
+        noise = root @ rng.standard_normal(len(mom.sd))
+        y = mom.a0 - mom.a1 * rng.uniform(-4, 6) + noise
+        eta_lp, _ = _eta_star_lp(y, mom.X, mom.sd)
+        assert float((verts @ y).max()) == pytest.approx(eta_lp, abs=1e-9)
+
+
+def test_monte_carlo_normals_are_drawn_once_and_read_only():
+    z = _standard_normals(11, 50, 3)
+    assert _standard_normals(11, 50, 3) is z
+    assert not z.flags.writeable
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(1,)))
+    np.testing.assert_array_equal(z, rng.standard_normal((50, 3)))
 
 
 def test_nuisance_basis_invariance(boot_toy):
@@ -560,6 +723,20 @@ def test_empty_confidence_set_is_legal(boot_toy):
         cset = confidence_set(coeffs, fam, target, grid=far, seed=1)
     assert cset.is_empty
     assert cset.intervals == ()
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.9, 0.0, -0.01])
+def test_confidence_set_rejects_first_stage_level_outside_range(boot_toy, kappa):
+    # kappa >= alpha leaves a second stage that can never reject, which would
+    # quietly turn the set into a least-favorable set at level kappa
+    layout, coeffs, bm = boot_toy
+    cells = coeffs.cells
+    fam = map_to_delta_space(sd(layout, cells, 0.1), bm)
+    target = overall_att_target(layout, cells)
+    with pytest.raises(ValueError, match="kappa"):
+        confidence_set(coeffs, fam, target, alpha=0.05, kappa=kappa, seed=1)
+    with pytest.raises(ValueError, match="kappa"):
+        hybrid_test(coeffs, fam.members[0], target, 0.0, alpha=0.05, kappa=kappa)
 
 
 def test_normalization_rows_screened_in_hybrid(boot_toy):
