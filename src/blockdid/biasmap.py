@@ -46,41 +46,31 @@ class BiasMap:
         return float(np.prod(np.diag(self.W)))
 
 
-def _base_identity(cells: CellIndex):
-    n = len(cells)
-    return np.eye(n)
+def _build_w(layout: CohortLayout, cells: CellIndex, estimator: str) -> BiasMap:
+    """The row of post cell (g, t) adds w_k at cell (k, t) for every
+    adjustment cohort k, t_g < t_k <= t; the not-yet-treated map also
+    subtracts w_k at (k, t_g - 1), cohort k's value at g's reference period."""
+    times = np.array(layout.times)
+    weights = np.array([layout.weight(k) for k in range(layout.n_cohorts)])
+    post = np.flatnonzero(cells.post)
+    t_g, t = cells.cohort_time[post], cells.cal[post]
+    row, k = np.nonzero((t_g[:, None] < times) & (times <= t[:, None]))
+    W = np.eye(len(cells))
+    W[post[row], cells.locate(k, t[row])] = weights[k]
+    if estimator == "csnyt":
+        W[post[row], cells.locate(k, t_g[row] - 1)] = -weights[k]
+    return BiasMap(estimator=estimator, cells=cells, W=W)
 
 
 def build_w_imputation(layout: CohortLayout, cells: CellIndex) -> BiasMap:
     """Rows for post cells add w_k on each adjustment cohort's same-time cell."""
-    W = _base_identity(cells)
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if not c.post:
-            continue
-        t = c.cal
-        for k in layout.adjustment_cohorts(c.cohort, t):
-            s_k = t - layout.times[k] + 1
-            W[p, cells.position(layout.times[k], s_k)] = layout.weight(k)
-    return BiasMap(estimator="imputation", cells=cells, W=W)
+    return _build_w(layout, cells, "imputation")
 
 
 def build_w_csnyt(layout: CohortLayout, cells: CellIndex) -> BiasMap:
     """As the imputation map, plus a -w_k baseline correction per adjustment
     cohort at the row cohort's reference period."""
-    W = _base_identity(cells)
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if not c.post:
-            continue
-        t = c.cal
-        t_ref = layout.times[c.cohort] - 1
-        for k in layout.adjustment_cohorts(c.cohort, t):
-            t_k = layout.times[k]
-            w = layout.weight(k)
-            W[p, cells.position(t_k, t - t_k + 1)] = w
-            W[p, cells.position(t_k, t_ref - t_k + 1)] = -w
-    return BiasMap(estimator="csnyt", cells=cells, W=W)
+    return _build_w(layout, cells, "csnyt")
 
 
 def invert(bias_map: BiasMap) -> BiasMap:
@@ -92,7 +82,7 @@ def invert(bias_map: BiasMap) -> BiasMap:
     unit lower-triangular.
     """
     cells = bias_map.cells
-    cal = np.array([c.cal for c in cells.cells])
+    cal = cells.cal
     # reverses each run of equal calendar times; its own inverse
     perm = (
         np.searchsorted(cal, cal, "left")

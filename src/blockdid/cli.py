@@ -19,13 +19,15 @@ from .biasmap import build_w_csnyt, build_w_imputation, invert, write_biasmap_cs
 from .estimators import aggregate, estimate, write_coefficients_csv, write_vcov_csv
 from .inference import (
     GridSpec,
+    _first_stage_level,
+    _padded_grid,
     aggregated_att_target,
     aggregated_system,
     by_period_sets,
     by_period_target,
     confidence_set,
     corrected_point,
-    default_grid,
+    default_grid,  # not called here; perfbench/spans.py wraps this name
     overall_att_target,
     plugin_identified_set,
 )
@@ -193,11 +195,9 @@ def _target(config, layout, cells, agg=None):
     raise ValueError(f"bad target {config.target!r}")
 
 
-def _grid_spec(config, coeffs, family, target):
-    if config.grid is not None:
-        lo, hi, n = config.grid
-        return GridSpec(lo=lo, hi=hi, n=n)
-    return default_grid(coeffs, family, target)
+def _config_grid(config):
+    """The ``--grid`` of the config as a GridSpec, or None for the default."""
+    return None if config.grid is None else GridSpec(*config.grid)
 
 
 def _bootstrap(config, panel):
@@ -213,12 +213,17 @@ def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
         p: map_to_delta_space(build(layout, cells, p), bias_map)
         for p in config.params
     }
-    grid = _grid_spec(config, coeffs, families[max(config.params)], target)
+    plugs = {}
+    grid = _config_grid(config)
+    if grid is None:  # the widest parameter's plug-in set, padded
+        widest = max(config.params)
+        plugs[widest] = plugin_identified_set(coeffs, families[widest], target)
+        grid = _padded_grid(coeffs, plugs[widest], target)
     records = []
     for p in config.params:
         t0 = time.perf_counter()
         fam = families[p]
-        plug = plugin_identified_set(coeffs, fam, target)
+        plug = plugs[p] if p in plugs else plugin_identified_set(coeffs, fam, target)
         cset = confidence_set(
             coeffs, fam, target, alpha=config.alpha, grid=grid,
             kappa=config.kappa, draws=config.draws, seed=config.seed,
@@ -286,6 +291,8 @@ def run(config: RunConfig) -> int:
         raise UnsupportedOption(
             "byperiod runs one framework at a time: choose cohort or aggregated"
         )
+    if config.command in ("sets", "byperiod", "compare"):
+        _first_stage_level(config.alpha, config.kappa)  # before any work
     if config.command == "validate":
         load_panel(config.input)
         print("ok")
@@ -368,12 +375,9 @@ def run(config: RunConfig) -> int:
         fam = map_to_delta_space(
             _family_builder(config.family)(layout, cells, config.params[0]), bias_map
         )
-        grid = None
-        if config.grid is not None:
-            lo, hi, n = config.grid
-            grid = GridSpec(lo=lo, hi=hi, n=n)
         results = by_period_sets(
-            coeffs, fam, bias_map, layout, alpha=config.alpha, grid=grid,
+            coeffs, fam, bias_map, layout, alpha=config.alpha,
+            grid=_config_grid(config),
             kappa=config.kappa, draws=config.draws, seed=config.seed,
         )
         payload = {

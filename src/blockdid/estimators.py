@@ -177,7 +177,7 @@ class CoefficientSet:
             raise ValueError("positions and values must align")
         if np.any(np.diff(positions) <= 0):
             raise ValueError("positions must be strictly increasing")
-        if any(self.cells.structural_zero(p) for p in positions):
+        if self.cells.structural[positions].any():
             raise ValueError("structural-zero cells carry no coefficient")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "values", values)
@@ -196,12 +196,11 @@ class CoefficientSet:
         if self.estimator != "imputation" or self.aggregated:
             return
         scale = 1.0 + (np.max(np.abs(self.values)) if len(self.values) else 0.0)
-        for t_g in sorted({self.cells.cell(p).cohort_time for p in self.positions}):
-            pre = [
-                v
-                for p, v in zip(self.positions, self.values)
-                if self.cells.cell(p).cohort_time == t_g and self.cells.cell(p).pre
-            ]
+        cohort_time, pre_mask = self.cells.cohort_time[self.positions], self.pre_mask
+        for t_g in np.unique(cohort_time).tolist():
+            # a left-to-right sum: np.sum's pairwise order could flip a
+            # borderline check
+            pre = self.values[(cohort_time == t_g) & pre_mask].tolist()
             if pre and len(pre) == t_g - 1 and abs(sum(pre)) > 1e-10 * scale:
                 raise ValueError(
                     f"pre-treatment block biases of cohort g{t_g} sum to "
@@ -209,15 +208,17 @@ class CoefficientSet:
                 )
 
     def value(self, cohort_time, rel):
-        pos = self.cells.position(cohort_time, rel)
-        idx = np.searchsorted(self.positions, pos)
-        if idx == len(self.positions) or self.positions[idx] != pos:
+        hit = np.flatnonzero(
+            (self.cells.cohort_time[self.positions] == cohort_time)
+            & (self.cells.rel[self.positions] == rel)
+        )
+        if len(hit) == 0:
             raise KeyError(f"cell (g{cohort_time}, s{rel:+d}) not in this set")
-        return self.values[idx]
+        return self.values[hit[0]]
 
     @property
     def pre_mask(self):
-        return np.array([self.cells.cell(p).pre for p in self.positions])
+        return self.cells.pre[self.positions]
 
     @property
     def post_mask(self):
@@ -259,12 +260,12 @@ def _period_effects_operator(adopt, sizes, T):
     return X
 
 
-def _coefficient_operator(layout: CohortLayout, T: int, estimator: str) -> np.ndarray:
+def _coefficient_operator(layout: CohortLayout, cells: CellIndex) -> np.ndarray:
     """Matrix E with ``coefficients = E @ vec(M)``.
 
     ``M`` is the (G+1) x T matrix of stratum-period means, cohorts in layout
     order and the never-treated last, flattened row by row.  Rows follow
-    ``build_cell_index(layout, T, estimator).value_positions``.  Each row is
+    ``cells.value_positions``.  Each row is
     a stratum contrast times a period contrast: the cohort against its
     control group (initial control group, or the not-yet-treated group on
     csnyt post cells), and the cell's period against the reference period
@@ -272,26 +273,20 @@ def _coefficient_operator(layout: CohortLayout, T: int, estimator: str) -> np.nd
     cells replace the control group by the period effects of the two-way fit
     on untreated stratum-period cells.
     """
-    G = layout.n_cohorts
-    times = np.array(layout.times)
+    G, T = layout.n_cohorts, cells.n_periods
     sizes = np.array(layout.sizes + (layout.never_size,), dtype=float)
-    adopt = np.append(times, T + 1)  # the never-treated stay untreated
-    pos = np.arange(G * T)
-    g, t = pos % G, pos // G + 1  # canonical order: calendar time, then cohort
-    t_g = times[g]
-    if estimator == "csnyt":
-        keep = t != t_g - 1  # reference cells are structural zeros
-        g, t, t_g = g[keep], t[keep], t_g[keep]
-    elif estimator != "imputation":
-        raise ValueError(f"unknown estimator tag {estimator!r}")
-    n = len(g)
-    post = t >= t_g
+    adopt = np.append(layout.times, T + 1)  # the never-treated stay untreated
+    rows = cells.value_positions
+    g, t, t_g = cells.cohort[rows], cells.cal[rows], cells.cohort_time[rows]
+    post = cells.post[rows]
+    n = len(rows)
     periods = np.arange(1, T + 1)
 
     own = np.zeros((n, G + 1))
     own[np.arange(n), g] = 1.0
     period = (periods[None, :] == t[:, None]).astype(float)
-    if estimator == "csnyt":
+    csnyt = cells.estimator == "csnyt"
+    if csnyt:
         period -= periods[None, :] == (t_g - 1)[:, None]
         cutoff = np.where(post, t, t_g)
     else:
@@ -300,10 +295,10 @@ def _coefficient_operator(layout: CohortLayout, T: int, estimator: str) -> np.nd
         cutoff = t_g
     control = (adopt[None, :] > cutoff[:, None]) * sizes
     control /= control.sum(axis=1, keepdims=True)
-    if estimator == "imputation":
+    if not csnyt:
         control[post] = 0.0
     E = ((own - control)[:, :, None] * period[:, None, :]).reshape(n, -1)
-    if estimator == "imputation":
+    if not csnyt:
         E -= (period * post[:, None]) @ _period_effects_operator(adopt, sizes, T)
     return E
 
@@ -312,7 +307,7 @@ def estimate(panel: PanelData, estimator: str) -> CoefficientSet:
     """Full stacked coefficient vector (pre block biases and post effects)."""
     layout = build_layout(panel)
     cells = build_cell_index(layout, panel.n_periods, estimator)
-    E = _coefficient_operator(layout, panel.n_periods, estimator)
+    E = _coefficient_operator(layout, cells)
     strata = _stratum_units(layout)
     means = _strata_means(
         panel.outcome[np.concatenate(strata)], [len(u) for u in strata]
@@ -409,8 +404,6 @@ def sequential_imputation(panel: PanelData) -> CoefficientSet:
     )
 
 
-
-
 def cohort_loo(panel: PanelData, cohort_time: int) -> np.ndarray:
     """Hold-out re-estimates of one cohort's pre-treatment coefficients.
 
@@ -465,25 +458,17 @@ def aggregate(coeffs: CoefficientSet, layout: CohortLayout) -> AggregatedSeries:
     coefficient-level covariance propagates as G Sigma G'.
     """
     cells = coeffs.cells
-    rels = sorted({cells.cell(p).rel for p in coeffs.positions})
-    nrow, ncol = len(rels), len(coeffs.positions)
-    G = np.zeros((nrow, ncol))
-    support = np.zeros(nrow)
-    for r, s in enumerate(rels):
-        total = 0.0
-        for j, p in enumerate(coeffs.positions):
-            c = cells.cell(p)
-            if c.rel == s:
-                n_g = layout.sizes[c.cohort]
-                G[r, j] = n_g
-                total += n_g
-        G[r] /= total
-        support[r] = total
+    rel = cells.rel[coeffs.positions]
+    rels = np.unique(rel)
+    sizes = np.array(layout.sizes, dtype=float)[cells.cohort[coeffs.positions]]
+    G = np.where(rel[None, :] == rels[:, None], sizes[None, :], 0.0)
+    support = G.sum(axis=1)
+    G /= support[:, None]
     values = G @ coeffs.values
     vcov = G @ coeffs.vcov @ G.T if coeffs.vcov is not None else None
     return AggregatedSeries(
         estimator=coeffs.estimator,
-        rel_periods=np.array(rels),
+        rel_periods=rels,
         values=values,
         weights=G,
         support_sizes=support,
@@ -494,13 +479,13 @@ def aggregate(coeffs: CoefficientSet, layout: CohortLayout) -> AggregatedSeries:
 def write_coefficients_csv(coeffs: CoefficientSet, stream, time_labels=None):
     """Emit ``estimator,cohort,rel_period,calendar_time,kind,value`` rows."""
     stream.write("estimator,cohort,rel_period,calendar_time,kind,value\n")
-    for p, v in zip(coeffs.positions, coeffs.values):
-        c = coeffs.cells.cell(p)
-        cal = time_labels[c.cal - 1] if time_labels else c.cal
-        kind = "pre" if c.pre else "post"
-        stream.write(
-            f"{coeffs.estimator},{c.cohort_time},{c.rel},{cal},{kind},{float(v)!r}\n"
-        )
+    cells, pos = coeffs.cells, coeffs.positions
+    rows = zip(cells.cohort_time[pos].tolist(), cells.rel[pos].tolist(),
+               cells.cal[pos].tolist(), cells.pre[pos].tolist(), coeffs.values.tolist())
+    for t_g, s, t, pre, v in rows:
+        cal = time_labels[t - 1] if time_labels else t
+        kind = "pre" if pre else "post"
+        stream.write(f"{coeffs.estimator},{t_g},{s},{cal},{kind},{v!r}\n")
 
 
 def write_vcov_csv(coeffs: CoefficientSet, stream):

@@ -36,13 +36,14 @@ from scipy import stats as scistats
 from .biasmap import BiasMap
 from .estimators import AggregatedSeries, CoefficientSet
 from .panel import CellIndex, CohortLayout
-from .restrictions import Polyhedron, RestrictionFamily
+from .restrictions import CohortWithoutTwoPrePeriods, Polyhedron, RestrictionFamily
 
 __all__ = [
     "InferenceError",
     "AllMembersInfeasible",
     "UnboundedProgram",
     "SingularVcov",
+    "InvalidLevel",
     "TargetFunctional",
     "overall_att_target",
     "by_period_target",
@@ -88,6 +89,10 @@ class SingularVcov(InferenceError):
     code = "SINGULAR_VCOV"
 
 
+class InvalidLevel(ValueError):
+    code = "INVALID_LEVEL"
+
+
 # ---------------------------------------------------------------------------
 # targets and interval sets
 # ---------------------------------------------------------------------------
@@ -105,12 +110,11 @@ class TargetFunctional:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.cells),):
             raise ValueError("weights must span the full cell index")
-        for p in np.flatnonzero(w):
-            c = self.cells.cell(p)
-            if not c.post or self.cells.structural_zero(p):
-                raise ValueError(
-                    f"target weight on non-post cell at position {p}"
-                )
+        off_post = np.flatnonzero((w != 0) & ~self.cells.post)
+        if len(off_post):
+            raise ValueError(
+                f"target weight on non-post cell at position {off_post[0]}"
+            )
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -118,21 +122,14 @@ class TargetFunctional:
 
 def overall_att_target(layout: CohortLayout, cells: CellIndex) -> TargetFunctional:
     """Cohort-size weights over every post cell, normalized to sum to one."""
-    w = np.zeros(len(cells))
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if c.post:
-            w[p] = layout.sizes[c.cohort]
+    w = np.where(cells.post, np.array(layout.sizes, dtype=float)[cells.cohort], 0.0)
     return TargetFunctional(weights=w / w.sum(), description="att", cells=cells)
 
 
 def by_period_target(layout: CohortLayout, cells: CellIndex, s: int) -> TargetFunctional:
     """Cohort-size weights over the cohorts observed at relative period s."""
-    w = np.zeros(len(cells))
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if c.post and c.rel == s:
-            w[p] = layout.sizes[c.cohort]
+    sizes = np.array(layout.sizes, dtype=float)[cells.cohort]
+    w = np.where(cells.post & (cells.rel == s), sizes, 0.0)
     if w.sum() == 0:
         raise ValueError(f"no cohort has post-treatment relative period {s}")
     return TargetFunctional(
@@ -215,9 +212,9 @@ def _merge_intervals(pairs):
 
 def _reduced_member(member: Polyhedron, cells: CellIndex, positions):
     """Member rows restricted to the coefficient coordinate system."""
-    structural = [p for p in range(len(cells)) if cells.structural_zero(p)]
+    structural = cells.structural
     for blk in (member.A, member.A_eq):
-        if blk is not None and structural and np.abs(blk[:, structural]).max() > 1e-12:
+        if blk is not None and np.abs(blk[:, structural]).max(initial=0.0) > 1e-12:
             raise InferenceError("structural-zero columns must carry zero coefficients")
     A_eq = None if member.A_eq is None else member.A_eq[:, positions]
     return member.A[:, positions], member.d, A_eq, member.d_eq
@@ -230,7 +227,11 @@ def _check_alignment(coeffs: CoefficientSet, family: RestrictionFamily):
         family.cells.estimator != coeffs.cells.estimator
     ):
         raise InferenceError("cell index mismatch between family and coefficients")
-    if not np.array_equal(coeffs.positions, coeffs.cells.value_positions):
+    _require_full_coverage(coeffs.cells, coeffs.positions)
+
+
+def _require_full_coverage(cells: CellIndex, positions):
+    if not np.array_equal(positions, cells.value_positions):
         raise InferenceError("coefficient set must cover every non-structural cell")
 
 
@@ -240,7 +241,7 @@ def _member_bounds(coeffs, member, target):
     positions = coeffs.positions
     A, d, A_eq, d_eq = _reduced_member(member, cells, positions)
     n = len(positions)
-    pre = np.array([cells.cell(p).pre for p in positions])
+    pre = cells.pre[positions]
     l_vec = target.weights[positions]
 
     eq_rows = [np.eye(n)[pre]]
@@ -352,14 +353,13 @@ def _build_moments(coeffs, member, target, nuisance_override=None):
         raise InferenceError("confidence sets need a coefficient covariance")
     cells = coeffs.cells
     positions = coeffs.positions
-    if not np.array_equal(positions, cells.value_positions):
-        raise InferenceError("coefficient set must cover every non-structural cell")
+    _require_full_coverage(cells, positions)
     A, d, A_eq, d_eq = _reduced_member(member, cells, positions)
     if A_eq is not None:
         A = np.vstack([A, A_eq, -A_eq])
         d = np.concatenate([d, d_eq, -d_eq])
 
-    post = np.array([cells.cell(p).post for p in positions])
+    post = cells.post[positions]
     l_post = target.weights[positions][post]
     if not np.any(l_post):
         raise InferenceError("target has no weight on any post cell")
@@ -605,7 +605,7 @@ def _first_stage_level(alpha, kappa):
     if kappa is None:
         kappa = alpha / 10.0
     if not 0.0 < kappa < alpha < 1.0:
-        raise ValueError("need 0 < kappa < alpha < 1")
+        raise InvalidLevel("need 0 < kappa < alpha < 1")
     return kappa
 
 
@@ -649,7 +649,13 @@ def default_grid(
     n: int = 201,
 ) -> GridSpec:
     """Plug-in bounds padded by ``pad_ses`` standard errors of the estimate."""
-    plug = plugin_identified_set(coeffs, family, target)
+    return _padded_grid(
+        coeffs, plugin_identified_set(coeffs, family, target), target, pad_ses, n
+    )
+
+
+def _padded_grid(coeffs, plug, target, pad_ses=10.0, n=201) -> GridSpec:
+    """``default_grid`` around an already solved plug-in set ``plug``."""
     l_vec = target.weights[coeffs.positions]
     se = math.sqrt(max(float(l_vec @ coeffs.vcov @ l_vec), 0.0))
     pad = pad_ses * se if se > 0 else max(1.0, abs(plug.hi - plug.lo))
@@ -716,37 +722,30 @@ def _corrected_weights(
     that path mapped through W, and the corrected point subtracts it from
     the target, so the whole correction is one fixed linear map.
     """
-    n = len(cells)
-    n_val = len(positions)
-    value_index = {p: j for j, p in enumerate(positions)}
-
-    def coeff_column(t_g, s):
-        p = cells.position(t_g, s)
-        return None if cells.structural_zero(p) else value_index[p]
-
-    D = np.zeros((n, n_val))  # block path at sensitivity zero, per coefficient
-    for p in range(n):
-        c = cells.cell(p)
-        if cells.structural_zero(p):
-            continue
-        if c.pre:
-            D[p, value_index[p]] = 1.0
-            continue
-        base = coeff_column(c.cohort_time, 0)
-        if family_kind in ("rm-global", "rm-cohort"):
-            if base is not None:
-                D[p, base] = 1.0
-        elif family_kind == "sd":
-            prev = coeff_column(c.cohort_time, -1)
-            if base is not None:
-                D[p, base] = 1.0 + c.rel
-            if prev is not None:
-                D[p, prev] -= c.rel
-        else:
-            raise ValueError(f"unknown family kind {family_kind!r}")
+    if family_kind not in ("rm-global", "rm-cohort", "sd"):
+        raise ValueError(f"unknown family kind {family_kind!r}")
+    _require_full_coverage(cells, positions)
+    column = np.full(len(cells), -1)  # coefficient index per cell, -1 if none
+    column[positions] = np.arange(len(positions))
+    D = np.zeros((len(cells), len(positions)))  # block path at sensitivity zero
+    pre = np.flatnonzero(cells.pre & ~cells.structural)
+    D[pre, column[pre]] = 1.0
+    rows = np.flatnonzero(cells.post)
+    g, t_g, rel = cells.cohort[rows], cells.cohort_time[rows], cells.rel[rows]
+    base = column[cells.locate(g, t_g - 1)]  # the reference cell, s = 0
+    has_base = base >= 0
+    if family_kind == "sd":
+        if np.any(t_g < 3):
+            raise CohortWithoutTwoPrePeriods(
+                "the sd correction needs two pre-treatment periods per cohort"
+            )
+        D[rows[has_base], base[has_base]] = 1.0 + rel[has_base]
+        D[rows, column[cells.locate(g, t_g - 2)]] -= rel  # s = -1
+    else:
+        D[rows[has_base], base[has_base]] = 1.0
 
     M = (bias_map.W @ D)[positions, :]
-    post = np.array([cells.cell(p).post for p in positions])
+    post = cells.post[positions]
     l_vec = target.weights[positions]
     return l_vec - M[post].T @ l_vec[post]
 
@@ -785,15 +784,9 @@ def by_period_sets(
 ) -> dict:
     """Confidence set and zero-sensitivity corrected point per post period."""
     cells = coeffs.cells
-    rels = sorted(
-        {
-            cells.cell(p).rel
-            for p in coeffs.positions
-            if cells.cell(p).post
-        }
-    )
+    rels = np.unique(cells.rel[coeffs.positions[cells.post[coeffs.positions]]])
     out = {}
-    for s in rels:
+    for s in rels.tolist():
         target = by_period_target(layout, cells, s)
         cset = confidence_set(
             coeffs, family, target, alpha=alpha, grid=grid, kappa=kappa,
@@ -871,10 +864,12 @@ def aggregated_system(agg: AggregatedSeries):
 def aggregated_att_target(agg: AggregatedSeries, cells: CellIndex) -> TargetFunctional:
     """Weights over aggregated post periods proportional to the treated
     units identified at each period, matching the cohort-level functional."""
+    post = agg.rel_periods >= 1
     w = np.zeros(len(cells))
-    for s, size in zip(agg.rel_periods, agg.support_sizes):
-        if s >= 1:
-            w[cells.position(cells.cell(0).cohort_time, int(s))] = size
+    # the pseudo-cohort is cohort 0; relative period s falls in t_0 + s - 1
+    w[cells.locate(0, cells.times[0] + agg.rel_periods[post] - 1)] = (
+        agg.support_sizes[post]
+    )
     return TargetFunctional(weights=w / w.sum(), description="att", cells=cells)
 
 

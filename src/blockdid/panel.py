@@ -7,7 +7,10 @@ estimation works off three objects built here:
 
 * :class:`PanelData` -- the validated grid,
 * :class:`CohortLayout` -- cohort sizes, control-group memberships, weights,
-* :class:`CellIndex` -- the canonical ordering of cohort-period cells.
+* :class:`CellIndex` -- the canonical ordering of cohort-period cells, as
+  read-only per-position arrays (cohort, relative and calendar period, pre,
+  post and structural-zero masks) that later layers read instead of walking
+  cells; cell (t_g, s) of cohort g sits at position (t_g + s - 2) * G + g.
 """
 
 import csv
@@ -116,7 +119,6 @@ class PanelData:
 
     def _validate_adoption(self):
         T = self.n_periods
-        times = set()
         n_never = 0
         for unit, t_g in zip(self.units, self.adoption):
             if t_g is None:
@@ -128,7 +130,6 @@ class PanelData:
                 raise BadAdoptionTime(
                     f"unit {unit!r}: adoption period {t_g} outside 2..{T}"
                 )
-            times.add(int(t_g))
         if n_never == 0:
             raise NoNeverTreated("panel has no never-treated unit")
         # strict staggering after dedup is automatic: distinct sorted times
@@ -283,7 +284,7 @@ class CohortLayout:
 
     def pre_periods(self, g):
         """Calendar periods 1..t_g-1 for cohort g."""
-        return range(1, self.times[g] + 0)
+        return range(1, self.times[g])
 
     def initial_control_units(self, g):
         """Units untreated when cohort g adopts: later cohorts plus never."""
@@ -361,65 +362,86 @@ class Cell:
 class CellIndex:
     """Canonical ordering of all cohort-period cells of a balanced panel.
 
-    Every treated cohort contributes one cell per calendar period, so a panel
-    with G cohorts and T periods yields G*T cells.  Cells are sorted by
-    calendar time, ties broken by adoption time.  For the not-yet-treated
-    estimator the reference cells (rel == 0) are flagged structural zeros and
-    excluded from the statistical coordinate system (``value_positions``).
+    Every treated cohort contributes one cell per calendar period, so G
+    cohorts (adoption times ``times``, increasing) and T periods yield G*T
+    cells, sorted by calendar time with ties broken by adoption time:
+    position p holds cohort g = p % G at calendar period t = p // G + 1, and
+    cell (t_g, s) sits at (t_g + s - 2) * G + g.  The per-position arrays,
+    computed once and read-only, are ``cohort`` (g), ``cohort_time`` (t_g),
+    ``rel`` (s = t - t_g + 1), ``cal`` (t), and the masks ``pre`` (s <= 0),
+    ``post`` (s >= 1) and ``structural``.  For the not-yet-treated estimator
+    the reference cells (s == 0) are structural zeros and excluded from the
+    statistical coordinate system (``value_positions``).
     """
 
-    cells: tuple
-    estimator: str
-    _pos: dict = field(default_factory=dict, repr=False)
+    times: tuple
+    n_periods: int
+    estimator: str = "imputation"
+    cohort: np.ndarray = field(init=False, repr=False, compare=False)
+    cohort_time: np.ndarray = field(init=False, repr=False, compare=False)
+    rel: np.ndarray = field(init=False, repr=False, compare=False)
+    cal: np.ndarray = field(init=False, repr=False, compare=False)
+    structural: np.ndarray = field(init=False, repr=False, compare=False)
+    pre: np.ndarray = field(init=False, repr=False, compare=False)
+    post: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lookup = {
-            (c.cohort_time, c.rel): p for p, c in enumerate(self.cells)
-        }
-        object.__setattr__(self, "_pos", lookup)
+        if self.estimator not in ("imputation", "csnyt"):
+            raise ValueError(f"unknown estimator tag {self.estimator!r}")
+        times = tuple(int(t) for t in self.times)
+        G, T = len(times), int(self.n_periods)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "n_periods", T)
+        cohort = np.tile(np.arange(G), T)
+        cal = np.repeat(np.arange(1, T + 1), G)
+        cohort_time = np.array(times, dtype=int)[cohort]
+        rel = cal - cohort_time + 1
+        structural = (rel == 0) & (self.estimator == "csnyt")
+        arrays = dict(cohort=cohort, cohort_time=cohort_time, rel=rel, cal=cal,
+                      structural=structural, pre=rel <= 0, post=rel >= 1)
+        for name, values in arrays.items():
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.cohort)
+
+    def locate(self, cohort, cal):
+        """Positions of the cells of cohort index ``cohort`` at calendar
+        period ``cal``, elementwise over arrays; inputs are not checked."""
+        return (np.asarray(cal) - 1) * len(self.times) + cohort
 
     def position(self, cohort_time, rel):
         """0-based position of cell (cohort adoption time, relative period)."""
-        return self._pos[(cohort_time, rel)]
+        cal = cohort_time + rel - 1
+        if cohort_time not in self.times or not 1 <= cal <= self.n_periods:
+            raise KeyError((cohort_time, rel))
+        return int(self.locate(self.times.index(cohort_time), cal))
 
     def cell(self, position):
-        return self.cells[position]
+        return Cell(
+            cohort=int(self.cohort[position]),
+            cohort_time=int(self.cohort_time[position]),
+            rel=int(self.rel[position]),
+        )
 
     def structural_zero(self, position):
-        return self.estimator == "csnyt" and self.cells[position].rel == 0
-
-    @property
-    def structural_mask(self):
-        return np.array([self.structural_zero(p) for p in range(len(self))])
+        return bool(self.structural[position])
 
     @property
     def value_positions(self):
         """Positions of cells that carry a coefficient (non-structural)."""
-        return np.flatnonzero(~self.structural_mask)
-
-    @property
-    def pre_mask(self):
-        return np.array([c.pre for c in self.cells])
-
-    @property
-    def post_mask(self):
-        return np.array([c.post for c in self.cells])
+        return np.flatnonzero(~self.structural)
 
     def labels(self):
-        return tuple(f"g{c.cohort_time}:s{c.rel:+d}" for c in self.cells)
+        return tuple(
+            f"g{t_g}:s{s:+d}"
+            for t_g, s in zip(self.cohort_time.tolist(), self.rel.tolist())
+        )
 
 
 def build_cell_index(
     layout: CohortLayout, T: int, estimator: str = "imputation"
 ) -> CellIndex:
-    """Enumerate cells (g, s) for all calendar periods, canonically ordered."""
-    if estimator not in ("imputation", "csnyt"):
-        raise ValueError(f"unknown estimator tag {estimator!r}")
-    cells = []
-    for t in range(1, T + 1):
-        for g, t_g in enumerate(layout.times):
-            cells.append(Cell(cohort=g, cohort_time=t_g, rel=t - t_g + 1))
-    return CellIndex(cells=tuple(cells), estimator=estimator)
+    """The cells (g, s) of all calendar periods, canonically ordered."""
+    return CellIndex(layout.times, T, estimator)

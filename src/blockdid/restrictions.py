@@ -131,43 +131,53 @@ def _pre_diff_slots(layout: CohortLayout):
     return [list(range(3 - t_g, 1)) for t_g in layout.times]
 
 
-def _post_rels(layout: CohortLayout, g):
-    return range(1, layout.n_periods - layout.times[g] + 2)
+def _post_cells(cells: CellIndex):
+    """Post cells by cohort, then relative period: the row order of every
+    member, two rows (the bound and its mirror) per cell."""
+    post = np.flatnonzero(cells.post)
+    return post[np.argsort(cells.cohort[post], kind="stable")]
 
 
-def _zero_structural(row, cells: CellIndex):
-    for p in range(len(cells)):
-        if cells.structural_zero(p):
-            row[p] = 0.0
-    return row
+def _difference_rows(cells: CellIndex, cohort, cal, coeffs):
+    """One row per (cohort, cal) pair picking sum_j coeffs[j] * Delta at
+    (cohort, cal - j); a coefficient may be a scalar or one value per row."""
+    rows = np.zeros((len(cal), len(cells)))
+    at = np.arange(len(cal))
+    for j, c in enumerate(coeffs):
+        rows[at, cells.locate(cohort, cal - j)] += c
+    return rows
 
 
-def _diff_row(cells: CellIndex, t_g, s, coeff=1.0):
-    """Row picking coeff * (Delta_{g,s} - Delta_{g,s-1})."""
-    row = np.zeros(len(cells))
-    row[cells.position(t_g, s)] += coeff
-    row[cells.position(t_g, s - 1)] -= coeff
-    return row
+def _member_rows(first, second, cells: CellIndex):
+    """Rows ``first`` and ``second`` interleaved, structural-zero columns
+    zeroed by assignment (multiplying by a mask would leave -0.0)."""
+    A = np.empty((2 * len(first), len(cells)))
+    A[0::2] = first
+    A[1::2] = second
+    A[:, cells.structural] = 0.0
+    return A
 
 
-def _rm_member(layout, cells, mbar, benchmarks):
-    """Member bounding every cohort's post differences by its assigned
-    signed benchmark difference; ``benchmarks`` maps cohort -> (k, s*, sign)."""
-    rows = []
-    for g, t_g in enumerate(layout.times):
-        k, s_star, sign = benchmarks[g]
-        bench = _diff_row(cells, layout.times[k], s_star, coeff=mbar * sign)
-        for s in _post_rels(layout, g):
-            base = _diff_row(cells, t_g, s)
-            rows.append(_zero_structural(base - bench, cells))
-            rows.append(_zero_structural(-base - bench, cells))
-    label = {
-        "benchmarks": [
-            (layout.times[g], layout.times[k], s_star, "+" if sign > 0 else "-")
-            for g, (k, s_star, sign) in sorted(benchmarks.items())
+def _rm_members(layout, cells, mbar, choices):
+    """One member per benchmark choice, a (k, s*, sign) per cohort: each
+    cohort's post differences are bounded by its signed benchmark difference
+    times ``mbar``.  The post differences are built once for all members."""
+    post = _post_cells(cells)
+    base = _difference_rows(cells, cells.cohort[post], cells.cal[post], (1.0, -1.0))
+    times = np.array(layout.times)
+    members = []
+    for choice in choices:
+        k, s_star, sign = (np.array(v) for v in zip(*choice))
+        coeff = mbar * sign
+        bench = _difference_rows(cells, k, times[k] + s_star - 1, (coeff, -coeff))
+        bench = bench[cells.cohort[post]]  # each row takes its cohort's benchmark
+        A = _member_rows(base - bench, -base - bench, cells)
+        label = [
+            (layout.times[g], layout.times[k], s, "+" if sgn > 0 else "-")
+            for g, (k, s, sgn) in enumerate(choice)
         ]
-    }
-    return Polyhedron(A=np.array(rows), d=np.zeros(len(rows)), label=label)
+        members.append(Polyhedron(A=A, d=np.zeros(len(A)), label={"benchmarks": label}))
+    return tuple(members)
 
 
 def rm_global(layout: CohortLayout, cells: CellIndex, mbar: float) -> RestrictionFamily:
@@ -187,15 +197,18 @@ def rm_global(layout: CohortLayout, cells: CellIndex, mbar: float) -> Restrictio
         raise NoPreDifferences(
             "no cohort has two consecutive pre-treatment periods"
         )
-    members = []
-    for k, s_star in candidates:
-        for sign in (1.0, -1.0):
-            bench = {g: (k, s_star, sign) for g in range(layout.n_cohorts)}
-            members.append(_rm_member(layout, cells, mbar, bench))
+    members = _rm_members(
+        layout, cells, mbar,
+        (
+            ((k, s_star, sign),) * layout.n_cohorts
+            for k, s_star in candidates
+            for sign in (1.0, -1.0)
+        ),
+    )
     return RestrictionFamily(
         family="rm-global",
         parameter=mbar,
-        members=tuple(members),
+        members=members,
         space="block",
         cells=cells,
     )
@@ -228,14 +241,11 @@ def rm_cohort(
         [(g, s_star, sign) for s_star in ss for sign in (1.0, -1.0)]
         for g, ss in enumerate(slots)
     ]
-    members = []
-    for combo in itertools.product(*choice_sets):
-        bench = {g: choice for g, choice in enumerate(combo)}
-        members.append(_rm_member(layout, cells, mbar, bench))
+    members = _rm_members(layout, cells, mbar, itertools.product(*choice_sets))
     return RestrictionFamily(
         family="rm-cohort",
         parameter=mbar,
-        members=tuple(members),
+        members=members,
         space="block",
         cells=cells,
     )
@@ -248,17 +258,10 @@ def sd(layout: CohortLayout, cells: CellIndex, m: float) -> RestrictionFamily:
             raise CohortWithoutTwoPrePeriods(
                 f"cohort g{t_g} has fewer than two pre-treatment periods"
             )
-    rows = []
-    for g, t_g in enumerate(layout.times):
-        for s in _post_rels(layout, g):
-            row = np.zeros(len(cells))
-            row[cells.position(t_g, s)] += 1.0
-            row[cells.position(t_g, s - 1)] -= 2.0
-            row[cells.position(t_g, s - 2)] += 1.0
-            rows.append(_zero_structural(row, cells))
-            rows.append(_zero_structural(-row.copy(), cells))
-    A = np.array(rows)
-    member = Polyhedron(A=A, d=np.full(len(rows), m), label={"benchmarks": []})
+    post = _post_cells(cells)
+    rows = _difference_rows(cells, cells.cohort[post], cells.cal[post], (1.0, -2.0, 1.0))
+    A = _member_rows(rows, -rows, cells)
+    member = Polyhedron(A=A, d=np.full(len(A), m), label={"benchmarks": []})
     return RestrictionFamily(
         family="sd", parameter=m, members=(member,), space="block", cells=cells
     )
@@ -278,14 +281,11 @@ def with_normalization(
             "zero-sum normalization applies to the imputation estimator only"
         )
     cells = family.cells
-    rows = []
-    for g, t_g in enumerate(layout.times):
-        row = np.zeros(len(cells))
-        for s in range(2 - t_g, 1):
-            row[cells.position(t_g, s)] = 1.0
-        rows.append(row)
-    A_eq = np.array(rows)
-    d_eq = np.zeros(len(rows))
+    # one row per cohort over all of its pre cells
+    A_eq = (
+        (cells.cohort == np.arange(layout.n_cohorts)[:, None]) & cells.pre
+    ).astype(float)
+    d_eq = np.zeros(len(A_eq))
     members = []
     for m in family.members:
         if m.A_eq is None:

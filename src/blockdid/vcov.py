@@ -21,7 +21,7 @@ from .estimators import (
     _stratum_units,
     estimate,
 )
-from .panel import PanelData, build_layout
+from .panel import PanelData, build_cell_index, build_layout
 
 __all__ = ["BootstrapSpec", "bootstrap_vcov"]
 
@@ -68,7 +68,9 @@ def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec) -> np.ndarray:
         )
         rows = _resample_rows(groups, rng)
         means[b] = _strata_means(panel.outcome[rows], sizes)
-    E = _coefficient_operator(build_layout(panel), panel.n_periods, spec.estimator)
+    layout = build_layout(panel)
+    cells = build_cell_index(layout, panel.n_periods, spec.estimator)
+    E = _coefficient_operator(layout, cells)
     return means.reshape(spec.replications, -1) @ E.T
 
 

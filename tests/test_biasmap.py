@@ -86,7 +86,7 @@ def test_inverse_structure(staircase_layout):
         cells = build_cell_index(layout, 8, estimator)
         bm = invert(builder(layout, cells))
         assert np.max(np.abs(bm.W @ bm.W_inverse - np.eye(len(cells)))) < 1e-12
-        cals = np.array([c.cal for c in cells.cells])
+        cals = cells.cal
         above = np.triu(np.ones((24, 24), dtype=bool), 1) & (
             cals[:, None] != cals[None, :]
         )

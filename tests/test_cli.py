@@ -160,7 +160,13 @@ def test_sets_period_target(panel_csv, tmp_path):
     assert all(r["target"] == "period:2" for r in payload["results"])
 
 
-def test_sets_rejects_kappa_not_below_alpha(panel_csv, tmp_path, capsys):
+def test_sets_rejects_kappa_not_below_alpha(panel_csv, tmp_path, capsys, monkeypatch):
+    import blockdid.cli
+
+    calls = []
+    monkeypatch.setattr(
+        blockdid.cli, "bootstrap_vcov", lambda *a, **k: calls.append(a)
+    )
     out = tmp_path / "kappa.json"
     assert run_cli(
         "sets", "--input", str(panel_csv), "--family", "sd", "--param", "0.1",
@@ -169,7 +175,81 @@ def test_sets_rejects_kappa_not_below_alpha(panel_csv, tmp_path, capsys):
     ) == 1
     err = json.loads(capsys.readouterr().out)
     assert "kappa" in err["error"]["message"]
+    assert err["error"]["code"] == "INVALID_LEVEL"
+    assert calls == []  # refused before the bootstrap
     assert not out.exists()
+
+
+def test_sets_solve_each_plugin_set_once(panel_csv, tmp_path, monkeypatch):
+    import blockdid.cli
+    import blockdid.inference
+    from blockdid.biasmap import build_w_imputation, invert
+    from blockdid.estimators import aggregate
+    from blockdid.inference import (
+        aggregated_att_target,
+        aggregated_system,
+        confidence_set,
+        default_grid,
+        overall_att_target,
+        plugin_identified_set,
+    )
+    from blockdid.panel import build_layout, load_panel
+    from blockdid.restrictions import map_to_delta_space, sd
+    from blockdid.vcov import BootstrapSpec, bootstrap_vcov
+
+    params = (0.0, 0.5, 1.0)
+    panel = load_panel(str(panel_csv))
+    layout = build_layout(panel)
+    coeffs = bootstrap_vcov(panel, BootstrapSpec(20, 2, "imputation"))
+    agg = aggregate(coeffs, layout)
+    agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
+    systems = {
+        "cohort": (
+            layout, coeffs, invert(build_w_imputation(layout, coeffs.cells)),
+            overall_att_target(layout, coeffs.cells),
+        ),
+        "aggregated": (
+            agg_layout, agg_coeffs, agg_map, aggregated_att_target(agg, agg_cells)
+        ),
+    }
+    # the records as the grid was built before: default_grid re-solving the
+    # widest parameter's plug-in set, then one more solve per parameter
+    expected = []
+    for lay, coe, bias_map, target in systems.values():
+        fams = {p: map_to_delta_space(sd(lay, coe.cells, p), bias_map) for p in params}
+        grid = default_grid(coe, fams[max(params)], target)
+        for p in params:
+            plug = plugin_identified_set(coe, fams[p], target)
+            cset = confidence_set(
+                coe, fams[p], target, grid=grid, draws=500, seed=2
+            )
+            expected.append(
+                ([grid.lo, grid.hi, grid.n], [plug.lo, plug.hi],
+                 [list(iv) for iv in cset.intervals])
+            )
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].parameter)
+        return plugin_identified_set(*args, **kwargs)
+
+    monkeypatch.setattr(blockdid.cli, "plugin_identified_set", counted)
+    monkeypatch.setattr(blockdid.inference, "plugin_identified_set", counted)
+    out = tmp_path / "once.json"
+    assert run_cli(
+        "sets", "--input", str(panel_csv), "--family", "sd", "--param", "0:1:0.5",
+        "--bootstrap", "20", "--seed", "2", "--draws", "500",
+        "--framework", "both", "--out", str(out),
+    ) == 0
+    assert sorted(calls) == sorted(params * 2)  # one per parameter and framework
+    records = json.loads(out.read_text())["results"]
+    got = [
+        ([r["grid"]["lo"], r["grid"]["hi"], r["grid"]["n"]], r["plugin_bounds"],
+         r["intervals"])
+        for r in records
+    ]
+    assert got == expected
 
 
 def test_byperiod_aggregated_framework(panel_csv, tmp_path):

@@ -207,9 +207,10 @@ def test_normalization_leaves_plugin_unchanged(boot_toy):
 
 
 def one_moment_system():
-    from blockdid.panel import Cell, CellIndex
+    from blockdid.panel import CellIndex
 
-    cells = CellIndex(cells=(Cell(0, 2, 0), Cell(0, 2, 1)), estimator="imputation")
+    # one cohort adopting at t=2 of T=2: cells (g2, s0) and (g2, s+1)
+    cells = CellIndex(times=(2,), n_periods=2, estimator="imputation")
     member = Polyhedron(A=np.array([[0.0, 1.0]]), d=np.array([0.0]))
     target = custom_target(cells, np.array([0.0, 1.0]), "post")
     return cells, member, target

@@ -162,7 +162,7 @@ def test_cell_index_toy_golden_order():
         ("g5", 3), ("g7", 1), ("g5", 4), ("g7", 2),
     ]
     assert len(cells) == 16
-    got = [(f"g{c.cohort_time}", c.rel) for c in cells.cells]
+    got = [(f"g{t_g}", s) for t_g, s in zip(cells.cohort_time, cells.rel)]
     assert got == expect
     # the two reference cells are the structural zeros
     assert [p for p in range(16) if cells.structural_zero(p)] == [6, 11]
@@ -172,7 +172,7 @@ def test_cell_index_toy_golden_order():
 def test_cell_index_single_cohort_small():
     layout = build_layout(load_panel(grid_csv([("a", "2"), ("b", "never")], T=3)))
     cells = build_cell_index(layout, 3, "imputation")
-    assert [(c.rel, c.cal) for c in cells.cells] == [(0, 1), (1, 2), (2, 3)]
+    assert list(zip(cells.rel, cells.cal)) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_cell_count_is_cohorts_times_periods():
@@ -189,7 +189,7 @@ def test_cell_index_round_trip_and_tie_order():
     for p in range(len(cells)):
         c = cells.cell(p)
         assert cells.position(c.cohort_time, c.rel) == p
-    cals = [c.cal for c in cells.cells]
+    cals = cells.cal.tolist()
     assert cals == sorted(cals)
     for p in range(len(cells) - 1):
         a, b = cells.cell(p), cells.cell(p + 1)
