@@ -213,17 +213,17 @@ def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
         p: map_to_delta_space(build(layout, cells, p), bias_map)
         for p in config.params
     }
-    plugs = {}
+    point = corrected_point(coeffs, config.family, bias_map, target)
+    plugs = {
+        p: plugin_identified_set(coeffs, fam, target) for p, fam in families.items()
+    }
     grid = _config_grid(config)
     if grid is None:  # the widest parameter's plug-in set, padded
-        widest = max(config.params)
-        plugs[widest] = plugin_identified_set(coeffs, families[widest], target)
-        grid = _padded_grid(coeffs, plugs[widest], target)
+        grid = _padded_grid(coeffs, plugs[max(config.params)], target)
     records = []
     for p in config.params:
         t0 = time.perf_counter()
-        fam = families[p]
-        plug = plugs[p] if p in plugs else plugin_identified_set(coeffs, fam, target)
+        fam, plug = families[p], plugs[p]
         cset = confidence_set(
             coeffs, fam, target, alpha=config.alpha, grid=grid,
             kappa=config.kappa, draws=config.draws, seed=config.seed,
@@ -238,9 +238,7 @@ def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
                 "grid": {"lo": grid.lo, "hi": grid.hi, "n": grid.n},
                 "intervals": [list(iv) for iv in cset.intervals],
                 "plugin_bounds": [plug.lo, plug.hi],
-                "corrected_point": corrected_point(
-                    coeffs, config.family, bias_map, target
-                ),
+                "corrected_point": point,
                 "member_count": fam.member_count,
                 "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
             }

@@ -1,9 +1,11 @@
 """Plug-in identified sets and uniformly valid confidence sets.
 
-Targets are linear functionals of the post-treatment effects.  For a
-restriction family in overall-bias space, the plug-in identified set solves
-two linear programs per member (the pre-treatment bias coordinates pinned at
-their estimates) and unions the resulting intervals.
+Targets are linear functionals of the post-treatment effects.  The plug-in
+identified set pins the pre-treatment coefficients at their estimates.  As
+W's pre rows are the identity, every member of a built family is then a box
+on the post block-bias differences, over which the target spans the
+corrected point plus or minus a radius (``_plugin_box``); in an rm union one
+member contains all the others, so no linear program is solved.
 
 Confidence sets invert a two-stage hybrid moment-inequality test over a grid
 of candidate values.  Writing the post effects as theta0 * lbar + X gamma
@@ -36,12 +38,19 @@ from scipy import stats as scistats
 from .biasmap import BiasMap
 from .estimators import AggregatedSeries, CoefficientSet
 from .panel import CellIndex, CohortLayout
-from .restrictions import CohortWithoutTwoPrePeriods, Polyhedron, RestrictionFamily
+from .restrictions import (
+    CohortWithoutPreDifference,
+    CohortWithoutTwoPrePeriods,
+    FAMILY_KINDS,
+    NoPreDifferences,
+    Polyhedron,
+    RestrictionFamily,
+)
 
 __all__ = [
     "InferenceError",
     "AllMembersInfeasible",
-    "UnboundedProgram",
+    "MissingBiasMap",
     "SingularVcov",
     "InvalidLevel",
     "TargetFunctional",
@@ -81,8 +90,8 @@ class AllMembersInfeasible(InferenceError):
     code = "ALL_MEMBERS_INFEASIBLE"
 
 
-class UnboundedProgram(InferenceError):
-    code = "UNBOUNDED_PROGRAM"
+class MissingBiasMap(InferenceError):
+    code = "MISSING_BIAS_MAP"
 
 
 class SingularVcov(InferenceError):
@@ -195,16 +204,6 @@ class IntervalSet:
         )
 
 
-def _merge_intervals(pairs):
-    out = []
-    for a, b in sorted(pairs):
-        if out and a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return tuple((a, b) for a, b in out)
-
-
 # ---------------------------------------------------------------------------
 # plug-in identified set
 # ---------------------------------------------------------------------------
@@ -235,67 +234,83 @@ def _require_full_coverage(cells: CellIndex, positions):
         raise InferenceError("coefficient set must cover every non-structural cell")
 
 
-def _member_bounds(coeffs, member, target):
-    """[min, max] of l'(beta_post - delta_post) over one member, or None."""
-    cells = coeffs.cells
-    positions = coeffs.positions
-    A, d, A_eq, d_eq = _reduced_member(member, cells, positions)
-    n = len(positions)
-    pre = cells.pre[positions]
-    l_vec = target.weights[positions]
+def _plugin_box(
+    cells: CellIndex, positions, values, family_kind: str, parameter: float,
+    bias_map: BiasMap, target,
+):
+    """Centre weights c and radius r of the plug-in set c'betahat +/- r.
 
-    eq_rows = [np.eye(n)[pre]]
-    eq_rhs = [coeffs.values[pre]]
-    if A_eq is not None:
-        eq_rows.append(A_eq)
-        eq_rhs.append(d_eq)
-    A_eq_full = np.vstack(eq_rows)
-    b_eq_full = np.concatenate(eq_rhs)
-
-    l_beta = float(l_vec @ coeffs.values)
-    bounds = []
-    for sign in (1.0, -1.0):
-        res = sciopt.linprog(
-            sign * l_vec,
-            A_ub=A,
-            b_ub=d,
-            A_eq=A_eq_full,
-            b_eq=b_eq_full,
-            bounds=[(None, None)] * n,
-            method="highs",
-            options=_LP_OPTIONS,
-        )
-        if res.status == 2:
-            return None
-        if res.status == 3:
-            raise UnboundedProgram(
-                "identified-set program is unbounded; the member does not "
-                "constrain the target"
+    Cohort g's post block biases are its pinned reference value plus the
+    running sums of its post first differences (sd: plus the pinned slope
+    path and running sums of running sums of its second differences).  A
+    unit change in g's difference at post cell j thus moves the target by
+    U_gj, the tail sum from j on of u = W[post]'l[post] over g's post cells
+    (sd: the tail sum of those tail sums).  With each difference in
+    [-b_g, b_g], r = sum_g b_g sum_j |U_gj|.  b_g is ``parameter`` for sd;
+    for rm it is ``parameter`` times the largest absolute pre-period first
+    difference, cohort g's own (rm-cohort) or any cohort's (rm-global): the
+    member of the union that contains all the others.
+    """
+    centre = _corrected_weights(cells, positions, family_kind, bias_map, target)
+    G, T = len(cells.times), cells.n_periods
+    post = cells.post.reshape(T, G)  # rows: calendar periods, columns: cohorts
+    loading = bias_map.W[cells.post].T @ target.weights[cells.post]
+    u = np.where(cells.post, loading, 0.0)  # pre block biases are pinned
+    tail = np.cumsum(u.reshape(T, G)[::-1], axis=0)[::-1]
+    if family_kind == "sd":
+        tail = np.cumsum((tail * post)[::-1], axis=0)[::-1]
+        bench = np.ones(G)
+    else:
+        block = np.zeros(len(cells))  # pinned pre block biases, 0 if structural
+        block[positions] = values
+        pre = cells.pre.reshape(T, G)
+        diffs = np.abs(np.diff(block.reshape(T, G), axis=0))
+        bench = np.where(pre[1:] & pre[:-1], diffs, -np.inf).max(axis=0)
+        if family_kind == "rm-global":
+            bench = np.full(G, bench.max())
+        if np.any(np.isneginf(bench)):  # no benchmark candidate to bound by
+            error = (
+                NoPreDifferences if family_kind == "rm-global"
+                else CohortWithoutPreDifference
             )
-        if not res.success:
-            raise InferenceError(f"linear program failed: {res.message}")
-        bounds.append(sign * res.fun)
-    min_ldelta, max_ldelta = bounds
-    return (l_beta - max_ldelta, l_beta - min_ldelta)
+            raise error("a benchmark needs two consecutive pre-treatment periods")
+    return centre, parameter * float(bench @ (np.abs(tail) * post).sum(axis=0))
 
 
 def plugin_identified_set(
     coeffs: CoefficientSet, family: RestrictionFamily, target: TargetFunctional
 ) -> IntervalSet:
     """Union over members of the interval of target values consistent with
-    the estimated coefficients and the member's constraints."""
+    the estimated coefficients and the member's constraints, in closed form
+    (``_plugin_box``).  It reads the family's tag, parameter, recorded bias
+    map and normalization, never its member rows: a family with no recorded
+    bias map is refused, and under ``with_normalization`` the pinned pre
+    coefficients must meet each cohort's zero-sum equality."""
     _check_alignment(coeffs, family)
-    pairs = []
-    for member in family.members:
-        b = _member_bounds(coeffs, member, target)
-        if b is not None:
-            pairs.append(b)
-    if not pairs:
-        raise AllMembersInfeasible(
-            "no member of the restriction family is consistent with the "
-            "estimated pre-treatment coefficients"
+    if family.bias_map is None:
+        raise MissingBiasMap(
+            "family records no bias map; map it with map_to_delta_space"
         )
-    return IntervalSet(intervals=_merge_intervals(pairs), provenance="plugin")
+    cells, positions, values = coeffs.cells, coeffs.positions, coeffs.values
+    if family.normalized:
+        pre = cells.pre[positions]
+        sums = np.bincount(
+            cells.cohort[positions][pre], weights=values[pre],
+            minlength=len(cells.times),
+        )
+        if np.any(np.abs(sums) > _LP_OPTIONS["primal_feasibility_tolerance"]):
+            raise AllMembersInfeasible(
+                "the estimated pre-treatment coefficients violate the "
+                "zero-sum normalization"
+            )
+    centre, radius = _plugin_box(
+        cells, positions, values, family.family, family.parameter,
+        family.bias_map, target,
+    )
+    point = float(centre @ values)
+    return IntervalSet(
+        intervals=((point - radius, point + radius),), provenance="plugin"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +735,10 @@ def _corrected_weights(
     value for relative-magnitude families, the straight line through the
     last two pre values for second differences.  The implied overall bias is
     that path mapped through W, and the corrected point subtracts it from
-    the target, so the whole correction is one fixed linear map.
+    the target, so the whole correction is one fixed linear map.  It is also
+    the centre of every plug-in set (``_plugin_box``).
     """
-    if family_kind not in ("rm-global", "rm-cohort", "sd"):
+    if family_kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {family_kind!r}")
     _require_full_coverage(cells, positions)
     column = np.full(len(cells), -1)  # coefficient index per cell, -1 if none
@@ -792,22 +808,29 @@ def by_period_sets(
             coeffs, family, target, alpha=alpha, grid=grid, kappa=kappa,
             draws=draws, seed=seed,
         )
-        point = corrected_point(coeffs, family.family, bias_map, target)
-        se = _corrected_se(coeffs, family.family, bias_map, target)
+        c_vec = _corrected_weights(
+            cells, coeffs.positions, family.family, bias_map, target
+        )
         out[s] = ByPeriodResult(
-            rel_period=s, confidence=cset, corrected=point, corrected_se=se
+            rel_period=s, confidence=cset, corrected=float(c_vec @ coeffs.values),
+            corrected_se=_linear_se(c_vec, coeffs.vcov),
         )
     return out
 
 
+def _linear_se(c_vec, vcov):
+    """Standard error of c' betahat; nan without a covariance."""
+    if vcov is None:
+        return math.nan
+    return math.sqrt(max(float(c_vec @ vcov @ c_vec), 0.0))
+
+
 def _corrected_se(coeffs, family_kind, bias_map, target):
     """Standard error of the corrected point (a linear map of the estimates)."""
-    if coeffs.vcov is None:
-        return math.nan
     c_vec = _corrected_weights(
         coeffs.cells, coeffs.positions, family_kind, bias_map, target
     )
-    return math.sqrt(max(float(c_vec @ coeffs.vcov @ c_vec), 0.0))
+    return _linear_se(c_vec, coeffs.vcov)
 
 
 # ---------------------------------------------------------------------------

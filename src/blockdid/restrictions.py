@@ -16,11 +16,14 @@ over the full cell-index coordinate system.  Three families are provided:
 Sign enumeration keeps every member linear; members whose benchmark has the
 wrong sign are retained (they are simply infeasible once data are plugged
 in), so the family never depends on the sample.  Families are built in
-block-bias space and mapped to overall-bias space with the inverse bias map.
+block-bias space and mapped to overall-bias space with the inverse bias map;
+the mapped family records that map and whether the zero-sum normalization
+was appended, which is all the plug-in set reads besides the tag and the
+parameter.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +31,9 @@ from .biasmap import BiasMap
 from .panel import CellIndex, CohortLayout
 
 __all__ = [
+    "FAMILY_KINDS",
     "RestrictionError",
+    "UnknownFamily",
     "NoPreDifferences",
     "CohortWithoutPreDifference",
     "CohortWithoutTwoPrePeriods",
@@ -44,10 +49,15 @@ __all__ = [
 ]
 
 MEMBER_CAP = 100_000
+FAMILY_KINDS = ("rm-global", "rm-cohort", "sd")
 
 
 class RestrictionError(ValueError):
     code = "RESTRICTION_ERROR"
+
+
+class UnknownFamily(RestrictionError):
+    code = "UNKNOWN_FAMILY"
 
 
 class NoPreDifferences(RestrictionError):
@@ -100,9 +110,11 @@ class Polyhedron:
 class RestrictionFamily:
     """Finite union of polyhedra with benchmark metadata.
 
-    ``space`` is ``block`` for restrictions on block biases and ``overall``
-    once mapped through the inverse bias map.  Feasible set = union of
-    members.
+    ``family`` is one of ``FAMILY_KINDS``.  ``space`` is ``block`` for
+    restrictions on block biases and ``overall`` once mapped through the
+    inverse bias map, which ``map_to_delta_space`` records as ``bias_map``.
+    ``normalized`` marks the per-cohort zero-sum equalities appended by
+    ``with_normalization``.  Feasible set = union of members.
     """
 
     family: str
@@ -110,8 +122,15 @@ class RestrictionFamily:
     members: tuple
     space: str
     cells: CellIndex
+    bias_map: BiasMap = field(default=None, repr=False, compare=False)
+    normalized: bool = False
 
     def __post_init__(self):
+        if self.family not in FAMILY_KINDS:
+            raise UnknownFamily(
+                f"unknown family {self.family!r}; expected one of "
+                f"{', '.join(FAMILY_KINDS)}"
+            )
         if not self.members:
             raise RestrictionError("family must have at least one member")
         n = len(self.cells)
@@ -298,14 +317,15 @@ def with_normalization(
                     d_eq=np.concatenate([m.d_eq, d_eq]),
                 )
             )
-    return replace(family, members=tuple(members))
+    return replace(family, members=tuple(members), normalized=True)
 
 
 def map_to_delta_space(
     family: RestrictionFamily, bias_map: BiasMap
 ) -> RestrictionFamily:
     """Re-express every member on overall biases: A Delta <= d becomes
-    (A W^-1) delta <= d.  Member count and labels are preserved."""
+    (A W^-1) delta <= d.  Member count and labels are preserved, and the
+    returned family records ``bias_map``."""
     if family.space != "block":
         raise RestrictionError("family is already in overall-bias space")
     if bias_map.W_inverse is None:
@@ -324,7 +344,9 @@ def map_to_delta_space(
                 A_eq=None if m.A_eq is None else m.A_eq @ W_inv,
             )
         )
-    return replace(family, members=tuple(members), space="overall")
+    return replace(
+        family, members=tuple(members), space="overall", bias_map=bias_map
+    )
 
 
 def family_summary(family: RestrictionFamily) -> dict:

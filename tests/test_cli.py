@@ -341,3 +341,29 @@ def test_workers_other_than_one_rejected(panel_csv, tmp_path):
         run(config)
     assert info.value.code == "UNSUPPORTED_OPTION"
     assert not (tmp_path / "v.csv").exists()
+
+
+def test_no_command_calls_linprog_on_a_vertex_path_design(
+    panel_csv, tmp_path, monkeypatch, capsys
+):
+    # every rm-cohort member of the toy panel takes the vertex path, and the
+    # plug-in sets are closed-form, so no linear program is left to solve
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    common = [
+        "--input", str(panel_csv), "--family", "rm-cohort", "--bootstrap", "20",
+        "--seed", "2", "--draws", "300",
+    ]
+    for command, extra in (
+        ("sets", ["--param", "0:1:0.5"]),
+        ("compare", ["--param", "0.5"]),
+        ("byperiod", ["--param", "0.5", "--grid=-6:6:41"]),
+    ):
+        out = tmp_path / f"{command}.out"
+        code = run_cli(command, *common, *extra, "--out", str(out))
+        assert code == 0, capsys.readouterr().out
+        assert out.exists()

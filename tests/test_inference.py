@@ -45,6 +45,7 @@ from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_panel
 from test_panel import grid_csv
+from test_plugin_oracle import UnboundedProgram, lp_union, member_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +760,8 @@ def test_normalization_rows_screened_in_hybrid(boot_toy):
 def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
     from blockdid.inference import (
         AllMembersInfeasible,
+        MissingBiasMap,
         SingularVcov,
-        UnboundedProgram,
     )
     from blockdid.restrictions import RestrictionFamily
 
@@ -769,10 +770,12 @@ def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
     target = overall_att_target(layout, cells)
     n = len(cells)
 
-    # equality row contradicting the pinned pre coefficients
+    # hand-built members reach the LP-union oracle only: the closed form
+    # describes built families, and refuses these for want of a bias map
     pre_pos = cells.position(5, -3)
     row = np.zeros(n)
     row[pre_pos] = 1.0
+    # equality row contradicting the pinned pre coefficients
     contradiction = Polyhedron(
         A=np.zeros((1, n)), d=np.zeros(1),
         A_eq=row.reshape(1, -1), d_eq=np.array([coeffs.value(5, -3) + 1.0]),
@@ -781,8 +784,9 @@ def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
         family="sd", parameter=0.0, members=(contradiction,),
         space="overall", cells=cells,
     )
+    assert member_bounds(coeffs, contradiction, target) is None
     with pytest.raises(AllMembersInfeasible):
-        plugin_identified_set(coeffs, fam, target)
+        lp_union(coeffs, fam, target)
 
     # a member that places no restriction on any post cell
     loose = Polyhedron(A=row.reshape(1, -1), d=np.array([1e6]))
@@ -790,7 +794,10 @@ def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
         family="sd", parameter=0.0, members=(loose,), space="overall", cells=cells
     )
     with pytest.raises(UnboundedProgram):
-        plugin_identified_set(coeffs, fam2, target)
+        lp_union(coeffs, fam2, target)
+    for hand_built in (fam, fam2):
+        with pytest.raises(MissingBiasMap):
+            plugin_identified_set(coeffs, hand_built, target)
 
     # an all-zero covariance leaves no stochastic moment rows
     flat = CoefficientSet(
@@ -800,6 +807,83 @@ def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
     member = map_to_delta_space(sd(layout, cells, 0.1), bm).members[0]
     with pytest.raises(SingularVcov):
         hybrid_test(flat, member, target, 0.0, seed=0)
+
+
+def test_family_refuses_unknown_tag(boot_toy):
+    from blockdid.restrictions import RestrictionFamily, UnknownFamily
+
+    layout, coeffs, _ = boot_toy
+    member = sd(layout, coeffs.cells, 0.1).members[0]
+    with pytest.raises(UnknownFamily) as err:
+        RestrictionFamily(
+            family="rm-custom", parameter=0.1, members=(member,), space="block",
+            cells=coeffs.cells,
+        )
+    assert err.value.code == "UNKNOWN_FAMILY"
+
+
+def test_plugin_refuses_overall_family_without_bias_map(boot_toy):
+    from blockdid.inference import MissingBiasMap
+
+    layout, coeffs, bm = boot_toy
+    target = overall_att_target(layout, coeffs.cells)
+    fam = map_to_delta_space(rm_global(layout, coeffs.cells, 0.5), bm)
+    unmapped = dataclasses.replace(fam, bias_map=None)
+    with pytest.raises(MissingBiasMap) as err:
+        plugin_identified_set(coeffs, unmapped, target)
+    assert err.value.code == "MISSING_BIAS_MAP"
+    # the LP union of the same members is still the closed-form set
+    got = plugin_identified_set(coeffs, fam, target)
+    want = lp_union(coeffs, unmapped, target)
+    assert [got.lo, got.hi] == pytest.approx([want.lo, want.hi], rel=1e-12)
+
+
+def test_plugin_refuses_rm_cohort_tag_without_a_benchmark_per_cohort():
+    from blockdid.restrictions import CohortWithoutPreDifference
+
+    # cohort g2 has no pre-period difference: rm-global builds, rm-cohort
+    # cannot, and a retagged family gets no closed-form answer
+    units = [("a", "2"), ("b", "4"), ("n", "never")]
+    layout = build_layout(load_panel(grid_csv(units, T=5)))
+    cells = build_cell_index(layout, 5, "imputation")
+    coeffs = CoefficientSet("imputation", cells, np.arange(10), np.zeros(10))
+    bm = invert(build_w_imputation(layout, cells))
+    fam = map_to_delta_space(rm_global(layout, cells, 0.5), bm)
+    target = overall_att_target(layout, cells)
+    plugin_identified_set(coeffs, fam, target)
+    with pytest.raises(CohortWithoutPreDifference):
+        plugin_identified_set(
+            coeffs, dataclasses.replace(fam, family="rm-cohort"), target
+        )
+
+
+def test_plugin_refuses_normalization_violated_at_pinned_values(boot_toy):
+    from blockdid.inference import AllMembersInfeasible
+
+    layout, coeffs, bm = boot_toy
+    cells = coeffs.cells
+    target = overall_att_target(layout, cells)
+    fam = map_to_delta_space(
+        with_normalization(rm_global(layout, cells, 0.5), layout), bm
+    )
+    # shifting every pre coefficient by 1e-10 leaves each cohort's zero-sum
+    # within the LP's 1e-9 feasibility tolerance, by 1e-7 it does not (the
+    # ``aggregated`` flag skips the estimator's own zero-sum check)
+    for shift, feasible in ((1e-10, True), (1e-7, False)):
+        values = coeffs.values + shift * cells.pre[coeffs.positions]
+        moved = CoefficientSet(
+            "imputation", cells, coeffs.positions, values, coeffs.vcov,
+            aggregated=True,
+        )
+        if feasible:
+            got = plugin_identified_set(moved, fam, target)
+            want = lp_union(moved, fam, target)
+            assert [got.lo, got.hi] == pytest.approx([want.lo, want.hi], rel=1e-12)
+        else:
+            with pytest.raises(AllMembersInfeasible):
+                lp_union(moved, fam, target)
+            with pytest.raises(AllMembersInfeasible):
+                plugin_identified_set(moved, fam, target)
 
 
 def test_structural_column_guard():
