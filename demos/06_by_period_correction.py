@@ -21,7 +21,7 @@ from blockdid import (
     gen_example2,
     invert,
 )
-from blockdid.inference import _corrected_se
+from blockdid.inference import _corrected_weights, _linear_se
 
 sim = gen_example2(seed=31)
 panel = sim.panel
@@ -38,7 +38,9 @@ print(f"{'s':>2} {'anchored':>9} {'(se)':>7} {'aggregated':>11} {'supported by':
 for s in (1, 2, 3, 4):
     target = by_period_target(layout, cells, s)
     point = corrected_point(coeffs, "sd", bm, target)
-    se = _corrected_se(coeffs, "sd", bm, target)
+    se = _linear_se(
+        _corrected_weights(cells, coeffs.positions, "sd", bm, target), coeffs.vcov
+    )
     apoint = corrected_point(acoe, "sd", amap, by_period_target(alay, acells, s))
     who = sorted(
         {

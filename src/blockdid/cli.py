@@ -19,6 +19,7 @@ from .biasmap import build_w_csnyt, build_w_imputation, invert, write_biasmap_cs
 from .estimators import aggregate, estimate, write_coefficients_csv, write_vcov_csv
 from .inference import (
     GridSpec,
+    _check_draws,
     _first_stage_level,
     _padded_grid,
     aggregated_att_target,
@@ -289,8 +290,13 @@ def run(config: RunConfig) -> int:
         raise UnsupportedOption(
             "byperiod runs one framework at a time: choose cohort or aggregated"
         )
+    # options that can be refused are refused before the panel loads
     if config.command in ("sets", "byperiod", "compare"):
-        _first_stage_level(config.alpha, config.kappa)  # before any work
+        _first_stage_level(config.alpha, config.kappa)
+        _check_draws(config.draws)
+        _config_grid(config)
+    if config.command in ("vcov", "sets", "byperiod", "compare"):
+        BootstrapSpec(config.bootstrap, config.seed, config.estimator)
     if config.command == "validate":
         load_panel(config.input)
         print("ok")

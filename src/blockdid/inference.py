@@ -22,12 +22,15 @@ Monte Carlo stage and the grid sweep cheap.  The vertices come from a
 double-description enumeration of the extreme rays of {lam >= 0 : X'lam = 0};
 only where its working ray count would exceed the cap, or the moment system
 is rank-deficient, does one LP per point take their place, and nothing else
-changes.
+changes.  The rays depend on X alone, so a confidence set enumerates them
+once per distinct nuisance system and scales them per member; a member equal
+to one already tested is not tested again.
 """
 
 import functools
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,8 @@ __all__ = [
     "MissingBiasMap",
     "SingularVcov",
     "InvalidLevel",
+    "InvalidGrid",
+    "InvalidDraws",
     "TargetFunctional",
     "overall_att_target",
     "by_period_target",
@@ -100,6 +105,14 @@ class SingularVcov(InferenceError):
 
 class InvalidLevel(ValueError):
     code = "INVALID_LEVEL"
+
+
+class InvalidGrid(ValueError):
+    code = "INVALID_GRID"
+
+
+class InvalidDraws(ValueError):
+    code = "INVALID_DRAWS"
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +167,19 @@ def custom_target(cells: CellIndex, weights, description="custom") -> TargetFunc
 
 @dataclass(frozen=True)
 class GridSpec:
+    """``n`` evenly spaced candidate values from ``lo`` to ``hi``."""
+
     lo: float
     hi: float
     n: int
+
+    def __post_init__(self):
+        finite = math.isfinite(self.lo) and math.isfinite(self.hi)
+        if not (finite and self.lo < self.hi) or self.n < 2:
+            raise InvalidGrid(
+                f"grid needs finite lo < hi and n >= 2, got "
+                f"{self.lo}:{self.hi}:{self.n}"
+            )
 
     def points(self):
         return np.linspace(self.lo, self.hi, self.n)
@@ -363,24 +386,33 @@ def _nuisance_basis(l_post):
     return lbar, Q[:, 1:q]
 
 
-def _build_moments(coeffs, member, target, nuisance_override=None):
+def _target_basis(coeffs, target):
+    """What every member's moments share: the post mask over the
+    coefficients and the target's nuisance basis (lbar, X_post)."""
     if coeffs.vcov is None:
         raise InferenceError("confidence sets need a coefficient covariance")
-    cells = coeffs.cells
-    positions = coeffs.positions
-    _require_full_coverage(cells, positions)
-    A, d, A_eq, d_eq = _reduced_member(member, cells, positions)
-    if A_eq is not None:
-        A = np.vstack([A, A_eq, -A_eq])
-        d = np.concatenate([d, d_eq, -d_eq])
-
-    post = cells.post[positions]
-    l_post = target.weights[positions][post]
+    _require_full_coverage(coeffs.cells, coeffs.positions)
+    post = coeffs.cells.post[coeffs.positions]
+    l_post = target.weights[coeffs.positions][post]
     if not np.any(l_post):
         raise InferenceError("target has no weight on any post cell")
     lbar, X_post = _nuisance_basis(l_post)
+    return post, lbar, X_post
+
+
+def _build_moments(coeffs, member, target, nuisance_override=None):
+    post, lbar, X_post = _target_basis(coeffs, target)
     if nuisance_override is not None:
         X_post = nuisance_override
+    return _member_moments(coeffs, member, post, lbar, X_post)
+
+
+def _member_moments(coeffs, member, post, lbar, X_post):
+    """One member's moment system on a target basis from ``_target_basis``."""
+    A, d, A_eq, d_eq = _reduced_member(member, coeffs.cells, coeffs.positions)
+    if A_eq is not None:
+        A = np.vstack([A, A_eq, -A_eq])
+        d = np.concatenate([d, d_eq, -d_eq])
 
     a0 = A @ coeffs.values - d
     a1 = A[:, post] @ lbar
@@ -413,29 +445,49 @@ def _build_moments(coeffs, member, target, nuisance_override=None):
     )
 
 
-def _dual_vertices(sd, X):
+def _dual_vertices(sd, X, shared_rays=None):
     """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0}, or None if unavailable.
 
     The profiled max-moment statistic equals the maximum of lam'y over this
     polytope, so enumerating its vertices turns every later evaluation into a
     matrix product.  The vertices are the extreme rays of the pointed cone
-    {lam >= 0 : X'lam = 0} scaled to sd'lam = 1, found by the double
-    description method (Fukuda & Prodon 1996): the cone of r = m - rank X
-    independent sign constraints on the null space of X' is simplicial, and
-    the remaining constraints are added one at a time, keeping the rays that
-    satisfy each one and joining every adjacent pair it separates.  Two rays
-    are adjacent when no third ray's zero set contains their common zero
-    set, which holds at degenerate vertices too.  None when [sd, X] lacks
-    full column rank, when the cone is {0}, or when the working ray count
-    exceeds ``_VERTEX_ENUM_CAP``.
+    {lam >= 0 : X'lam = 0} (``_cone_rays``) scaled to sd'lam = 1.  The rays
+    depend on X alone: ``shared_rays``, a dict keyed by X's shape and bytes,
+    lets every moment system with the same X reuse one enumeration.  None
+    when [sd, X] lacks full column rank, when the cone is {0}, or when the
+    working ray count exceeds ``_VERTEX_ENUM_CAP``.
     """
-    m = len(sd)
-    W = np.column_stack([sd, X])
-    p = W.shape[1]
-    r = m - (p - 1)
-    if m < p or r > _VERTEX_ENUM_CAP or np.linalg.matrix_rank(W) < p:
+    m, k = X.shape
+    if (
+        m <= k or m - k > _VERTEX_ENUM_CAP
+        or np.linalg.matrix_rank(np.column_stack([sd, X])) <= k
+    ):
         return None
-    N = np.linalg.svd(X, full_matrices=True)[0][:, p - 1:]  # null space of X'
+    if shared_rays is None:
+        rays = _cone_rays(X)
+    else:
+        key = (X.shape, X.tobytes())
+        if key not in shared_rays:
+            shared_rays[key] = _cone_rays(X)
+        rays = shared_rays[key]
+    return None if rays is None else rays / (rays @ sd)[:, None]
+
+
+def _cone_rays(X):
+    """Extreme rays of {lam >= 0 : X'lam = 0} for X of full column rank k,
+    one per row at unit max-norm, or None when the cone is {0} or the
+    working ray count exceeds ``_VERTEX_ENUM_CAP``.
+
+    The double description method (Fukuda & Prodon 1996): the cone of
+    r = m - k independent sign constraints on the null space of X' is
+    simplicial, and the remaining constraints are added one at a time,
+    keeping the rays that satisfy each one and joining every adjacent pair
+    it separates.  Two rays are adjacent when no third ray's zero set
+    contains their common zero set, which holds at degenerate vertices too.
+    """
+    m, k = X.shape
+    r = m - k
+    N = np.linalg.svd(X, full_matrices=True)[0][:, k:]  # null space of X'
     basis = scilinalg.qr(N.T, mode="r", pivoting=True)[1][:r]
     rays = np.linalg.solve(N[basis].T, N.T)  # row j is N N_S^-1 e_j
     rays[:, basis] = np.eye(r)
@@ -464,7 +516,7 @@ def _dual_vertices(sd, X):
         if len(rays) == 0:
             return None
         done[i] = True
-    return rays / (rays @ sd)[:, None]
+    return rays
 
 
 def _eta_star_lp(y, X, sd):
@@ -530,8 +582,8 @@ def _standard_normals(seed, draws, dim):
     return z
 
 
-def _prepare_context(moments, kappa, draws, seed):
-    verts = _dual_vertices(moments.sd, moments.X)
+def _prepare_context(moments, kappa, draws, seed, shared_rays=None):
+    verts = _dual_vertices(moments.sd, moments.X, shared_rays)
     root = _gaussian_root(moments.sigma)
     xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
     lf_cv = float(np.quantile(_profile(moments, verts, xi.T)[0], 1.0 - kappa))
@@ -624,6 +676,12 @@ def _first_stage_level(alpha, kappa):
     return kappa
 
 
+def _check_draws(draws):
+    """Refuse a least-favorable stage of fewer than one Monte Carlo draw."""
+    if draws < 1:
+        raise InvalidDraws(f"need at least 1 Monte Carlo draw, got {draws}")
+
+
 def _test_point(ctx, theta0, alpha):
     """Hybrid rejection decision for one candidate value."""
     return bool(_decisions(ctx, [theta0], alpha)[0])
@@ -646,6 +704,7 @@ def hybrid_test(
     alpha / 10; ``draws`` sizes the least-favorable Monte Carlo stage.
     """
     kappa = _first_stage_level(alpha, kappa)
+    _check_draws(draws)
     moments = _build_moments(coeffs, member, target, nuisance_override)
     ctx = _prepare_context(moments, kappa, draws, seed)
     return _test_point(ctx, theta0, alpha)
@@ -677,6 +736,24 @@ def _padded_grid(coeffs, plug, target, pad_ses=10.0, n=201) -> GridSpec:
     return GridSpec(lo=plug.lo - pad, hi=plug.hi + pad, n=n)
 
 
+def _already_tested(member, tested):
+    """True when a member with equal (A, d, A_eq, d_eq) is in ``tested``, a
+    dict from a digest of those arrays to the members with it; otherwise
+    the member is added.  The dict holds references, never copies."""
+    blocks = (member.A, member.d, member.A_eq, member.d_eq)
+    key = tuple(
+        None if b is None else (b.shape, zlib.crc32(np.ascontiguousarray(b)))
+        for b in blocks
+    )
+    same = tested.setdefault(key, [])
+    for other in same:
+        pairs = zip(blocks, (other.A, other.d, other.A_eq, other.d_eq))
+        if all(a is None or np.array_equal(a, b) for a, b in pairs):
+            return True
+    same.append(member)
+    return False
+
+
 def confidence_set(
     coeffs: CoefficientSet,
     family: RestrictionFamily,
@@ -692,19 +769,31 @@ def confidence_set(
     A candidate value enters the confidence set as soon as one member's test
     accepts it; members are visited in family order so results do not depend
     on scheduling.  An empty set is a legal outcome.
+
+    Work shared by the family is done once per call: the target's nuisance
+    basis, and one dual-ray enumeration per distinct nuisance system X (the
+    rm members differ only in their benchmark columns, so they mostly share
+    one).  A member equal to one already tested takes the same decision at
+    every point, so it is skipped; at parameter 0 every rm member is equal.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
+    _check_draws(draws)
     if grid is None:
         grid = default_grid(coeffs, family, target)
     points = grid.points()
     accepted = np.zeros(len(points), dtype=bool)
+    basis = _target_basis(coeffs, target)
+    shared_rays = {}
+    tested = {}
     for member in family.members:
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
-        moments = _build_moments(coeffs, member, target)
-        ctx = _prepare_context(moments, kappa, draws, seed)
+        if _already_tested(member, tested):
+            continue
+        moments = _member_moments(coeffs, member, *basis)
+        ctx = _prepare_context(moments, kappa, draws, seed, shared_rays)
         accepted[todo] = ~_decisions(ctx, points[todo], alpha)
     if accepted[0] or accepted[-1]:
         warnings.warn(
@@ -823,14 +912,6 @@ def _linear_se(c_vec, vcov):
     if vcov is None:
         return math.nan
     return math.sqrt(max(float(c_vec @ vcov @ c_vec), 0.0))
-
-
-def _corrected_se(coeffs, family_kind, bias_map, target):
-    """Standard error of the corrected point (a linear map of the estimates)."""
-    c_vec = _corrected_weights(
-        coeffs.cells, coeffs.positions, family_kind, bias_map, target
-    )
-    return _linear_se(c_vec, coeffs.vcov)
 
 
 # ---------------------------------------------------------------------------

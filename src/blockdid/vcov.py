@@ -23,7 +23,11 @@ from .estimators import (
 )
 from .panel import PanelData, build_cell_index, build_layout
 
-__all__ = ["BootstrapSpec", "bootstrap_vcov"]
+__all__ = ["InvalidBootstrap", "BootstrapSpec", "bootstrap_vcov"]
+
+
+class InvalidBootstrap(ValueError):
+    code = "INVALID_BOOTSTRAP"
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ class BootstrapSpec:
 
     def __post_init__(self):
         if self.replications < 2:
-            raise ValueError("need at least 2 bootstrap replications")
+            raise InvalidBootstrap("need at least 2 bootstrap replications")
 
 
 def _strata(panel: PanelData):

@@ -44,7 +44,8 @@ from blockdid.inference import (
     hybrid_test,
     overall_att_target,
     plugin_identified_set,
-    _corrected_se,
+    _corrected_weights,
+    _linear_se,
 )
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.restrictions import Polyhedron, map_to_delta_space, rm_cohort, rm_global, sd
@@ -480,7 +481,10 @@ def test_criterion_11_linear_benchmark():
     for s in (1, 2, 3, 4):
         target = by_period_target(layout, cells, s)
         point = corrected_point(coeffs, "sd", bm, target)
-        se = _corrected_se(coeffs, "sd", bm, target)
+        se = _linear_se(
+            _corrected_weights(cells, coeffs.positions, "sd", bm, target),
+            coeffs.vcov,
+        )
         within_three_se &= abs(point - 3.0) <= 3.0 * se
         atarget = by_period_target(alay, acells, s)
         apoint = corrected_point(acoe, "sd", amap, atarget)

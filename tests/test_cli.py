@@ -367,3 +367,30 @@ def test_no_command_calls_linprog_on_a_vertex_path_design(
         code = run_cli(command, *common, *extra, "--out", str(out))
         assert code == 0, capsys.readouterr().out
         assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sets", "--grid", "1:0:5"], "INVALID_GRID"),
+        (["sets", "--grid", "0:1:0"], "INVALID_GRID"),
+        (["compare", "--grid", "0:0:5"], "INVALID_GRID"),
+        (["sets", "--draws", "0"], "INVALID_DRAWS"),
+        (["byperiod", "--draws", "-5"], "INVALID_DRAWS"),
+        (["sets", "--bootstrap", "1"], "INVALID_BOOTSTRAP"),
+        (["vcov", "--bootstrap", "1"], "INVALID_BOOTSTRAP"),
+    ],
+)
+def test_invalid_options_refused_before_the_panel_loads(
+    panel_csv, tmp_path, capsys, monkeypatch, argv, code
+):
+    import blockdid.cli
+
+    loads = []
+    monkeypatch.setattr(blockdid.cli, "load_panel", lambda *a, **k: loads.append(a))
+    out = tmp_path / "refused.out"
+    assert run_cli(*argv, "--input", str(panel_csv), "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == code
+    assert loads == []
+    assert not out.exists()

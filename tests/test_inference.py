@@ -11,6 +11,8 @@ from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.estimators import CoefficientSet, aggregate, estimate
 from blockdid.inference import (
     GridSpec,
+    InvalidDraws,
+    InvalidGrid,
     _build_moments,
     _dual_vertices,
     _eta_star_lp,
@@ -739,6 +741,25 @@ def test_confidence_set_rejects_first_stage_level_outside_range(boot_toy, kappa)
         confidence_set(coeffs, fam, target, alpha=0.05, kappa=kappa, seed=1)
     with pytest.raises(ValueError, match="kappa"):
         hybrid_test(coeffs, fam.members[0], target, 0.0, alpha=0.05, kappa=kappa)
+
+
+@pytest.mark.parametrize("lo, hi, n", [(1.0, 0.0, 5), (0.0, 0.0, 5), (0.0, 1.0, 1)])
+def test_grid_spec_refuses_empty_ranges_and_single_points(lo, hi, n):
+    with pytest.raises(InvalidGrid) as info:
+        GridSpec(lo, hi, n)
+    assert info.value.code == "INVALID_GRID"
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_confidence_set_refuses_fewer_than_one_draw(boot_toy, draws):
+    layout, coeffs, bm = boot_toy
+    cells = coeffs.cells
+    fam = map_to_delta_space(sd(layout, cells, 0.1), bm)
+    target = overall_att_target(layout, cells)
+    with pytest.raises(InvalidDraws):
+        confidence_set(coeffs, fam, target, draws=draws)
+    with pytest.raises(InvalidDraws):
+        hybrid_test(coeffs, fam.members[0], target, 0.0, draws=draws)
 
 
 def test_normalization_rows_screened_in_hybrid(boot_toy):
