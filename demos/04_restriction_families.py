@@ -40,6 +40,11 @@ fam = rm_cohort(layout, cells, 1.0)
 print("\nfirst member benchmarks (cohort, source, period, sign):")
 print(" ", family_summary(fam)["members"][0]["label"]["benchmarks"])
 
+# A family holds the difference rows its members share once, plus one
+# (benchmark cohort, pre period, sign) per cohort and member; a member's rows
+# are formed only when asked for.
+print(f"shared rows {fam.diffs.shape}, benchmark table {fam.benchmarks.shape}")
+
 # Families are built on block biases and mapped to the overall-bias space
 # through the inverse of the bias map; the union structure is preserved.
 bm = invert(build_w_imputation(layout, cells))
@@ -49,7 +54,7 @@ print(f"\nmapped family: space={mapped.space}, members={mapped.member_count}")
 # At sensitivity zero every member forces the post path to stay flat at the
 # last pre value, so the whole union collapses to one restriction.
 flat = rm_global(layout, cells, 0.0)
-member = flat.members[0]
+member = flat.member(0)
 x = np.zeros(len(cells))
 x[cells.position(5, 1)] = 0.2  # a post jump violates every member
 violated = bool(np.any(member.A @ x > member.d + 1e-12))

@@ -19,6 +19,8 @@ from .biasmap import build_w_csnyt, build_w_imputation, invert, write_biasmap_cs
 from .estimators import aggregate, estimate, write_coefficients_csv, write_vcov_csv
 from .inference import (
     GridSpec,
+    InvalidGrid,
+    InvalidTarget,
     _check_draws,
     _first_stage_level,
     _padded_grid,
@@ -37,13 +39,17 @@ from .restrictions import map_to_delta_space, rm_cohort, rm_global, sd
 from .simgen import gen_example1, gen_example2, gen_toy
 from .vcov import BootstrapSpec, bootstrap_vcov
 
-__all__ = ["RunConfig", "UnsupportedOption", "run", "main"]
+__all__ = ["RunConfig", "UnsupportedOption", "InvalidParam", "run", "main"]
 
 
 class UnsupportedOption(ValueError):
     """A configuration this version cannot honour, rejected before any work."""
 
     code = "UNSUPPORTED_OPTION"
+
+
+class InvalidParam(ValueError):
+    code = "INVALID_PARAM"
 
 
 @dataclass(frozen=True)
@@ -79,22 +85,35 @@ class RunConfig:
 
 def _parse_sweep(text):
     """``lo:hi:step`` inclusive sweep, or a single value; values must be
-    nonnegative and ascending."""
-    if ":" in text:
-        lo, hi, step = (float(x) for x in text.split(":"))
-        if step <= 0 or hi < lo or lo < 0:
-            raise ValueError(f"bad sweep {text!r}")
-        n = int(round((hi - lo) / step)) + 1
-        return tuple(lo + i * step for i in range(n))
-    value = float(text)
-    if value < 0:
-        raise ValueError(f"sensitivity parameter must be nonnegative, got {text!r}")
-    return (value,)
+    finite, nonnegative and ascending."""
+    try:
+        values = [float(x) for x in text.split(":")]
+        lo, hi, step = values if ":" in text else (values[0], values[0], 1.0)
+        ok = 0 <= lo <= hi < float("inf") and step > 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise InvalidParam(
+            f"--param takes a value or lo:hi:step, finite, >= 0 and ascending; "
+            f"got {text!r}"
+        )
+    return tuple(lo + i * step for i in range(int(round((hi - lo) / step)) + 1))
 
 
 def _parse_grid(text):
-    lo, hi, n = text.split(":")
-    return (float(lo), float(hi), int(n))
+    try:
+        lo, hi, n = text.split(":")
+        return (float(lo), float(hi), int(n))
+    except ValueError:
+        raise InvalidGrid(f"--grid takes lo:hi:n, got {text!r}") from None
+
+
+def _target_period(text):
+    """None for the ``att`` target, s for ``period:<s>``."""
+    kind, _, s = text.partition(":")
+    if text != "att" and not (kind == "period" and s.removeprefix("-").isdigit()):
+        raise InvalidTarget(f"--target takes att or period:<s>, got {text!r}")
+    return None if text == "att" else int(s)
 
 
 def _meta_line(config):
@@ -187,13 +206,12 @@ def _family_builder(kind):
 
 
 def _target(config, layout, cells, agg=None):
-    if config.target == "att":
-        if agg is None:
-            return overall_att_target(layout, cells)
-        return aggregated_att_target(agg, cells)
-    if config.target.startswith("period:"):
-        return by_period_target(layout, cells, int(config.target.split(":")[1]))
-    raise ValueError(f"bad target {config.target!r}")
+    s = _target_period(config.target)
+    if s is not None:
+        return by_period_target(layout, cells, s)
+    if agg is None:
+        return overall_att_target(layout, cells)
+    return aggregated_att_target(agg, cells)
 
 
 def _config_grid(config):
@@ -250,12 +268,12 @@ def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
 def _records(config, panel):
     """Set records of every requested framework, all from one bootstrap."""
     layout = build_layout(panel)
+    cells = build_cell_index(layout, panel.n_periods, config.estimator)
+    target = _target(config, layout, cells)  # a period the panel lacks fails here
     coeffs = _bootstrap(config, panel)
     records = []
     if config.framework in ("cohort", "both"):
-        cells = coeffs.cells
         bias_map = invert(_w_builder(config.estimator)(layout, cells))
-        target = _target(config, layout, cells)
         records += _set_records(
             config, "cohort", layout, cells, coeffs, bias_map, target
         )
@@ -295,6 +313,7 @@ def run(config: RunConfig) -> int:
         _first_stage_level(config.alpha, config.kappa)
         _check_draws(config.draws)
         _config_grid(config)
+        _target_period(config.target)
     if config.command in ("vcov", "sets", "byperiod", "compare"):
         BootstrapSpec(config.bootstrap, config.seed, config.estimator)
     if config.command == "validate":

@@ -152,6 +152,23 @@ def fit_twfe_untreated(panel: PanelData) -> FixedEffectsFit:
     return FixedEffectsFit(alpha=alpha, xi=xi, residuals=resid, mask=mask)
 
 
+def _check_pre_zero_sum(cells: CellIndex, positions, values, error=ValueError):
+    """Raise ``error`` unless every cohort whose pre-treatment values are all
+    present sums to zero within 1e-10 (1 + max |values|): the one zero-sum
+    rule, for coefficient sets and for normalized plug-in sets."""
+    scale = 1.0 + np.max(np.abs(values), initial=0.0)
+    cohort_time, pre_mask = cells.cohort_time[positions], cells.pre[positions]
+    for t_g in np.unique(cohort_time).tolist():
+        # a left-to-right sum: np.sum's pairwise order could flip a
+        # borderline check
+        pre = values[(cohort_time == t_g) & pre_mask].tolist()
+        if pre and len(pre) == t_g - 1 and abs(sum(pre)) > 1e-10 * scale:
+            raise error(
+                f"pre-treatment block biases of cohort g{t_g} sum to "
+                f"{sum(pre):.3e}, expected 0"
+            )
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Stacked cohort-period coefficients aligned to a cell index.
@@ -185,27 +202,15 @@ class CoefficientSet:
             v = np.asarray(self.vcov, dtype=float)
             if v.shape != (len(values), len(values)):
                 raise ValueError("vcov shape does not match values")
-            if np.max(np.abs(v - v.T)) > 1e-10:
+            # rounding scales with the largest variance
+            scale = np.max(np.diag(v), initial=0.0)
+            if np.max(np.abs(v - v.T), initial=0.0) > 1e-10 * scale:
                 raise ValueError("vcov is not symmetric")
-            if len(v) and np.linalg.eigvalsh(v).min() < -1e-8:
+            if len(v) and np.linalg.eigvalsh(v).min() < -1e-8 * scale:
                 raise ValueError("vcov is not positive semidefinite")
             object.__setattr__(self, "vcov", v)
-        self._check_pre_zero_sum()
-
-    def _check_pre_zero_sum(self):
-        if self.estimator != "imputation" or self.aggregated:
-            return
-        scale = 1.0 + (np.max(np.abs(self.values)) if len(self.values) else 0.0)
-        cohort_time, pre_mask = self.cells.cohort_time[self.positions], self.pre_mask
-        for t_g in np.unique(cohort_time).tolist():
-            # a left-to-right sum: np.sum's pairwise order could flip a
-            # borderline check
-            pre = self.values[(cohort_time == t_g) & pre_mask].tolist()
-            if pre and len(pre) == t_g - 1 and abs(sum(pre)) > 1e-10 * scale:
-                raise ValueError(
-                    f"pre-treatment block biases of cohort g{t_g} sum to "
-                    f"{sum(pre):.3e}, expected 0"
-                )
+        if self.estimator == "imputation" and not self.aggregated:
+            _check_pre_zero_sum(self.cells, positions, values)
 
     def value(self, cohort_time, rel):
         hit = np.flatnonzero(

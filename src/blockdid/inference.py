@@ -23,14 +23,14 @@ double-description enumeration of the extreme rays of {lam >= 0 : X'lam = 0};
 only where its working ray count would exceed the cap, or the moment system
 is rank-deficient, does one LP per point take their place, and nothing else
 changes.  The rays depend on X alone, so a confidence set enumerates them
-once per distinct nuisance system and scales them per member; a member equal
-to one already tested is not tested again.
+once per distinct nuisance system and scales them per member.  A family's
+members are formed one at a time as they are tested; at parameter 0 the
+family is one polyhedron and is tested once.
 """
 
 import functools
 import math
 import warnings
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,25 +39,24 @@ from scipy import optimize as sciopt
 from scipy import stats as scistats
 
 from .biasmap import BiasMap
-from .estimators import AggregatedSeries, CoefficientSet
-from .panel import CellIndex, CohortLayout
+from .estimators import AggregatedSeries, CoefficientSet, _check_pre_zero_sum
+from .panel import CellIndex, CohortLayout, build_cell_index
 from .restrictions import (
-    CohortWithoutPreDifference,
     CohortWithoutTwoPrePeriods,
     FAMILY_KINDS,
-    NoPreDifferences,
     Polyhedron,
     RestrictionFamily,
+    map_to_delta_space,
 )
 
 __all__ = [
     "InferenceError",
     "AllMembersInfeasible",
-    "MissingBiasMap",
     "SingularVcov",
     "InvalidLevel",
     "InvalidGrid",
     "InvalidDraws",
+    "InvalidTarget",
     "TargetFunctional",
     "overall_att_target",
     "by_period_target",
@@ -95,10 +94,6 @@ class AllMembersInfeasible(InferenceError):
     code = "ALL_MEMBERS_INFEASIBLE"
 
 
-class MissingBiasMap(InferenceError):
-    code = "MISSING_BIAS_MAP"
-
-
 class SingularVcov(InferenceError):
     code = "SINGULAR_VCOV"
 
@@ -113,6 +108,10 @@ class InvalidGrid(ValueError):
 
 class InvalidDraws(ValueError):
     code = "INVALID_DRAWS"
+
+
+class InvalidTarget(ValueError):
+    code = "INVALID_TARGET"
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def by_period_target(layout: CohortLayout, cells: CellIndex, s: int) -> TargetFu
     sizes = np.array(layout.sizes, dtype=float)[cells.cohort]
     w = np.where(cells.post & (cells.rel == s), sizes, 0.0)
     if w.sum() == 0:
-        raise ValueError(f"no cohort has post-treatment relative period {s}")
+        raise InvalidTarget(f"no cohort has post-treatment relative period {s}")
     return TargetFunctional(
         weights=w / w.sum(), description=f"period:{s}", cells=cells
     )
@@ -257,10 +256,7 @@ def _require_full_coverage(cells: CellIndex, positions):
         raise InferenceError("coefficient set must cover every non-structural cell")
 
 
-def _plugin_box(
-    cells: CellIndex, positions, values, family_kind: str, parameter: float,
-    bias_map: BiasMap, target,
-):
+def _plugin_box(coeffs: CoefficientSet, family: RestrictionFamily, target):
     """Centre weights c and radius r of the plug-in set c'betahat +/- r.
 
     Cohort g's post block biases are its pinned reference value plus the
@@ -270,34 +266,29 @@ def _plugin_box(
     U_gj, the tail sum from j on of u = W[post]'l[post] over g's post cells
     (sd: the tail sum of those tail sums).  With each difference in
     [-b_g, b_g], r = sum_g b_g sum_j |U_gj|.  b_g is ``parameter`` for sd;
-    for rm it is ``parameter`` times the largest absolute pre-period first
-    difference, cohort g's own (rm-cohort) or any cohort's (rm-global): the
-    member of the union that contains all the others.
+    for rm it is ``parameter`` times the largest absolute pinned benchmark
+    difference in cohort g's column of the benchmark table: the member of
+    the union that contains all the others.
     """
-    centre = _corrected_weights(cells, positions, family_kind, bias_map, target)
+    cells, positions, values = coeffs.cells, coeffs.positions, coeffs.values
+    bias_map = family.bias_map
+    centre = _corrected_weights(cells, positions, family.family, bias_map, target)
     G, T = len(cells.times), cells.n_periods
     post = cells.post.reshape(T, G)  # rows: calendar periods, columns: cohorts
     loading = bias_map.W[cells.post].T @ target.weights[cells.post]
     u = np.where(cells.post, loading, 0.0)  # pre block biases are pinned
     tail = np.cumsum(u.reshape(T, G)[::-1], axis=0)[::-1]
-    if family_kind == "sd":
+    if family.family == "sd":
         tail = np.cumsum((tail * post)[::-1], axis=0)[::-1]
         bench = np.ones(G)
     else:
         block = np.zeros(len(cells))  # pinned pre block biases, 0 if structural
         block[positions] = values
-        pre = cells.pre.reshape(T, G)
-        diffs = np.abs(np.diff(block.reshape(T, G), axis=0))
-        bench = np.where(pre[1:] & pre[:-1], diffs, -np.inf).max(axis=0)
-        if family_kind == "rm-global":
-            bench = np.full(G, bench.max())
-        if np.any(np.isneginf(bench)):  # no benchmark candidate to bound by
-            error = (
-                NoPreDifferences if family_kind == "rm-global"
-                else CohortWithoutPreDifference
-            )
-            raise error("a benchmark needs two consecutive pre-treatment periods")
-    return centre, parameter * float(bench @ (np.abs(tail) * post).sum(axis=0))
+        k, s_star, _ = family.benchmarks.T  # each (G, members)
+        cal = np.asarray(cells.times)[k] + s_star - 1
+        diffs = block[cells.locate(k, cal)] - block[cells.locate(k, cal - 1)]
+        bench = np.abs(diffs).max(axis=1)
+    return centre, family.parameter * float(bench @ (np.abs(tail) * post).sum(axis=0))
 
 
 def plugin_identified_set(
@@ -305,32 +296,17 @@ def plugin_identified_set(
 ) -> IntervalSet:
     """Union over members of the interval of target values consistent with
     the estimated coefficients and the member's constraints, in closed form
-    (``_plugin_box``).  It reads the family's tag, parameter, recorded bias
-    map and normalization, never its member rows: a family with no recorded
-    bias map is refused, and under ``with_normalization`` the pinned pre
-    coefficients must meet each cohort's zero-sum equality."""
+    (``_plugin_box``).  It reads the family's tag, parameter, benchmark table,
+    bias map and normalization, never a member's rows.  Under
+    ``with_normalization`` the pinned pre coefficients must meet each
+    cohort's zero-sum equality, by the rule coefficient sets obey."""
     _check_alignment(coeffs, family)
-    if family.bias_map is None:
-        raise MissingBiasMap(
-            "family records no bias map; map it with map_to_delta_space"
-        )
-    cells, positions, values = coeffs.cells, coeffs.positions, coeffs.values
     if family.normalized:
-        pre = cells.pre[positions]
-        sums = np.bincount(
-            cells.cohort[positions][pre], weights=values[pre],
-            minlength=len(cells.times),
+        _check_pre_zero_sum(
+            coeffs.cells, coeffs.positions, coeffs.values, AllMembersInfeasible
         )
-        if np.any(np.abs(sums) > _LP_OPTIONS["primal_feasibility_tolerance"]):
-            raise AllMembersInfeasible(
-                "the estimated pre-treatment coefficients violate the "
-                "zero-sum normalization"
-            )
-    centre, radius = _plugin_box(
-        cells, positions, values, family.family, family.parameter,
-        family.bias_map, target,
-    )
-    point = float(centre @ values)
+    centre, radius = _plugin_box(coeffs, family, target)
+    point = float(centre @ coeffs.values)
     return IntervalSet(
         intervals=((point - radius, point + radius),), provenance="plugin"
     )
@@ -736,24 +712,6 @@ def _padded_grid(coeffs, plug, target, pad_ses=10.0, n=201) -> GridSpec:
     return GridSpec(lo=plug.lo - pad, hi=plug.hi + pad, n=n)
 
 
-def _already_tested(member, tested):
-    """True when a member with equal (A, d, A_eq, d_eq) is in ``tested``, a
-    dict from a digest of those arrays to the members with it; otherwise
-    the member is added.  The dict holds references, never copies."""
-    blocks = (member.A, member.d, member.A_eq, member.d_eq)
-    key = tuple(
-        None if b is None else (b.shape, zlib.crc32(np.ascontiguousarray(b)))
-        for b in blocks
-    )
-    same = tested.setdefault(key, [])
-    for other in same:
-        pairs = zip(blocks, (other.A, other.d, other.A_eq, other.d_eq))
-        if all(a is None or np.array_equal(a, b) for a, b in pairs):
-            return True
-    same.append(member)
-    return False
-
-
 def confidence_set(
     coeffs: CoefficientSet,
     family: RestrictionFamily,
@@ -773,8 +731,8 @@ def confidence_set(
     Work shared by the family is done once per call: the target's nuisance
     basis, and one dual-ray enumeration per distinct nuisance system X (the
     rm members differ only in their benchmark columns, so they mostly share
-    one).  A member equal to one already tested takes the same decision at
-    every point, so it is skipped; at parameter 0 every rm member is equal.
+    one).  Members are formed one at a time, and only the family's distinct
+    ones: at parameter 0 the family is one polyhedron, tested once.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
@@ -785,14 +743,11 @@ def confidence_set(
     accepted = np.zeros(len(points), dtype=bool)
     basis = _target_basis(coeffs, target)
     shared_rays = {}
-    tested = {}
-    for member in family.members:
+    for i in family.distinct:
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
-        if _already_tested(member, tested):
-            continue
-        moments = _member_moments(coeffs, member, *basis)
+        moments = _member_moments(coeffs, family.member(i), *basis)
         ctx = _prepare_context(moments, kappa, draws, seed, shared_rays)
         accepted[todo] = ~_decisions(ctx, points[todo], alpha)
     if accepted[0] or accepted[-1]:
@@ -928,7 +883,6 @@ def aggregated_system(agg: AggregatedSeries):
     coefficients, with no cross-cohort adjustment.
     """
     from .biasmap import build_w_csnyt, build_w_imputation, invert
-    from .panel import build_cell_index
 
     smin = int(agg.rel_periods.min())
     smax = int(agg.rel_periods.max())
@@ -990,8 +944,6 @@ def aggregated_confidence_set(
     """Confidence set for a target on the aggregated bias path."""
     _, _, coeffs, bias_map = aggregated_system(agg)
     if family.space == "block":
-        from .restrictions import map_to_delta_space
-
         family = map_to_delta_space(family, bias_map)
     return confidence_set(
         coeffs, family, target, alpha=alpha, grid=grid, kappa=kappa,

@@ -15,14 +15,19 @@ over the full cell-index coordinate system.  Three families are provided:
 
 Sign enumeration keeps every member linear; members whose benchmark has the
 wrong sign are retained (they are simply infeasible once data are plugged
-in), so the family never depends on the sample.  Families are built in
-block-bias space and mapped to overall-bias space with the inverse bias map;
-the mapped family records that map and whether the zero-sum normalization
-was appended, which is all the plug-in set reads besides the tag and the
-parameter.
+in), so the family never depends on the sample.
+
+Every member bounds the same post-difference rows, so a family holds those
+rows once plus a table of each member's benchmark (cohort, pre period,
+sign) per cohort, and forms a member's rows only when it is asked for.
+Families are built in block-bias space; mapping to overall-bias space
+records the inverse bias map, which each member is multiplied through as it
+is formed.  The plug-in set reads the tag, the parameter, the benchmark
+table, the map and whether the zero-sum normalization was appended.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,29 +106,31 @@ class Polyhedron:
             object.__setattr__(self, "A_eq", A_eq)
             object.__setattr__(self, "d_eq", d_eq)
 
-    @property
-    def n_columns(self):
-        return self.A.shape[1]
-
 
 @dataclass(frozen=True)
 class RestrictionFamily:
-    """Finite union of polyhedra with benchmark metadata.
+    """Finite union of polyhedra, each row stored once.
 
-    ``family`` is one of ``FAMILY_KINDS``.  ``space`` is ``block`` for
-    restrictions on block biases and ``overall`` once mapped through the
-    inverse bias map, which ``map_to_delta_space`` records as ``bias_map``.
-    ``normalized`` marks the per-cohort zero-sum equalities appended by
-    ``with_normalization``.  Feasible set = union of members.
+    ``family`` is one of ``FAMILY_KINDS``.  Every member bounds the rows
+    ``diffs``, in block space: the post first differences (rm) or second
+    differences (sd) of each cohort's block-bias path, in ``_post_cells``
+    order.  ``benchmarks`` is a (members, G, 3) table of (k, s*, sign) per
+    cohort: rm member i bounds cohort g's differences by ``parameter`` times
+    sign * (Delta(k, s*) - Delta(k, s* - 1)).  The sd family is one member
+    with no entries, bounding every difference by ``parameter``.
+    ``equalities`` holds the per-cohort zero-sum rows appended by
+    ``with_normalization``.  ``bias_map``, recorded by ``map_to_delta_space``,
+    puts the family in overall-bias space.  Members are formed only when
+    asked for (``member``).  Feasible set = union of members.
     """
 
     family: str
     parameter: float
-    members: tuple
-    space: str
     cells: CellIndex
+    diffs: np.ndarray
+    benchmarks: np.ndarray
+    equalities: np.ndarray = None
     bias_map: BiasMap = field(default=None, repr=False, compare=False)
-    normalized: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILY_KINDS:
@@ -131,17 +138,66 @@ class RestrictionFamily:
                 f"unknown family {self.family!r}; expected one of "
                 f"{', '.join(FAMILY_KINDS)}"
             )
-        if not self.members:
+        if not len(self.benchmarks):
             raise RestrictionError("family must have at least one member")
-        n = len(self.cells)
-        if any(m.n_columns != n for m in self.members):
-            raise RestrictionError("member column count does not match cell index")
+        if self.diffs.shape[1] != len(self.cells):
+            raise RestrictionError("row column count does not match cell index")
         if self.parameter < 0:
             raise RestrictionError("sensitivity parameter must be nonnegative")
 
     @property
+    def space(self):
+        return "block" if self.bias_map is None else "overall"
+
+    @property
+    def normalized(self):
+        return self.equalities is not None
+
+    @property
     def member_count(self):
-        return len(self.members)
+        return len(self.benchmarks)
+
+    @property
+    def distinct(self):
+        """Indices of the members that differ from one another: at parameter
+        0 every benchmark offset vanishes and the family is one polyhedron."""
+        return range(1 if self.parameter == 0 else self.member_count)
+
+    @property
+    def members(self):
+        """Every member formed in full; inference forms them one at a time."""
+        return tuple(self.member(i) for i in range(self.member_count))
+
+    def member(self, i) -> Polyhedron:
+        """Member ``i``: the bound and mirror rows of every difference, less
+        the cohort's benchmark rows (rm) or within ``parameter`` (sd),
+        mapped through W^-1 in overall space."""
+        cells, bench, bound = self.cells, 0.0, self.parameter
+        if self.family != "sd":
+            k, s_star, sign = self.benchmarks[i].T
+            coeff, bound = self.parameter * sign, 0.0
+            cal = np.asarray(cells.times)[k] + s_star - 1
+            bench = _difference_rows(cells, k, cal, (coeff, -coeff))
+            bench = bench[cells.cohort[_post_cells(cells)]]  # rows take their cohort's
+        A = _member_rows(self.diffs - bench, -self.diffs - bench, cells)
+        A_eq = self.equalities
+        if self.bias_map is not None:
+            A = A @ self.bias_map.W_inverse
+            A_eq = None if A_eq is None else A_eq @ self.bias_map.W_inverse
+        return Polyhedron(
+            A=A, d=np.full(len(A), bound),
+            A_eq=A_eq, d_eq=None if A_eq is None else np.zeros(len(A_eq)),
+            label={"benchmarks": self.label(i)},
+        )
+
+    def label(self, i):
+        """Member ``i``'s benchmarks as (cohort time, benchmark cohort time,
+        s*, sign) per cohort; empty for sd."""
+        times = self.cells.times
+        return [
+            (times[g], times[k], s, "+" if sign > 0 else "-")
+            for g, (k, s, sign) in enumerate(self.benchmarks[i].tolist())
+        ]
 
 
 def _pre_diff_slots(layout: CohortLayout):
@@ -177,26 +233,18 @@ def _member_rows(first, second, cells: CellIndex):
     return A
 
 
-def _rm_members(layout, cells, mbar, choices):
-    """One member per benchmark choice, a (k, s*, sign) per cohort: each
-    cohort's post differences are bounded by its signed benchmark difference
-    times ``mbar``.  The post differences are built once for all members."""
+def _family(kind, cells, parameter, coeffs, benchmarks):
+    """A family whose members share the post differences with coefficients
+    ``coeffs``, one member per row of ``benchmarks`` (a (k, s*, sign) per
+    cohort)."""
     post = _post_cells(cells)
-    base = _difference_rows(cells, cells.cohort[post], cells.cal[post], (1.0, -1.0))
-    times = np.array(layout.times)
-    members = []
-    for choice in choices:
-        k, s_star, sign = (np.array(v) for v in zip(*choice))
-        coeff = mbar * sign
-        bench = _difference_rows(cells, k, times[k] + s_star - 1, (coeff, -coeff))
-        bench = bench[cells.cohort[post]]  # each row takes its cohort's benchmark
-        A = _member_rows(base - bench, -base - bench, cells)
-        label = [
-            (layout.times[g], layout.times[k], s, "+" if sgn > 0 else "-")
-            for g, (k, s, sgn) in enumerate(choice)
-        ]
-        members.append(Polyhedron(A=A, d=np.zeros(len(A)), label={"benchmarks": label}))
-    return tuple(members)
+    return RestrictionFamily(
+        family=kind,
+        parameter=parameter,
+        cells=cells,
+        diffs=_difference_rows(cells, cells.cohort[post], cells.cal[post], coeffs),
+        benchmarks=np.array(list(benchmarks), dtype=int),
+    )
 
 
 def rm_global(layout: CohortLayout, cells: CellIndex, mbar: float) -> RestrictionFamily:
@@ -206,31 +254,17 @@ def rm_global(layout: CohortLayout, cells: CellIndex, mbar: float) -> Restrictio
     with no pre-treatment difference contribute no benchmark candidates but
     are still constrained inside every member.
     """
-    slots = _pre_diff_slots(layout)
-    candidates = [
-        (k, s_star)
-        for k, ss in enumerate(slots)
+    choices = [
+        ((k, s_star, sign),) * layout.n_cohorts
+        for k, ss in enumerate(_pre_diff_slots(layout))
         for s_star in ss
+        for sign in (1, -1)
     ]
-    if not candidates:
+    if not choices:
         raise NoPreDifferences(
             "no cohort has two consecutive pre-treatment periods"
         )
-    members = _rm_members(
-        layout, cells, mbar,
-        (
-            ((k, s_star, sign),) * layout.n_cohorts
-            for k, s_star in candidates
-            for sign in (1.0, -1.0)
-        ),
-    )
-    return RestrictionFamily(
-        family="rm-global",
-        parameter=mbar,
-        members=members,
-        space="block",
-        cells=cells,
-    )
+    return _family("rm-global", cells, mbar, (1.0, -1.0), choices)
 
 
 def rm_cohort(
@@ -249,25 +283,14 @@ def rm_cohort(
                 f"cohort g{layout.times[g]} has no consecutive pre-treatment "
                 "difference to benchmark against"
             )
-    total = 1
-    for ss in slots:
-        total *= 2 * len(ss)
-        if total > cap:
-            raise MemberCountExceedsCap(
-                f"cohort-specific enumeration exceeds {cap} members"
-            )
+    if math.prod(2 * len(ss) for ss in slots) > cap:
+        raise MemberCountExceedsCap(f"cohort-specific enumeration exceeds {cap} members")
     choice_sets = [
-        [(g, s_star, sign) for s_star in ss for sign in (1.0, -1.0)]
+        [(g, s_star, sign) for s_star in ss for sign in (1, -1)]
         for g, ss in enumerate(slots)
     ]
-    members = _rm_members(layout, cells, mbar, itertools.product(*choice_sets))
-    return RestrictionFamily(
-        family="rm-cohort",
-        parameter=mbar,
-        members=members,
-        space="block",
-        cells=cells,
-    )
+    choices = itertools.product(*choice_sets)
+    return _family("rm-cohort", cells, mbar, (1.0, -1.0), choices)
 
 
 def sd(layout: CohortLayout, cells: CellIndex, m: float) -> RestrictionFamily:
@@ -277,13 +300,8 @@ def sd(layout: CohortLayout, cells: CellIndex, m: float) -> RestrictionFamily:
             raise CohortWithoutTwoPrePeriods(
                 f"cohort g{t_g} has fewer than two pre-treatment periods"
             )
-    post = _post_cells(cells)
-    rows = _difference_rows(cells, cells.cohort[post], cells.cal[post], (1.0, -2.0, 1.0))
-    A = _member_rows(rows, -rows, cells)
-    member = Polyhedron(A=A, d=np.full(len(A), m), label={"benchmarks": []})
-    return RestrictionFamily(
-        family="sd", parameter=m, members=(member,), space="block", cells=cells
-    )
+    no_benchmarks = np.zeros((1, 0, 3), dtype=int)
+    return _family("sd", cells, m, (1.0, -2.0, 1.0), no_benchmarks)
 
 
 def with_normalization(
@@ -304,28 +322,15 @@ def with_normalization(
     A_eq = (
         (cells.cohort == np.arange(layout.n_cohorts)[:, None]) & cells.pre
     ).astype(float)
-    d_eq = np.zeros(len(A_eq))
-    members = []
-    for m in family.members:
-        if m.A_eq is None:
-            members.append(replace(m, A_eq=A_eq, d_eq=d_eq))
-        else:
-            members.append(
-                replace(
-                    m,
-                    A_eq=np.vstack([m.A_eq, A_eq]),
-                    d_eq=np.concatenate([m.d_eq, d_eq]),
-                )
-            )
-    return replace(family, members=tuple(members), normalized=True)
+    return replace(family, equalities=A_eq)
 
 
 def map_to_delta_space(
     family: RestrictionFamily, bias_map: BiasMap
 ) -> RestrictionFamily:
-    """Re-express every member on overall biases: A Delta <= d becomes
-    (A W^-1) delta <= d.  Member count and labels are preserved, and the
-    returned family records ``bias_map``."""
+    """Re-express the family on overall biases: A Delta <= d becomes
+    (A W^-1) delta <= d.  Only ``bias_map`` is recorded; each member is
+    mapped when it is formed.  Member count and labels are preserved."""
     if family.space != "block":
         raise RestrictionError("family is already in overall-bias space")
     if bias_map.W_inverse is None:
@@ -334,23 +339,12 @@ def map_to_delta_space(
         bias_map.cells.estimator != family.cells.estimator
     ):
         raise RestrictionError("cell index mismatch between family and bias map")
-    W_inv = bias_map.W_inverse
-    members = []
-    for m in family.members:
-        members.append(
-            replace(
-                m,
-                A=m.A @ W_inv,
-                A_eq=None if m.A_eq is None else m.A_eq @ W_inv,
-            )
-        )
-    return replace(
-        family, members=tuple(members), space="overall", bias_map=bias_map
-    )
+    return replace(family, bias_map=bias_map)
 
 
 def family_summary(family: RestrictionFamily) -> dict:
     """JSON-ready description: tag, parameter, member count, member labels."""
+    eq = family.equalities
     return {
         "family": family.family,
         "parameter": family.parameter,
@@ -358,14 +352,10 @@ def family_summary(family: RestrictionFamily) -> dict:
         "member_count": family.member_count,
         "members": [
             {
-                "rows": int(m.A.shape[0]),
-                "equalities": 0 if m.A_eq is None else int(m.A_eq.shape[0]),
-                "label": {
-                    "benchmarks": [
-                        list(b) for b in (m.label or {}).get("benchmarks", [])
-                    ]
-                },
+                "rows": 2 * len(family.diffs),
+                "equalities": 0 if eq is None else len(eq),
+                "label": {"benchmarks": [list(b) for b in family.label(i)]},
             }
-            for m in family.members
+            for i in range(family.member_count)
         ],
     }

@@ -394,3 +394,34 @@ def test_invalid_options_refused_before_the_panel_loads(
     assert err["error"]["code"] == code
     assert loads == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sets", "--target", "bogus"], "INVALID_TARGET"),
+        (["compare", "--target", "period:x"], "INVALID_TARGET"),
+        (["sets", "--target", "period:9"], "INVALID_TARGET"),  # the panel lacks it
+        (["sets", "--target", "period:-1"], "INVALID_TARGET"),  # a pre period
+        (["sets", "--grid", "0:1"], "INVALID_GRID"),
+        (["sets", "--grid", "a:b:c"], "INVALID_GRID"),
+        (["sets", "--param", "1:0:0.5"], "INVALID_PARAM"),
+        (["sets", "--param", "-0.5"], "INVALID_PARAM"),
+        (["compare", "--param", "0:1"], "INVALID_PARAM"),
+    ],
+)
+def test_malformed_text_options_get_stable_codes_before_any_bootstrap(
+    panel_csv, tmp_path, capsys, monkeypatch, argv, code
+):
+    import blockdid.cli
+
+    boots = []
+    monkeypatch.setattr(
+        blockdid.cli, "bootstrap_vcov", lambda *a, **k: boots.append(a)
+    )
+    out = tmp_path / "refused.out"
+    assert run_cli(*argv, "--input", str(panel_csv), "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == code
+    assert boots == []
+    assert not out.exists()

@@ -42,7 +42,7 @@ from blockdid.restrictions import (
     sd,
     with_normalization,
 )
-from blockdid.simgen import DGPSpec, gen_custom
+from blockdid.simgen import DGPSpec, gen_custom, gen_toy
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_panel
@@ -779,20 +779,15 @@ def test_normalization_rows_screened_in_hybrid(boot_toy):
 
 
 def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
-    from blockdid.inference import (
-        AllMembersInfeasible,
-        MissingBiasMap,
-        SingularVcov,
-    )
-    from blockdid.restrictions import RestrictionFamily
+    from blockdid.inference import AllMembersInfeasible, SingularVcov
 
     layout, coeffs, bm = boot_toy
     cells = coeffs.cells
     target = overall_att_target(layout, cells)
     n = len(cells)
 
-    # hand-built members reach the LP-union oracle only: the closed form
-    # describes built families, and refuses these for want of a bias map
+    # hand-built members reach the LP-union oracle only: a family holds its
+    # rows as shared differences plus a benchmark table, never as members
     pre_pos = cells.position(5, -3)
     row = np.zeros(n)
     row[pre_pos] = 1.0
@@ -801,31 +796,21 @@ def test_infeasible_and_unbounded_and_singular_paths(boot_toy):
         A=np.zeros((1, n)), d=np.zeros(1),
         A_eq=row.reshape(1, -1), d_eq=np.array([coeffs.value(5, -3) + 1.0]),
     )
-    fam = RestrictionFamily(
-        family="sd", parameter=0.0, members=(contradiction,),
-        space="overall", cells=cells,
-    )
     assert member_bounds(coeffs, contradiction, target) is None
     with pytest.raises(AllMembersInfeasible):
-        lp_union(coeffs, fam, target)
+        lp_union(coeffs, (contradiction,), target)
 
     # a member that places no restriction on any post cell
     loose = Polyhedron(A=row.reshape(1, -1), d=np.array([1e6]))
-    fam2 = RestrictionFamily(
-        family="sd", parameter=0.0, members=(loose,), space="overall", cells=cells
-    )
     with pytest.raises(UnboundedProgram):
-        lp_union(coeffs, fam2, target)
-    for hand_built in (fam, fam2):
-        with pytest.raises(MissingBiasMap):
-            plugin_identified_set(coeffs, hand_built, target)
+        lp_union(coeffs, (loose,), target)
 
     # an all-zero covariance leaves no stochastic moment rows
     flat = CoefficientSet(
         coeffs.estimator, cells, coeffs.positions, coeffs.values,
         np.zeros((len(coeffs.values), len(coeffs.values))),
     )
-    member = map_to_delta_space(sd(layout, cells, 0.1), bm).members[0]
+    member = map_to_delta_space(sd(layout, cells, 0.1), bm).member(0)
     with pytest.raises(SingularVcov):
         hybrid_test(flat, member, target, 0.0, seed=0)
 
@@ -834,48 +819,67 @@ def test_family_refuses_unknown_tag(boot_toy):
     from blockdid.restrictions import RestrictionFamily, UnknownFamily
 
     layout, coeffs, _ = boot_toy
-    member = sd(layout, coeffs.cells, 0.1).members[0]
+    fam = sd(layout, coeffs.cells, 0.1)
     with pytest.raises(UnknownFamily) as err:
         RestrictionFamily(
-            family="rm-custom", parameter=0.1, members=(member,), space="block",
-            cells=coeffs.cells,
+            family="rm-custom", parameter=0.1, cells=coeffs.cells,
+            diffs=fam.diffs, benchmarks=fam.benchmarks,
         )
     assert err.value.code == "UNKNOWN_FAMILY"
 
 
 def test_plugin_refuses_overall_family_without_bias_map(boot_toy):
-    from blockdid.inference import MissingBiasMap
+    from blockdid.inference import InferenceError
 
     layout, coeffs, bm = boot_toy
     target = overall_att_target(layout, coeffs.cells)
     fam = map_to_delta_space(rm_global(layout, coeffs.cells, 0.5), bm)
+    # the map is what puts a family in overall space: without it the family
+    # is back in block space and is refused as such
     unmapped = dataclasses.replace(fam, bias_map=None)
-    with pytest.raises(MissingBiasMap) as err:
+    assert fam.space == "overall" and unmapped.space == "block"
+    with pytest.raises(InferenceError, match="overall-bias space"):
         plugin_identified_set(coeffs, unmapped, target)
-    assert err.value.code == "MISSING_BIAS_MAP"
-    # the LP union of the same members is still the closed-form set
+    # the LP union of the mapped members is the closed-form set
     got = plugin_identified_set(coeffs, fam, target)
-    want = lp_union(coeffs, unmapped, target)
+    want = lp_union(coeffs, fam.members, target)
     assert [got.lo, got.hi] == pytest.approx([want.lo, want.hi], rel=1e-12)
 
 
-def test_plugin_refuses_rm_cohort_tag_without_a_benchmark_per_cohort():
+def test_retagged_family_plugin_set_is_the_lp_union_of_its_members(boot_toy):
     from blockdid.restrictions import CohortWithoutPreDifference
 
+    def check(coeffs, fam, target):
+        got = plugin_identified_set(coeffs, fam, target)
+        want = lp_union(coeffs, fam.members, target)
+        assert len(want.intervals) == 1
+        assert [got.lo, got.hi] == pytest.approx([want.lo, want.hi], rel=1e-12)
+        return got
+
     # cohort g2 has no pre-period difference: rm-global builds, rm-cohort
-    # cannot, and a retagged family gets no closed-form answer
+    # does not, and an rm-global table retagged rm-cohort bounds every
+    # cohort by the shared benchmarks in its own column
     units = [("a", "2"), ("b", "4"), ("n", "never")]
     layout = build_layout(load_panel(grid_csv(units, T=5)))
-    cells = build_cell_index(layout, 5, "imputation")
-    coeffs = CoefficientSet("imputation", cells, np.arange(10), np.zeros(10))
-    bm = invert(build_w_imputation(layout, cells))
-    fam = map_to_delta_space(rm_global(layout, cells, 0.5), bm)
-    target = overall_att_target(layout, cells)
-    plugin_identified_set(coeffs, fam, target)
+    cells = build_cell_index(layout, 5, "csnyt")
     with pytest.raises(CohortWithoutPreDifference):
-        plugin_identified_set(
-            coeffs, dataclasses.replace(fam, family="rm-cohort"), target
-        )
+        rm_cohort(layout, cells, 0.5)
+    values = np.random.default_rng(3).normal(size=len(cells.value_positions))
+    coeffs = CoefficientSet("csnyt", cells, cells.value_positions, values)
+    fam = map_to_delta_space(
+        rm_global(layout, cells, 0.5), invert(build_w_csnyt(layout, cells))
+    )
+    target = overall_att_target(layout, cells)
+    plain = check(coeffs, fam, target)
+    retagged = check(coeffs, dataclasses.replace(fam, family="rm-cohort"), target)
+    assert retagged.intervals == plain.intervals
+    assert plain.hi > plain.lo
+
+    # and an rm-cohort table retagged rm-global keeps its per-cohort bounds
+    layout, coeffs, bm = boot_toy
+    target = overall_att_target(layout, coeffs.cells)
+    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.5), bm)
+    check(coeffs, dataclasses.replace(fam, family="rm-global"), target)
 
 
 def test_plugin_refuses_normalization_violated_at_pinned_values(boot_toy):
@@ -887,22 +891,26 @@ def test_plugin_refuses_normalization_violated_at_pinned_values(boot_toy):
     fam = map_to_delta_space(
         with_normalization(rm_global(layout, cells, 0.5), layout), bm
     )
-    # shifting every pre coefficient by 1e-10 leaves each cohort's zero-sum
-    # within the LP's 1e-9 feasibility tolerance, by 1e-7 it does not (the
-    # ``aggregated`` flag skips the estimator's own zero-sum check)
-    for shift, feasible in ((1e-10, True), (1e-7, False)):
+    # the plug-in set applies the zero-sum rule coefficient sets obey: a
+    # shift of every pre coefficient by 1e-12 keeps each cohort's sum within
+    # it (and within the LP's 1e-9 feasibility tolerance), by 1e-7 it does
+    # not (the ``aggregated`` flag skips the coefficient set's own check)
+    for shift, feasible in ((1e-12, True), (1e-7, False)):
         values = coeffs.values + shift * cells.pre[coeffs.positions]
         moved = CoefficientSet(
             "imputation", cells, coeffs.positions, values, coeffs.vcov,
             aggregated=True,
         )
         if feasible:
+            CoefficientSet("imputation", cells, coeffs.positions, values)
             got = plugin_identified_set(moved, fam, target)
-            want = lp_union(moved, fam, target)
+            want = lp_union(moved, fam.members, target)
             assert [got.lo, got.hi] == pytest.approx([want.lo, want.hi], rel=1e-12)
         else:
+            with pytest.raises(ValueError, match="sum to"):
+                CoefficientSet("imputation", cells, coeffs.positions, values)
             with pytest.raises(AllMembersInfeasible):
-                lp_union(moved, fam, target)
+                lp_union(moved, fam.members, target)
             with pytest.raises(AllMembersInfeasible):
                 plugin_identified_set(moved, fam, target)
 
@@ -921,3 +929,38 @@ def test_structural_column_guard():
 
     with pytest.raises(InferenceError):
         hybrid_test(coeffs, bad, target, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("c", [1e4, 1e7])
+def test_outcome_scale_scales_coefficients_vcov_and_plugin_bounds(c):
+    # imputation covariances are singular by construction, so the PSD,
+    # symmetry and zero-sum checks must hold their tolerances relative to
+    # the data's scale: at 3e4 an absolute PSD floor refuses the vcov, at
+    # 1e7 an absolute zero-sum floor refuses the normalized family
+    panel = gen_toy(seed=3, sizes=(5, 5, 6), noise_sd=0.5).panel
+    spec = BootstrapSpec(50, 1, "imputation")
+    base = bootstrap_vcov(panel, spec)
+    scaled = bootstrap_vcov(
+        dataclasses.replace(panel, outcome=panel.outcome * c), spec
+    )
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(scaled.values, c * base.values) <= 1e-12
+    assert rel(scaled.vcov, c * c * base.vcov) <= 1e-12
+    layout = build_layout(panel)
+    bm = invert(build_w_imputation(layout, base.cells))
+    target = overall_att_target(layout, base.cells)
+    # rm's Mbar is relative; sd's M is in outcome units and scales with them
+    for build, m in ((rm_global, 1.0), (rm_cohort, 1.0), (sd, c)):
+        for norm in (False, True):
+            fams = []
+            for param in (0.5, 0.5 * m):
+                block = build(layout, base.cells, param)
+                block = with_normalization(block, layout) if norm else block
+                fams.append(map_to_delta_space(block, bm))
+            want = plugin_identified_set(base, fams[0], target)
+            got = plugin_identified_set(scaled, fams[1], target)
+            bounds = np.array([got.lo, got.hi])
+            assert rel(bounds, c * np.array([want.lo, want.hi])) <= 1e-12

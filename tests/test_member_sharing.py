@@ -4,11 +4,10 @@ The oracle below is the loop ``confidence_set`` ran before it shared work
 across a family: every member in family order, each with its own moment
 system, its own dual-vertex enumeration and its own Monte Carlo stage, and
 no member skipped.  ``confidence_set`` enumerates dual rays once per distinct
-nuisance system and tests each distinct member once; both are exact, so the
-sets must agree exactly.
+nuisance system and tests only the family's distinct members (one at
+parameter 0); both are exact, so the sets must agree exactly.
 """
 
-import types
 import warnings
 from dataclasses import replace
 
@@ -23,6 +22,7 @@ from blockdid.inference import (
     InferenceError,
     _build_moments,
     _decisions,
+    _dual_vertices,
     _prepare_context,
     aggregated_att_target,
     aggregated_system,
@@ -226,43 +226,48 @@ def test_one_enumeration_per_distinct_x_and_one_context_per_distinct_member(
 
 
 def test_members_with_equal_rows_but_different_bounds_are_both_tested(
-    toy_system, counted, monkeypatch
+    toy_system, counted
 ):
+    # rm-global members 0 and 1 share every difference row and benchmark
+    # cell and differ only in the benchmark's sign, so in their bounds
     coeffs, layout, bm, target = toy_system
-    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.0), bm)
-    first = fam.members[0]
-    shifted = replace(first, d=first.d + 0.25)
-    again = replace(first, A=first.A.copy(), d=first.d.copy())  # equal, not same
-    hand = replace(fam, members=(first, shifted, again))
+    fam = map_to_delta_space(rm_global(layout, coeffs.cells, 0.7), bm)
+    pair = replace(fam, benchmarks=fam.benchmarks[:2])
+    signs = pair.benchmarks[:, :, 2]
+    assert np.array_equal(pair.benchmarks[0, :, :2], pair.benchmarks[1, :, :2])
+    assert (signs[0] == -signs[1]).all()
     grid = _far_grid(coeffs, target)
-    want = runs(grid.points(), unshared_accepted(coeffs, hand, target, grid, 3))
+    want = runs(grid.points(), unshared_accepted(coeffs, pair, target, grid, 3))
     counted["contexts"].clear()
 
-    assert shared_set(coeffs, hand, target, grid, seed=3).intervals == want
+    assert shared_set(coeffs, pair, target, grid, seed=3).intervals == want
     tested = [ctx.moments for ctx in counted["contexts"]]
     assert len(tested) == 2
-    assert np.allclose(tested[1].a0, tested[0].a0 - 0.25)
+    assert not np.array_equal(tested[0].a0, tested[1].a0)
 
-    # a digest collision is confirmed by comparing the arrays themselves
+    # at parameter 0 their bounds coincide: one polyhedron, one test
     counted["contexts"].clear()
-    monkeypatch.setattr(inference, "zlib", types.SimpleNamespace(crc32=lambda b: 0))
-    assert shared_set(coeffs, hand, target, grid, seed=3).intervals == want
-    assert len(counted["contexts"]) == 2
+    zero = replace(pair, parameter=0.0)
+    assert np.array_equal(zero.member(0).A, zero.member(1).A)
+    want = runs(grid.points(), unshared_accepted(coeffs, zero, target, grid, 3))
+    assert shared_set(coeffs, zero, target, grid, seed=3).intervals == want
+    assert len(counted["contexts"]) == 1
 
 
 def test_nuisance_systems_of_one_shape_get_their_own_rays(toy_system, counted):
     coeffs, layout, bm, target = toy_system
-    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
-    first = fam.members[0]
+    first = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm).member(0)
     scale = np.ones(len(first.d))
     scale[0] = 2.0  # moves the column space of the nuisance loadings
     scaled = replace(first, A=first.A * scale[:, None])
-    hand = replace(fam, members=(first, scaled))
-    grid = _far_grid(coeffs, target)
-    want = runs(grid.points(), unshared_accepted(coeffs, hand, target, grid, 3))
-    counted["rays"].clear()
+    systems = [_build_moments(coeffs, m, target) for m in (first, scaled, first)]
+    assert systems[0].X.shape == systems[1].X.shape
+    assert not np.array_equal(systems[0].X, systems[1].X)
 
-    assert shared_set(coeffs, hand, target, grid, seed=3).intervals == want
-    shapes = [c.moments.X.shape for c in counted["contexts"]]
-    assert len(shapes) == 2 and shapes[0] == shapes[1]
+    shared = {}
+    got = [_dual_vertices(m.sd, m.X, shared) for m in systems]
+    assert len(shared) == 2  # one enumeration per X, the repeat reuses it
     assert len(set(counted["rays"])) == len(counted["rays"]) == 2
+    for m, vertices in zip(systems, got):
+        alone = _dual_vertices(m.sd, m.X)
+        assert vertices is not None and vertices.tobytes() == alone.tobytes()

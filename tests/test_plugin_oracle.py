@@ -3,9 +3,10 @@
 The oracle below is the program the closed form replaced: for every member,
 pin the pre-treatment coordinates at their estimates, minimise and maximise
 the target over the member's constraints with HiGHS, and union the member
-intervals.  It reads the member rows, while ``plugin_identified_set`` reads
-only the family's tag, parameter, recorded bias map and normalization, so
-agreement checks the box/radius argument on every design below.
+intervals.  It reads every member's rows, while ``plugin_identified_set``
+reads only the family's tag, parameter, benchmark table, recorded bias map
+and normalization, so agreement checks the box/radius argument on every
+design below.
 """
 
 import numpy as np
@@ -94,10 +95,10 @@ def member_bounds(coeffs, member, target):
     return (l_beta - max_ldelta, l_beta - min_ldelta)
 
 
-def lp_union(coeffs, family, target):
+def lp_union(coeffs, members, target):
     """Union of the member intervals, merged into disjoint intervals."""
     pairs = [
-        b for b in (member_bounds(coeffs, m, target) for m in family.members)
+        b for b in (member_bounds(coeffs, m, target) for m in members)
         if b is not None
     ]
     if not pairs:
@@ -181,7 +182,7 @@ def test_closed_form_matches_lp_union_on_random_designs(kind):
             for fam in variants:
                 fam = map_to_delta_space(fam, bm)
                 try:
-                    want = lp_union(coeffs, fam, target)
+                    want = lp_union(coeffs, fam.members, target)
                 except AllMembersInfeasible:
                     # aggregation does not keep the zero-sum identity
                     assert fam.normalized and framework == "aggregated"
