@@ -21,6 +21,7 @@ and the sequential imputation are kept as independent cross-checks.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as scilinalg
 
 from .panel import CellIndex, CohortLayout, PanelData, build_cell_index, build_layout
 
@@ -169,6 +170,23 @@ def _check_pre_zero_sum(cells: CellIndex, positions, values, error=ValueError):
             )
 
 
+def _semidefinite(v, scale):
+    """Whether no eigenvalue of the symmetric ``v`` lies below -1e-8 * scale,
+    by a Cholesky factorization of v + 1e-8 * scale * I, which fails when one
+    does.  With scale <= 0 only the zero matrix passes."""
+    if scale <= 0:
+        return not np.any(v)
+    shifted = v.copy()
+    shifted.flat[:: len(v) + 1] += 1e-8 * scale
+    try:
+        # shifted.T is Fortran-ordered, so it is factored in place, and its
+        # upper triangle is v's lower one, the triangle eigvalsh reads
+        scilinalg.cholesky(shifted.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Stacked cohort-period coefficients aligned to a cell index.
@@ -206,7 +224,7 @@ class CoefficientSet:
             scale = np.max(np.diag(v), initial=0.0)
             if np.max(np.abs(v - v.T), initial=0.0) > 1e-10 * scale:
                 raise ValueError("vcov is not symmetric")
-            if len(v) and np.linalg.eigvalsh(v).min() < -1e-8 * scale:
+            if not _semidefinite(v, scale):
                 raise ValueError("vcov is not positive semidefinite")
             object.__setattr__(self, "vcov", v)
         if self.estimator == "imputation" and not self.aggregated:

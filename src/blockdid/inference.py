@@ -24,8 +24,12 @@ only where its working ray count would exceed the cap, or the moment system
 is rank-deficient, does one LP per point take their place, and nothing else
 changes.  The rays depend on X alone, so a confidence set enumerates them
 once per distinct nuisance system and scales them per member.  A family's
-members are formed one at a time as they are tested; at parameter 0 the
-family is one polyhedron and is tested once.
+members are formed in blocks as they are tested; at parameter 0 the family
+is one polyhedron and is tested once.  The Monte Carlo draws of a member are
+its own Gaussian root applied to shared seeded normals Z, so on the vertex
+path its statistic per draw is the max of (vertices root) Z'; the members
+of a block stack those products and take their critical values from one
+chunked product and one quantile call.
 """
 
 import functools
@@ -80,10 +84,14 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 _VERTEX_TIE_TOL = 1e-9
-# working rays of the vertex enumeration; the Monte Carlo product holds
-# cap x draws values, so it also bounds that product's memory
+# working rays of the vertex enumeration
 _VERTEX_ENUM_CAP = 2_000
 _DEFAULT_DRAWS = 10_000
+# distinct members whose Monte Carlo stages are prepared together
+_MEMBER_BLOCK = 16
+# values of one chunk of the stacked Monte Carlo product, which bounds its
+# transient memory (256 KiB)
+_MC_CHUNK_VALUES = 1 << 15
 
 
 class InferenceError(RuntimeError):
@@ -558,12 +566,63 @@ def _standard_normals(seed, draws, dim):
     return z
 
 
+def _prepare_contexts(moments_list, kappa, draws, seed, shared_rays=None):
+    """Contexts of several moment systems, with their least-favorable
+    critical values: the 1 - kappa quantile over the seeded draws Z of the
+    max moment eta*(root Z'), each system on its own Gaussian root.
+
+    On the vertex path eta* is the max over the vertices of
+    vertices @ root @ Z', computed as P @ Z' with P = vertices @ root.  The
+    systems with the same moment and vertex counts share Z, so their P are
+    stacked vertex-major (row j*n + i is system i's vertex j) and multiplied
+    by Z' in chunks of at most ``_MC_CHUNK_VALUES`` values; each chunk's
+    (vertices, n, draws) maximum over its first axis gives every system's
+    eta* at once, and one quantile call gives every critical value.  On the
+    LP path ``_profile`` solves one program per draw of Z root'.
+    """
+    contexts = []
+    stacks = {}  # (vertex count, moment count) -> [(context index, P)]
+    for i, moments in enumerate(moments_list):
+        verts = _dual_vertices(moments.sd, moments.X, shared_rays)
+        root = _gaussian_root(moments.sigma)
+        lf_cv = math.nan
+        if verts is None:
+            xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
+            lf_cv = float(np.quantile(_profile(moments, None, xi.T)[0], 1.0 - kappa))
+        else:
+            stacks.setdefault(verts.shape, []).append((i, verts @ root))
+        contexts.append(
+            _HybridContext(moments=moments, vertices=verts, lf_cv=lf_cv, kappa=kappa)
+        )
+    for (_, dim), stack in stacks.items():
+        at, products = zip(*stack)
+        eta = _stacked_maxima(
+            np.stack(products, axis=1).reshape(-1, dim),
+            len(at),
+            _standard_normals(seed, draws, dim),
+        )
+        cvs = np.quantile(eta, 1.0 - kappa, axis=1, overwrite_input=True)
+        for i, cv in zip(at, cvs.tolist()):
+            contexts[i].lf_cv = cv
+    return contexts
+
+
+def _stacked_maxima(stacked, n, z):
+    """(n, draws) maxima over each system's rows of ``stacked @ z.T``, where
+    row j*n + i of ``stacked`` is system i's j-th row."""
+    out = np.empty((n, len(z)))
+    step = max(1, _MC_CHUNK_VALUES // len(stacked))
+    for s in range(0, len(z), step):
+        # one statement, so that no two chunks are held at once
+        out[:, s:s + step] = (
+            (stacked @ z[s:s + step].T).reshape(len(stacked) // n, n, -1).max(axis=0)
+        )
+    return out
+
+
 def _prepare_context(moments, kappa, draws, seed, shared_rays=None):
-    verts = _dual_vertices(moments.sd, moments.X, shared_rays)
-    root = _gaussian_root(moments.sigma)
-    xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
-    lf_cv = float(np.quantile(_profile(moments, verts, xi.T)[0], 1.0 - kappa))
-    return _HybridContext(moments=moments, vertices=verts, lf_cv=lf_cv, kappa=kappa)
+    """One moment system's context (``_prepare_contexts`` of one)."""
+    return _prepare_contexts([moments], kappa, draws, seed, shared_rays)[0]
 
 
 def _truncnorm_quantile(p, lo, hi):
@@ -731,8 +790,11 @@ def confidence_set(
     Work shared by the family is done once per call: the target's nuisance
     basis, and one dual-ray enumeration per distinct nuisance system X (the
     rm members differ only in their benchmark columns, so they mostly share
-    one).  Members are formed one at a time, and only the family's distinct
-    ones: at parameter 0 the family is one polyhedron, tested once.
+    one).  Only the family's distinct members are tested: at parameter 0
+    the family is one polyhedron, tested once.  They are formed and their
+    Monte Carlo stages prepared ``_MEMBER_BLOCK`` at a time
+    (``_member_contexts``), and no block is formed once every point is
+    accepted.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
@@ -741,15 +803,12 @@ def confidence_set(
         grid = default_grid(coeffs, family, target)
     points = grid.points()
     accepted = np.zeros(len(points), dtype=bool)
-    basis = _target_basis(coeffs, target)
-    shared_rays = {}
-    for i in family.distinct:
+    todo = np.arange(len(points))
+    for ctx in _member_contexts(coeffs, family, target, kappa, draws, seed):
+        accepted[todo] = ~_decisions(ctx, points[todo], alpha)
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
-        moments = _member_moments(coeffs, family.member(i), *basis)
-        ctx = _prepare_context(moments, kappa, draws, seed, shared_rays)
-        accepted[todo] = ~_decisions(ctx, points[todo], alpha)
     if accepted[0] or accepted[-1]:
         warnings.warn(
             "confidence set touches the grid boundary; widen the grid", stacklevel=2
@@ -762,6 +821,36 @@ def confidence_set(
     return IntervalSet(
         intervals=tuple(intervals), provenance="confidence", alpha=alpha, grid=grid
     )
+
+
+def _member_contexts(coeffs, family, target, kappa, draws, seed):
+    """Contexts of the family's distinct members in family order, prepared
+    ``_MEMBER_BLOCK`` at a time as the caller consumes them.
+
+    A block that cannot be prepared whole (a member with no usable moment
+    row, say) is prepared member by member instead, so that a member's
+    error surfaces only when that member is reached, as when every member
+    was prepared alone.
+    """
+    basis = _target_basis(coeffs, target)
+    shared_rays = {}
+
+    def moments(i):
+        return _member_moments(coeffs, family.member(i), *basis)
+
+    members = family.distinct
+    for start in range(0, len(members), _MEMBER_BLOCK):
+        block = members[start:start + _MEMBER_BLOCK]
+        try:
+            contexts = _prepare_contexts(
+                [moments(i) for i in block], kappa, draws, seed, shared_rays
+            )
+        except (InferenceError, np.linalg.LinAlgError):
+            contexts = (
+                _prepare_context(moments(i), kappa, draws, seed, shared_rays)
+                for i in block
+            )
+        yield from contexts
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from blockdid.estimators import (
     CoefficientSet,
     SinglePrePeriod,
+    _semidefinite,
     aggregate,
     block_bias_pre_imputation,
     cohort_loo,
@@ -330,6 +331,61 @@ def test_coefficient_set_rejects_bad_vcov(toy_panel):
             coeffs.estimator, coeffs.cells, coeffs.positions, coeffs.values,
             -np.eye(n),
         )
+
+
+def old_semidefinite(v):
+    """The eigenvalue check the Cholesky one replaced."""
+    scale = np.max(np.diag(v), initial=0.0)
+    return not (len(v) and np.linalg.eigvalsh(v).min() < -1e-8 * scale)
+
+
+def _with_spectrum(Q, eigenvalues):
+    v = (Q * eigenvalues) @ Q.T
+    return (v + v.T) / 2.0
+
+
+def _cases(rng, n):
+    """(name, matrix) pairs of one size: PSD, rank-deficient, zero,
+    indefinite, and indefinite within 1e-6 relative of the threshold on
+    either side."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    spread = 10.0 ** rng.uniform(-3, 2, size=n)
+    yield "psd", _with_spectrum(Q, spread)
+    rows = rng.normal(size=(max(1, n // 3), n)) * rng.uniform(0.1, 5.0)
+    yield "rank-deficient", rows.T @ rows
+    yield "zero", np.zeros((n, n))
+    yield "indefinite", _with_spectrum(Q, np.concatenate([spread[1:], [-spread[0]]]))
+    if n == 1:
+        return  # the threshold of a zero base is zero
+    base = _with_spectrum(Q, np.concatenate([spread[1:], [0.0]]))
+    threshold = 1e-8 * np.max(np.diag(base))
+    for side, factor in (("above", 1 - 1e-6), ("below", 1 + 1e-6)):
+        lam = np.concatenate([spread[1:], [-factor * threshold]])
+        yield side, _with_spectrum(Q, lam)
+
+
+def test_cholesky_psd_check_refuses_what_eigvalsh_refuses():
+    rng = np.random.default_rng(11)
+    below = 0
+    for n in (1, 2, 3, 5, 8, 13, 21, 40, 80):
+        for _ in range(12):
+            for name, v in _cases(rng, n):
+                old = old_semidefinite(v)
+                new = _semidefinite(v, np.max(np.diag(v), initial=0.0))
+                if name in ("above", "below"):
+                    assert new <= old, (name, n)  # refuses all that old does
+                else:
+                    assert new == old, (name, n)
+                if name == "below":
+                    assert not old  # the construction is below the threshold
+                    below += 1
+    assert below == 8 * 12
+    # scale <= 0: only the zero matrix passes, as before
+    for v in (np.zeros((0, 0)), np.zeros((3, 3))):
+        assert _semidefinite(v, 0.0) and old_semidefinite(v)
+    for v in (np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)):
+        scale = np.max(np.diag(v))
+        assert not _semidefinite(v, scale) and not old_semidefinite(v)
 
 
 def test_vcov_csv_bytes_match_per_element_repr(toy_panel):

@@ -168,22 +168,23 @@ def toy_system(toy_panel):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record the X of every ray enumeration and the moments of every
-    context that ``confidence_set`` prepares."""
-    seen = {"rays": [], "contexts": []}
-    cone_rays, prepare = inference._cone_rays, inference._prepare_context
+    """Record the X of every ray enumeration, and every context and the size
+    of every block of contexts that ``confidence_set`` prepares."""
+    seen = {"rays": [], "contexts": [], "blocks": []}
+    cone_rays, prepare = inference._cone_rays, inference._prepare_contexts
 
     def count_rays(X):
         seen["rays"].append((X.shape, X.tobytes()))
         return cone_rays(X)
 
-    def count_contexts(moments, *args, **kwargs):
-        ctx = prepare(moments, *args, **kwargs)
-        seen["contexts"].append(ctx)
-        return ctx
+    def count_contexts(moments_list, *args, **kwargs):
+        contexts = prepare(moments_list, *args, **kwargs)
+        seen["contexts"].extend(contexts)
+        seen["blocks"].append(len(contexts))
+        return contexts
 
     monkeypatch.setattr(inference, "_cone_rays", count_rays)
-    monkeypatch.setattr(inference, "_prepare_context", count_contexts)
+    monkeypatch.setattr(inference, "_prepare_contexts", count_contexts)
     return seen
 
 
@@ -246,10 +247,10 @@ def test_members_with_equal_rows_but_different_bounds_are_both_tested(
     assert not np.array_equal(tested[0].a0, tested[1].a0)
 
     # at parameter 0 their bounds coincide: one polyhedron, one test
-    counted["contexts"].clear()
     zero = replace(pair, parameter=0.0)
     assert np.array_equal(zero.member(0).A, zero.member(1).A)
     want = runs(grid.points(), unshared_accepted(coeffs, zero, target, grid, 3))
+    counted["contexts"].clear()
     assert shared_set(coeffs, zero, target, grid, seed=3).intervals == want
     assert len(counted["contexts"]) == 1
 
@@ -271,3 +272,70 @@ def test_nuisance_systems_of_one_shape_get_their_own_rays(toy_system, counted):
     for m, vertices in zip(systems, got):
         alone = _dual_vertices(m.sd, m.X)
         assert vertices is not None and vertices.tobytes() == alone.tobytes()
+
+
+def test_no_block_is_formed_after_every_point_is_accepted(
+    toy_system, counted, monkeypatch
+):
+    # every member rejects every point until the 20th, which accepts them
+    # all: that member is in the second block, so the third and fourth
+    # blocks of the 60 members are never formed
+    coeffs, layout, bm, target = toy_system
+    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
+    block = inference._MEMBER_BLOCK
+    assert fam.member_count > 3 * block
+    formed, decided, accepting = [], [], {"member": 20}
+    member_moments = inference._member_moments
+
+    def count_members(coeffs, member, *basis):
+        formed.append(member)
+        return member_moments(coeffs, member, *basis)
+
+    def decisions(ctx, points, alpha):
+        decided.append(ctx)
+        return np.full(len(points), len(decided) < accepting["member"])
+
+    monkeypatch.setattr(inference, "_member_moments", count_members)
+    monkeypatch.setattr(inference, "_decisions", decisions)
+    cset = shared_set(coeffs, fam, target, _far_grid(coeffs, target), seed=3)
+    assert len(cset.intervals) == 1
+    assert len(decided) == 20
+    assert counted["blocks"] == [block, block]
+    assert len(formed) == 2 * block
+
+    # accepted by the last member of a block: the next block is not formed
+    formed.clear(), decided.clear(), counted["blocks"].clear()
+    accepting["member"] = block
+    shared_set(coeffs, fam, target, _far_grid(coeffs, target), seed=3)
+    assert len(decided) == block and counted["blocks"] == [block]
+    assert len(formed) == block
+
+
+def test_a_member_past_the_accepting_one_fails_only_when_reached(
+    toy_system, monkeypatch
+):
+    # member 3 cannot be tested; in a block with the accepting member 1 it
+    # must not fail the set, and when it is reached it fails as before
+    coeffs, layout, bm, target = toy_system
+    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
+    bad = fam.member(3).A.tobytes()
+    member_moments = inference._member_moments
+
+    def refuse_member_3(coeffs, member, *basis):
+        if member.A.tobytes() == bad:
+            raise inference.SingularVcov("every moment row has zero variance")
+        return member_moments(coeffs, member, *basis)
+
+    monkeypatch.setattr(inference, "_member_moments", refuse_member_3)
+    grid = _far_grid(coeffs, target)
+    accept_at = {"n": 2}
+
+    def decisions(ctx, points, alpha):
+        accept_at["n"] -= 1
+        return np.full(len(points), accept_at["n"] > 0)
+
+    monkeypatch.setattr(inference, "_decisions", decisions)
+    assert not shared_set(coeffs, fam, target, grid, seed=3).is_empty
+    accept_at["n"] = 10
+    with pytest.raises(inference.SingularVcov):
+        shared_set(coeffs, fam, target, grid, seed=3)
