@@ -11,25 +11,26 @@ Confidence sets invert a two-stage hybrid moment-inequality test over a grid
 of candidate values.  Writing the post effects as theta0 * lbar + X gamma
 (lbar a fixed vector with l'lbar = 1, X a basis of the null space of l'), the
 member constraints become moment inequalities linear in the nuisance gamma.
-Stage one compares the studentized max moment, profiled over gamma by linear
-programming, against a seeded Monte Carlo least-favorable critical value at
-level kappa; stage two is a conditional test at level (alpha-kappa)/(1-kappa)
-that conditions on the basis of the optimal dual vertex (and on first-stage
-acceptance) via a truncated normal.  Degenerate or tied optima fall back to
-the stage-one decision, which never over-rejects.  The profiling program is
-solved as a maximum over the vertices of its dual polytope, which makes the
-Monte Carlo stage and the grid sweep cheap.  The vertices come from a
-double-description enumeration of the extreme rays of {lam >= 0 : X'lam = 0};
-only where its working ray count would exceed the cap, or the moment system
-is rank-deficient, does one LP per point take their place, and nothing else
-changes.  The rays depend on X alone, so a confidence set enumerates them
-once per distinct nuisance system and scales them per member.  A family's
-members are formed in blocks as they are tested; at parameter 0 the family
-is one polyhedron and is tested once.  The Monte Carlo draws of a member are
-its own Gaussian root applied to shared seeded normals Z, so on the vertex
-path its statistic per draw is the max of (vertices root) Z'; the members
-of a block stack those products and take their critical values from one
-chunked product and one quantile call.
+Stage one compares the studentized max moment, profiled over gamma, against
+a seeded Monte Carlo least-favorable critical value at level kappa; stage
+two is a conditional test at level (alpha-kappa)/(1-kappa) that conditions on
+the basis of the optimal dual vertex (and on first-stage acceptance) via a
+truncated normal.  Degenerate or tied optima fall back to the stage-one
+decision, which never over-rejects.  The profiled statistic is the maximum
+of vertices @ y over the vertices of its dual polytope, the one evaluator:
+they come from a double-description enumeration of the extreme rays of
+{lam >= 0 : X'lam = 0}, with X of full column rank.  When that cone is {0}
+there is no vertex: the nuisance pushes every moment down without bound, the
+statistic is -inf and every point is accepted.  A member whose enumeration
+would exceed the working ray cap is refused (``VertexCapExceeded``).  The
+rays depend on X alone, so a confidence set enumerates them once per
+distinct nuisance system and scales them per member.  A family's members
+are formed in blocks as they are tested; at parameter 0 the family is one
+polyhedron and is tested once.  The Monte Carlo draws of a member are its
+own Gaussian root applied to shared seeded normals Z, so its statistic per
+draw is the max of (vertices root) Z'; the members of a block stack those
+products and take their critical values from one chunked product and one
+quantile call.
 """
 
 import functools
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as scilinalg
-from scipy import optimize as sciopt
 from scipy import stats as scistats
 
 from .biasmap import BiasMap
@@ -57,6 +57,7 @@ __all__ = [
     "InferenceError",
     "AllMembersInfeasible",
     "SingularVcov",
+    "VertexCapExceeded",
     "InvalidLevel",
     "InvalidGrid",
     "InvalidDraws",
@@ -79,12 +80,9 @@ __all__ = [
     "aggregated_confidence_set",
 ]
 
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
 _VERTEX_TIE_TOL = 1e-9
-# working rays of the vertex enumeration
+# working rays of the vertex enumeration; a member that needs more is
+# refused with VertexCapExceeded (about 2,000 post cells on built families)
 _VERTEX_ENUM_CAP = 2_000
 _DEFAULT_DRAWS = 10_000
 # distinct members whose Monte Carlo stages are prepared together
@@ -104,6 +102,10 @@ class AllMembersInfeasible(InferenceError):
 
 class SingularVcov(InferenceError):
     code = "SINGULAR_VCOV"
+
+
+class VertexCapExceeded(InferenceError):
+    code = "VERTEX_CAP_EXCEEDED"
 
 
 class InvalidLevel(ValueError):
@@ -384,11 +386,8 @@ def _target_basis(coeffs, target):
     return post, lbar, X_post
 
 
-def _build_moments(coeffs, member, target, nuisance_override=None):
-    post, lbar, X_post = _target_basis(coeffs, target)
-    if nuisance_override is not None:
-        X_post = nuisance_override
-    return _member_moments(coeffs, member, post, lbar, X_post)
+def _build_moments(coeffs, member, target):
+    return _member_moments(coeffs, member, *_target_basis(coeffs, target))
 
 
 def _member_moments(coeffs, member, post, lbar, X_post):
@@ -416,11 +415,14 @@ def _member_moments(coeffs, member, post, lbar, X_post):
     keep = ~(det_mask | drop_mask)
     if not keep.any():
         raise SingularVcov("every moment row has zero variance")
+    # dropping rows can lose X's column rank, which the vertex enumeration
+    # needs; a deterministic row's loadings are zero, so moving it cannot
+    X = _column_space(X[keep]) if drop_mask.any() else X[keep]
     beta_scale = 1.0 + float(np.max(np.abs(coeffs.values), initial=0.0))
     return _MomentSystem(
         a0=a0[keep],
         a1=a1[keep],
-        X=X[keep],
+        X=X,
         sigma=sigma[np.ix_(keep, keep)],
         sd=sd[keep],
         det_a0=a0[det_mask],
@@ -430,23 +432,17 @@ def _member_moments(coeffs, member, post, lbar, X_post):
 
 
 def _dual_vertices(sd, X, shared_rays=None):
-    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0}, or None if unavailable.
+    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0}, one per row.
 
     The profiled max-moment statistic equals the maximum of lam'y over this
-    polytope, so enumerating its vertices turns every later evaluation into a
+    polytope, so enumerating its vertices turns every evaluation into a
     matrix product.  The vertices are the extreme rays of the pointed cone
-    {lam >= 0 : X'lam = 0} (``_cone_rays``) scaled to sd'lam = 1.  The rays
+    {lam >= 0 : X'lam = 0} (``_cone_rays``) scaled to sd'lam = 1; with sd > 0
+    every ray has sd'lam > 0.  No rows when the cone is {0}, as it is
+    whenever sd lies in the span of X: the statistic is then -inf.  The rays
     depend on X alone: ``shared_rays``, a dict keyed by X's shape and bytes,
-    lets every moment system with the same X reuse one enumeration.  None
-    when [sd, X] lacks full column rank, when the cone is {0}, or when the
-    working ray count exceeds ``_VERTEX_ENUM_CAP``.
+    lets every moment system with the same X reuse one enumeration.
     """
-    m, k = X.shape
-    if (
-        m <= k or m - k > _VERTEX_ENUM_CAP
-        or np.linalg.matrix_rank(np.column_stack([sd, X])) <= k
-    ):
-        return None
     if shared_rays is None:
         rays = _cone_rays(X)
     else:
@@ -454,13 +450,14 @@ def _dual_vertices(sd, X, shared_rays=None):
         if key not in shared_rays:
             shared_rays[key] = _cone_rays(X)
         rays = shared_rays[key]
-    return None if rays is None else rays / (rays @ sd)[:, None]
+    return rays / (rays @ sd)[:, None]
 
 
 def _cone_rays(X):
     """Extreme rays of {lam >= 0 : X'lam = 0} for X of full column rank k,
-    one per row at unit max-norm, or None when the cone is {0} or the
-    working ray count exceeds ``_VERTEX_ENUM_CAP``.
+    one per row at unit max-norm; no rows when the cone is {0}.  Raises
+    ``VertexCapExceeded`` when the working ray count would exceed
+    ``_VERTEX_ENUM_CAP``.
 
     The double description method (Fukuda & Prodon 1996): the cone of
     r = m - k independent sign constraints on the null space of X' is
@@ -471,6 +468,9 @@ def _cone_rays(X):
     """
     m, k = X.shape
     r = m - k
+    if r == 0:  # X is square and invertible
+        return np.empty((0, m))
+    _check_ray_count(r, X)
     N = np.linalg.svd(X, full_matrices=True)[0][:, k:]  # null space of X'
     basis = scilinalg.qr(N.T, mode="r", pivoting=True)[1][:r]
     rays = np.linalg.solve(N[basis].T, N.T)  # row j is N N_S^-1 e_j
@@ -491,54 +491,23 @@ def _cone_rays(X):
             common = zero[pos[cp[s:s + step]]] * zero[neg[cn[s:s + step]]]
             alone[s:s + step] = ((common @ (1.0 - zero).T) == 0).sum(axis=1) == 2
         pp, nn = pos[cp[alone]], neg[cn[alone]]
-        if len(rays) - len(neg) + len(pp) > _VERTEX_ENUM_CAP:
-            return None
+        _check_ray_count(len(rays) - len(neg) + len(pp), X)
         new = v[pp, None] * rays[nn] - v[nn, None] * rays[pp]
         new[:, i] = 0.0
         new /= np.abs(new).max(axis=1, keepdims=True)
         rays = np.vstack([np.delete(rays, neg, axis=0), new])
         if len(rays) == 0:
-            return None
+            break
         done[i] = True
     return rays
 
 
-def _eta_star_lp(y, X, sd):
-    """min eta s.t. y - X gamma <= eta * sd, plus the dual solution."""
-    m, k = X.shape
-    c = np.zeros(1 + k)
-    c[0] = 1.0
-    A_ub = np.column_stack([-sd, -X])
-    res = sciopt.linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=-y,
-        bounds=[(None, None)] * (1 + k),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status == 3:
-        # nuisance can push every moment arbitrarily negative: never reject
-        return -np.inf, np.zeros(m)
-    if not res.success:
-        raise InferenceError(f"profiling program failed: {res.message}")
-    lam = -res.ineqlin.marginals
-    return float(res.x[0]), np.clip(lam, 0.0, None)
-
-
-def _profile(moments, vertices, Y, duals=False):
-    """eta* for every column of ``Y`` and, with ``duals``, an optimal dual
-    vertex per column: from the enumerated vertices, or one LP per column
-    when ``vertices`` is None.  The only place the evaluator is chosen."""
-    if vertices is not None:
-        vals = vertices @ Y
-        best = vertices[vals.argmax(axis=0)] if duals else None
-        return vals.max(axis=0), best
-    sols = (_eta_star_lp(y, moments.X, moments.sd) for y in Y.T)
-    if not duals:  # keep no dual per Monte Carlo draw
-        return np.array([eta for eta, _ in sols]), None
-    sols = list(sols)
-    return np.array([eta for eta, _ in sols]), np.array([lam for _, lam in sols])
+def _check_ray_count(count, X):
+    if count > _VERTEX_ENUM_CAP:
+        raise VertexCapExceeded(
+            f"the dual vertex enumeration of a {X.shape[0]}-moment system "
+            f"needs more than {_VERTEX_ENUM_CAP} working rays"
+        )
 
 
 @dataclass
@@ -546,7 +515,7 @@ class _HybridContext:
     """Per-(member, target) state shared across the whole grid."""
 
     moments: _MomentSystem
-    vertices: np.ndarray  # None -> LP path
+    vertices: np.ndarray  # (vertices, moments); no rows when the cone is {0}
     lf_cv: float
     kappa: float
 
@@ -571,28 +540,24 @@ def _prepare_contexts(moments_list, kappa, draws, seed, shared_rays=None):
     critical values: the 1 - kappa quantile over the seeded draws Z of the
     max moment eta*(root Z'), each system on its own Gaussian root.
 
-    On the vertex path eta* is the max over the vertices of
-    vertices @ root @ Z', computed as P @ Z' with P = vertices @ root.  The
-    systems with the same moment and vertex counts share Z, so their P are
-    stacked vertex-major (row j*n + i is system i's vertex j) and multiplied
-    by Z' in chunks of at most ``_MC_CHUNK_VALUES`` values; each chunk's
-    (vertices, n, draws) maximum over its first axis gives every system's
-    eta* at once, and one quantile call gives every critical value.  On the
-    LP path ``_profile`` solves one program per draw of Z root'.
+    eta* is the max over the vertices of vertices @ root @ Z', computed as
+    P @ Z' with P = vertices @ root.  The systems with the same moment and
+    vertex counts share Z, so their P are stacked vertex-major (row j*n + i
+    is system i's vertex j) and multiplied by Z' in chunks of at most
+    ``_MC_CHUNK_VALUES`` values; each chunk's (vertices, n, draws) maximum
+    over its first axis gives every system's eta* at once, and one quantile
+    call gives every critical value.  A system without vertices has eta* =
+    -inf at every draw, and so a critical value of -inf.
     """
     contexts = []
     stacks = {}  # (vertex count, moment count) -> [(context index, P)]
     for i, moments in enumerate(moments_list):
         verts = _dual_vertices(moments.sd, moments.X, shared_rays)
-        root = _gaussian_root(moments.sigma)
-        lf_cv = math.nan
-        if verts is None:
-            xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
-            lf_cv = float(np.quantile(_profile(moments, None, xi.T)[0], 1.0 - kappa))
-        else:
+        if len(verts):
+            root = _gaussian_root(moments.sigma)
             stacks.setdefault(verts.shape, []).append((i, verts @ root))
         contexts.append(
-            _HybridContext(moments=moments, vertices=verts, lf_cv=lf_cv, kappa=kappa)
+            _HybridContext(moments=moments, vertices=verts, lf_cv=-math.inf, kappa=kappa)
         )
     for (_, dim), stack in stacks.items():
         at, products = zip(*stack)
@@ -658,9 +623,12 @@ def _decisions(ctx, points, alpha):
     reject = (
         mom.det_a0[:, None] - np.outer(mom.det_a1, points) > mom.det_tol[:, None]
     ).any(axis=0)
+    if len(ctx.vertices) == 0:  # eta* is -inf at every point
+        return reject
     live = np.flatnonzero(~reject)
     Y = mom.a0[:, None] - np.outer(mom.a1, points[live])
-    eta, lam = _profile(mom, ctx.vertices, Y, duals=True)
+    vals = ctx.vertices @ Y
+    eta, lam = vals.max(axis=0), ctx.vertices[vals.argmax(axis=0)]
     reject[live] = eta > ctx.lf_cv
 
     W = np.column_stack([mom.sd, mom.X])
@@ -731,7 +699,6 @@ def hybrid_test(
     kappa: float = None,
     draws: int = _DEFAULT_DRAWS,
     seed: int = 0,
-    nuisance_override=None,
 ) -> bool:
     """Reject H0: theta = theta0 under one member's restrictions.
 
@@ -740,7 +707,7 @@ def hybrid_test(
     """
     kappa = _first_stage_level(alpha, kappa)
     _check_draws(draws)
-    moments = _build_moments(coeffs, member, target, nuisance_override)
+    moments = _build_moments(coeffs, member, target)
     ctx = _prepare_context(moments, kappa, draws, seed)
     return _test_point(ctx, theta0, alpha)
 

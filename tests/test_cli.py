@@ -180,6 +180,22 @@ def test_sets_rejects_kappa_not_below_alpha(panel_csv, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_sets_refuses_a_member_over_the_vertex_cap(
+    panel_csv, tmp_path, capsys, monkeypatch
+):
+    import blockdid.inference
+
+    monkeypatch.setattr(blockdid.inference, "_VERTEX_ENUM_CAP", 1)
+    out = tmp_path / "cap.json"
+    assert run_cli(
+        "sets", "--input", str(panel_csv), "--family", "sd", "--param", "0.1",
+        "--bootstrap", "40", "--draws", "500", "--out", str(out),
+    ) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == "VERTEX_CAP_EXCEEDED"
+    assert not out.exists()
+
+
 def test_sets_solve_each_plugin_set_once(panel_csv, tmp_path, monkeypatch):
     import blockdid.cli
     import blockdid.inference

@@ -4,11 +4,13 @@ per-member product.
 The oracle is the Monte Carlo stage as it ran one member at a time: the
 member's draws xi = Z root' (Z the seeded standard normals, root its own
 Gaussian root), its profiled statistic per draw (the max over its vertices
-of vertices @ xi', or one LP per draw without vertices), and the 1 - kappa
-quantile.  ``_prepare_contexts`` computes the vertex path as stacked
-(vertices root) Z' products instead; only the rounding may differ.
+of vertices @ xi', or the profiling LP per draw for a member without
+vertices), and the 1 - kappa quantile.  ``_prepare_contexts`` computes the
+statistic as stacked (vertices root) Z' products instead; only the rounding
+may differ.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,7 +20,8 @@ import blockdid.inference as inference
 from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.estimators import aggregate
 from blockdid.inference import (
-    _eta_star_lp,
+    _column_space,
+    _decisions,
     _gaussian_root,
     _member_moments,
     _prepare_context,
@@ -42,6 +45,7 @@ from blockdid.simgen import gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
+from test_plugin_oracle import _eta_star_lp
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
 W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}
@@ -55,22 +59,31 @@ BLOCK = 16
 
 
 def oracle_lf_cv(moments, vertices, kappa, draws, seed):
-    """The per-member product: max over the vertices of vertices @ xi'."""
+    """The per-member product: max over the vertices of vertices @ xi', or
+    the profiling LP per draw for a member without vertices."""
     root = _gaussian_root(moments.sigma)
     xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
-    if vertices is None:
-        eta = [_eta_star_lp(y, moments.X, moments.sd)[0] for y in xi]
-    else:
+    if len(vertices):
         eta = (vertices @ xi.T).max(axis=0)
+    else:
+        eta = np.array([_eta_star_lp(y, moments.X, moments.sd) for y in xi])
+    if np.all(eta == -np.inf):  # np.quantile would interpolate to nan
+        return -np.inf
     return float(np.quantile(eta, 1.0 - kappa))
 
 
 def assert_close(got, want):
-    # a member whose every draw profiles to -inf has a nan quantile
-    if np.isnan(want):
-        assert np.isnan(got)
+    if np.isinf(want):
+        assert got == want
     else:
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (got, want)
+
+
+def with_empty_cone(moments):
+    """The system with sd added to its nuisance loadings: sd'lam = 0 then
+    forces lam = 0, so the cone {lam >= 0 : X'lam = 0} is {0}."""
+    X = _column_space(np.column_stack([moments.X, moments.sd]))
+    return dataclasses.replace(moments, X=X)
 
 
 def design_systems(rng, kind, estimator):
@@ -111,10 +124,13 @@ def design_systems(rng, kind, estimator):
     return systems, covered
 
 
-def check_blocks(rng, designs, draws):
+def check_blocks(rng, designs, draws, empty_every=0):
     """Compare ``_prepare_contexts`` on blocks of every design's systems with
-    the oracle; count what was covered."""
-    seen = {"checked": 0, "lp": 0, "mixed shapes": 0, "covered": set()}
+    the oracle; count what was covered.  With ``empty_every`` = n, every nth
+    system gets an empty cone (``with_empty_cone``), and such a member must
+    accept every point of a wide grid that its deterministic rows allow."""
+    seen = {"checked": 0, "empty": 0, "mixed shapes": 0, "covered": set()}
+    points = np.linspace(-100.0, 100.0, 41)
     d = 0
     while d < designs:
         kind = ("rm-global", "rm-cohort", "sd")[d % 3]
@@ -122,6 +138,11 @@ def check_blocks(rng, designs, draws):
         systems, covered = design_systems(rng, kind, estimator)
         if not systems:
             continue
+        if empty_every:
+            systems = [
+                with_empty_cone(m) if j % empty_every == empty_every - 1 else m
+                for j, m in enumerate(systems)
+            ]
         d += 1
         seen["covered"] |= covered | {kind, estimator}
         seed = int(rng.integers(0, 1000))
@@ -131,8 +152,14 @@ def check_blocks(rng, designs, draws):
                 want = oracle_lf_cv(ctx.moments, ctx.vertices, KAPPA, draws, seed)
                 assert_close(ctx.lf_cv, want)
                 seen["checked"] += 1
-                seen["lp"] += ctx.vertices is None
-            shapes = {c.vertices.shape for c in contexts if c.vertices is not None}
+                if len(ctx.vertices) == 0:
+                    assert ctx.lf_cv == -np.inf
+                    mom = ctx.moments
+                    det = mom.det_a0[:, None] - np.outer(mom.det_a1, points)
+                    allowed = ~(det > mom.det_tol[:, None]).any(axis=0)
+                    assert not _decisions(ctx, points, 0.05)[allowed].any()
+                    seen["empty"] += 1
+            shapes = {c.vertices.shape for c in contexts if len(c.vertices)}
             seen["mixed shapes"] += len(shapes) > 1
     return seen
 
@@ -146,18 +173,14 @@ def test_block_critical_values_match_the_per_member_product():
     }
 
 
-def test_blocks_mixing_lp_members_match_the_per_member_product(monkeypatch):
-    # one member in three is forced onto the LP path, one LP per draw
-    calls = {"n": 0}
-    dual_vertices = inference._dual_vertices
-
-    def some_on_lp(sd_, X, shared_rays=None):
-        calls["n"] += 1
-        return None if calls["n"] % 3 == 0 else dual_vertices(sd_, X, shared_rays)
-
-    monkeypatch.setattr(inference, "_dual_vertices", some_on_lp)
-    seen = check_blocks(np.random.default_rng(99), 3, 40)
-    assert 0 < seen["lp"] < seen["checked"]
+def test_blocks_mixing_members_with_an_empty_cone_match_the_per_member_product():
+    # one member in three has no dual vertex: its profiled statistic is -inf
+    # at every draw (the LP oracle is unbounded), so its critical value is
+    # -inf, with no nan quantile and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seen = check_blocks(np.random.default_rng(99), 3, 40, empty_every=3)
+    assert 0 < seen["empty"] < seen["checked"]
 
 
 def test_a_members_critical_value_does_not_depend_on_its_block():

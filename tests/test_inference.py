@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from blockdid.inference import (
     InvalidDraws,
     InvalidGrid,
     _build_moments,
+    _column_space,
+    _decisions,
     _dual_vertices,
-    _eta_star_lp,
+    _gaussian_root,
     _HybridContext,
+    _member_moments,
     _prepare_context,
     _standard_normals,
+    _target_basis,
     _test_point,
     _truncnorm_quantile,
     aggregated_att_target,
@@ -42,12 +47,12 @@ from blockdid.restrictions import (
     sd,
     with_normalization,
 )
-from blockdid.simgen import DGPSpec, gen_custom, gen_toy
+from blockdid.simgen import DGPSpec, Violation, gen_custom, gen_toy
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_panel
 from test_panel import grid_csv
-from test_plugin_oracle import UnboundedProgram, lp_union, member_bounds
+from test_plugin_oracle import UnboundedProgram, _eta_star_lp, lp_union, member_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +325,9 @@ def test_confidence_sets_nested_in_parameter(boot_toy):
         prev = cur
 
 
-@pytest.mark.parametrize("path", ["vertex", "lp"])
-def test_hybrid_fallback_no_smaller_than_least_favorable(path):
+def test_hybrid_fallback_no_smaller_than_least_favorable():
     # duplicated moment rows force vertex ties, so the conditional stage
-    # always defers to the first-stage decision, whichever evaluator supplies
-    # the optimal dual vertex
+    # always defers to the first-stage decision
     units = [("a", "4"), ("b", "never")]
     layout = build_layout(load_panel(grid_csv(units, T=7)))
     cells = build_cell_index(layout, 7, "imputation")
@@ -346,12 +349,8 @@ def test_hybrid_fallback_no_smaller_than_least_favorable(path):
     hybrid_ctx = _prepare_context(moments, kappa=alpha / 10, draws=4000, seed=2)
     lf_ctx = _prepare_context(moments, kappa=alpha, draws=4000, seed=2)
     assert hybrid_ctx.lf_cv >= lf_ctx.lf_cv
-    tested_ctx = (
-        hybrid_ctx if path == "vertex"
-        else dataclasses.replace(hybrid_ctx, vertices=None)
-    )
     for theta0 in np.linspace(-2, 2, 41):
-        hybrid_rejects = _test_point(tested_ctx, theta0, alpha)
+        hybrid_rejects = _test_point(hybrid_ctx, theta0, alpha)
         # pure least-favorable decision: first stage at level alpha only
         y = moments.a0 - moments.a1 * theta0
         lf_rejects = float((hybrid_ctx.vertices @ y).max()) > lf_ctx.lf_cv
@@ -408,15 +407,14 @@ def test_lp_path_matches_vertex_path(boot_toy):
     )
     for member in members:
         moments = _build_moments(coeffs, member, target)
-        ctx = _prepare_context(moments, kappa=0.005, draws=3000, seed=4)
-        assert ctx.vertices is not None
-        forced = _HybridContext(
-            moments=moments, vertices=None, lf_cv=ctx.lf_cv, kappa=ctx.kappa
-        )
+        vertices = _dual_vertices(moments.sd, moments.X)
+        assert len(vertices)
         for theta0 in np.linspace(-2.0, 6.0, 17):
-            assert _test_point(ctx, theta0, 0.05) == _test_point(
-                forced, theta0, 0.05
-            ), (member.label, theta0)
+            y = moments.a0 - moments.a1 * theta0
+            eta_lp = _eta_star_lp(y, moments.X, moments.sd)
+            assert float((vertices @ y).max()) == pytest.approx(eta_lp, abs=1e-9), (
+                member.label, theta0,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +452,8 @@ def assert_same_vertices(got, want):
     """Same vertex sets up to rounding; ``got`` must list each vertex once
     (the oracle can keep near-copies that rounding did not merge)."""
     if want is None:
-        assert got is None
+        assert len(got) == 0
         return
-    assert got is not None
     tol = 1e-8 * (1.0 + np.abs(want).max())
     dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
     assert (dist.min(axis=1) <= tol).all()
@@ -490,16 +487,20 @@ def test_dual_vertices_match_brute_force_on_random_systems():
             N[:, -1] = 1.0
             r = np.linalg.matrix_rank(N)
             X = np.linalg.svd(N)[0][:, r:]  # X'lam = 0 iff lam = N mu
+        if np.linalg.matrix_rank(X) < X.shape[1]:
+            # the enumeration takes X of full column rank, as the moment
+            # systems provide it: a basis of the nuisance loadings
+            X = _column_space(X)
         assert_same_vertices(_dual_vertices(sd_vec, X), brute_force_vertices(sd_vec, X))
 
 
 def test_dual_vertices_of_a_cone_reduced_to_zero_is_none():
     # lam1 + lam2 = 0 with lam >= 0 leaves only lam = 0: the nuisance can push
-    # every moment down without bound, and the LP path reports -inf
+    # every moment down without bound, and the profiling LP reports -inf
     X = np.array([[1.0], [1.0]])
-    assert _dual_vertices(np.ones(2), X) is None
+    assert _dual_vertices(np.ones(2), X).shape == (0, 2)
     assert brute_force_vertices(np.ones(2), X) is None
-    assert _eta_star_lp(np.array([0.3, -0.2]), X, np.ones(2))[0] == -np.inf
+    assert _eta_star_lp(np.array([0.3, -0.2]), X, np.ones(2)) == -np.inf
 
 
 @pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
@@ -558,7 +559,7 @@ def sd_cliff_systems():
 def test_sd_cliff_vertices_match_profiling_lp(sd_cliff_systems, framework):
     mom = sd_cliff_systems[framework]
     verts = _dual_vertices(mom.sd, mom.X)
-    assert verts is not None
+    assert len(verts)
     if framework == "cohort":
         assert len(mom.sd) == 40 and mom.X.shape[1] == 19
     rng = np.random.default_rng(6)
@@ -566,8 +567,78 @@ def test_sd_cliff_vertices_match_profiling_lp(sd_cliff_systems, framework):
     for _ in range(60):
         noise = root @ rng.standard_normal(len(mom.sd))
         y = mom.a0 - mom.a1 * rng.uniform(-4, 6) + noise
-        eta_lp, _ = _eta_star_lp(y, mom.X, mom.sd)
+        eta_lp = _eta_star_lp(y, mom.X, mom.sd)
         assert float((verts @ y).max()) == pytest.approx(eta_lp, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def rank_loss_system():
+    """A small csnyt design where dropping the zero-variance moment rows of
+    rm-global members 14-39 and of the sd member leaves their nuisance
+    loadings with 15 columns of rank 11."""
+    violations = (
+        Violation("oscillating", 0.8978873498755306),
+        Violation("none", 0.5154576906165829),
+        Violation("oscillating", -0.005154609024762058),
+        Violation("oscillating", 0.571571401427615),
+    )
+    sim = gen_custom(
+        DGPSpec(
+            T=10, cohorts=((5, 1), (6, 2), (7, 1), (10, 1)), never_size=1,
+            noise_sd=0.739052604162372, violations=violations,
+            effect=1.6724178589436467, seed=1136689208,
+        )
+    )
+    layout = build_layout(sim.panel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # singleton strata
+        coeffs = bootstrap_vcov(sim.panel, BootstrapSpec(30, 0, "csnyt"))
+    bm = invert(build_w_csnyt(layout, coeffs.cells))
+    families = {
+        "rm-global": map_to_delta_space(rm_global(layout, coeffs.cells, 0.5), bm),
+        "sd": map_to_delta_space(sd(layout, coeffs.cells, 0.2), bm),
+    }
+    return coeffs, families, overall_att_target(layout, coeffs.cells)
+
+
+def test_nuisance_basis_is_taken_again_after_rows_drop(rank_loss_system):
+    coeffs, families, target = rank_loss_system
+    basis = _target_basis(coeffs, target)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for kind, members in (("rm-global", range(14, 40)), ("sd", [0])):
+        fam = families[kind]
+        for i in members:
+            mom = _member_moments(coeffs, fam.member(i), *basis)
+            assert mom.X.shape == (22, 11)  # a basis of the kept rows' loadings
+            verts = _dual_vertices(mom.sd, mom.X)
+            assert len(verts)
+            if i not in (14, 0):
+                continue
+            root = _gaussian_root(mom.sigma)
+            for z in rng.standard_normal((200, root.shape[1])):
+                y = mom.a0 - mom.a1 * rng.uniform(-15.0, 20.0) + root @ z
+                eta_lp = _eta_star_lp(y, mom.X, mom.sd)
+                assert float((verts @ y).max()) == pytest.approx(eta_lp, abs=1e-9)
+                checked += 1
+    assert checked == 400
+    # rm-global members 0-13 drop no row and keep their 15 columns
+    kept = _member_moments(coeffs, families["rm-global"].member(0), *basis)
+    assert kept.X.shape == (32, 15)
+
+    # the sets that profiling by LP, one program per point and draw, gives
+    want = {
+        "rm-global": (-14.491933155693513, 19.966813085512754),
+        "sd": (-2.020271732960202, 17.465442552754084),
+    }
+    for kind, fam in families.items():
+        plug = plugin_identified_set(coeffs, fam, target)
+        grid = GridSpec(plug.lo - 8.0, plug.hi + 8.0, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sets touch the grid boundary
+            cset = confidence_set(coeffs, fam, target, grid=grid, draws=2000, seed=1)
+        assert len(cset.intervals) == 1
+        assert cset.intervals[0] == pytest.approx(want[kind], abs=1e-9)
 
 
 def test_monte_carlo_normals_are_drawn_once_and_read_only():
@@ -594,15 +665,20 @@ def test_nuisance_basis_invariance(boot_toy):
     raw = rng.normal(size=(q - 1, q - 1))
     rot, _ = np.linalg.qr(raw)
     alt_basis = Q[:, 1:] @ rot
-    for theta0 in np.linspace(-1, 5, 9):
-        a = hybrid_test(
-            coeffs, fam.members[0], target, theta0, alpha=0.05, seed=3
+    post, lbar, basis = _target_basis(coeffs, target)
+    points = np.linspace(-1, 5, 9)
+    a, b = (
+        _decisions(
+            _prepare_context(
+                _member_moments(coeffs, fam.members[0], post, lbar, X_post),
+                kappa=0.005, draws=10_000, seed=3,
+            ),
+            points,
+            0.05,
         )
-        b = hybrid_test(
-            coeffs, fam.members[0], target, theta0, alpha=0.05, seed=3,
-            nuisance_override=alt_basis,
-        )
-        assert a == b
+        for X_post in (basis, alt_basis)
+    )
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_one_enumeration_per_distinct_x_and_one_context_per_distinct_member(
         assert len(contexts) == 1 < fam.member_count
     else:
         assert len(contexts) == fam.member_count  # no two members are equal
-    assert all(ctx.vertices is not None for ctx in contexts)  # vertex path
+    assert all(len(ctx.vertices) for ctx in contexts)  # every member has vertices
     xs = {(c.moments.X.shape, c.moments.X.tobytes()) for c in contexts}
     assert len(xs) == 1  # the members share one nuisance system
     assert counted["rays"] == list(xs)
@@ -271,7 +271,7 @@ def test_nuisance_systems_of_one_shape_get_their_own_rays(toy_system, counted):
     assert len(set(counted["rays"])) == len(counted["rays"]) == 2
     for m, vertices in zip(systems, got):
         alone = _dual_vertices(m.sd, m.X)
-        assert vertices is not None and vertices.tobytes() == alone.tobytes()
+        assert len(vertices) and vertices.tobytes() == alone.tobytes()
 
 
 def test_no_block_is_formed_after_every_point_is_accepted(
@@ -339,3 +339,47 @@ def test_a_member_past_the_accepting_one_fails_only_when_reached(
     accept_at["n"] = 10
     with pytest.raises(inference.SingularVcov):
         shared_set(coeffs, fam, target, grid, seed=3)
+
+
+def test_a_member_over_the_vertex_cap_is_refused_only_when_reached(
+    toy_system, monkeypatch
+):
+    # member 3's moment rows are doubled, so its enumeration starts with more
+    # rays than the cap allows, while every other member fits under it
+    coeffs, layout, bm, target = toy_system
+    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
+    grid = _far_grid(coeffs, target)
+    basis = inference._target_basis(coeffs, target)
+    m, k = inference._member_moments(coeffs, fam.member(0), *basis).X.shape
+    monkeypatch.setattr(inference, "_VERTEX_ENUM_CAP", 2 * m - k - 1)
+    assert shared_set(coeffs, fam, target, grid, seed=3).is_empty  # all fit
+
+    bad = fam.member(3).A.tobytes()
+    member_moments = inference._member_moments
+
+    def double_member_3(coeffs, member, *basis):
+        mom = member_moments(coeffs, member, *basis)
+        if member.A.tobytes() != bad:
+            return mom
+        return replace(
+            mom,
+            a0=np.tile(mom.a0, 2),
+            a1=np.tile(mom.a1, 2),
+            X=np.vstack([mom.X, mom.X]),
+            sigma=np.block([[mom.sigma, mom.sigma], [mom.sigma, mom.sigma]]),
+            sd=np.tile(mom.sd, 2),
+        )
+
+    monkeypatch.setattr(inference, "_member_moments", double_member_3)
+    accept_at = {"n": 2}
+
+    def decisions(ctx, points, alpha):
+        accept_at["n"] -= 1
+        return np.full(len(points), accept_at["n"] > 0)
+
+    monkeypatch.setattr(inference, "_decisions", decisions)
+    assert not shared_set(coeffs, fam, target, grid, seed=3).is_empty
+    accept_at["n"] = 10
+    with pytest.raises(inference.VertexCapExceeded) as exc:
+        shared_set(coeffs, fam, target, grid, seed=3)
+    assert exc.value.code == "VERTEX_CAP_EXCEEDED"

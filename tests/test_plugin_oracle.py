@@ -1,12 +1,16 @@
-"""Closed-form plug-in sets against the per-member linear-programming union.
+"""The linear programs the package no longer solves, kept as oracles.
 
-The oracle below is the program the closed form replaced: for every member,
-pin the pre-treatment coordinates at their estimates, minimise and maximise
-the target over the member's constraints with HiGHS, and union the member
-intervals.  It reads every member's rows, while ``plugin_identified_set``
-reads only the family's tag, parameter, benchmark table, recorded bias map
-and normalization, so agreement checks the box/radius argument on every
-design below.
+``member_bounds`` is the program the closed-form plug-in set replaced: for
+every member, pin the pre-treatment coordinates at their estimates, minimise
+and maximise the target over the member's constraints with HiGHS, and union
+the member intervals.  It reads every member's rows, while
+``plugin_identified_set`` reads only the family's tag, parameter, benchmark
+table, recorded bias map and normalization, so agreement checks the
+box/radius argument on every design below.
+
+``_eta_star_lp`` is the profiling program the dual vertices replaced: the
+studentized max moment minimised over the nuisance.  Other test modules
+check the vertex maximum against it.
 """
 
 import numpy as np
@@ -19,7 +23,6 @@ from blockdid.inference import (
     AllMembersInfeasible,
     InferenceError,
     IntervalSet,
-    _LP_OPTIONS,
     _reduced_member,
     aggregated_att_target,
     aggregated_system,
@@ -46,8 +49,32 @@ W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}
 
 
 # ---------------------------------------------------------------------------
-# the LP-union oracle
+# the LP oracles
 # ---------------------------------------------------------------------------
+
+_LP_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
+}
+
+
+def _eta_star_lp(y, X, sd):
+    """min eta s.t. y - X gamma <= eta * sd; -inf when the nuisance pushes
+    every moment down without bound."""
+    k = X.shape[1]
+    res = sciopt.linprog(
+        np.eye(1 + k)[0],
+        A_ub=np.column_stack([-sd, -X]),
+        b_ub=-y,
+        bounds=[(None, None)] * (1 + k),
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if res.status == 3:
+        return -np.inf
+    if not res.success:
+        raise InferenceError(f"profiling program failed: {res.message}")
+    return float(res.x[0])
 
 
 class UnboundedProgram(InferenceError):
