@@ -116,5 +116,12 @@ def write_biasmap_csv(bias_map: BiasMap, stream, inverse=False):
         raise ValueError("inverse not populated; call invert() first")
     labels = bias_map.cells.labels()
     stream.write("cell," + ",".join(labels) + "\n")
-    for lab, row in zip(labels, M):
-        stream.write(lab + "," + ",".join(map(repr, row.tolist())) + "\n")
+    # W and W^-1 are mostly zeros: only entries that are not +0.0 bit for
+    # bit (so -0.0, nan and inf too) are formatted, the rest written as "0.0"
+    written = (M != 0) | np.signbit(M)
+    for lab, row, nonzero in zip(labels, M, written):
+        cells = ["0.0"] * len(row)
+        at = np.flatnonzero(nonzero)
+        for j, value in zip(at.tolist(), row[at].tolist()):
+            cells[j] = repr(value)
+        stream.write(lab + "," + ",".join(cells) + "\n")

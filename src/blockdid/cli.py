@@ -85,7 +85,8 @@ class RunConfig:
 
 def _parse_sweep(text):
     """``lo:hi:step`` inclusive sweep, or a single value; values must be
-    finite, nonnegative and ascending."""
+    finite, nonnegative and ascending.  No value exceeds ``hi``, and the last
+    one is ``hi`` itself when ``step`` divides ``hi - lo`` up to rounding."""
     try:
         values = [float(x) for x in text.split(":")]
         lo, hi, step = values if ":" in text else (values[0], values[0], 1.0)
@@ -97,7 +98,10 @@ def _parse_sweep(text):
             f"--param takes a value or lo:hi:step, finite, >= 0 and ascending; "
             f"got {text!r}"
         )
-    return tuple(lo + i * step for i in range(int(round((hi - lo) / step)) + 1))
+    values = [lo + i * step for i in range(int((hi - lo) / step + 1e-9) + 1)]
+    if values[-1] >= hi - 1e-9 * step:  # the last step lands on hi
+        values[-1] = hi
+    return tuple(values)
 
 
 def _parse_grid(text):

@@ -3,34 +3,24 @@
 Targets are linear functionals of the post-treatment effects.  The plug-in
 identified set pins the pre-treatment coefficients at their estimates.  As
 W's pre rows are the identity, every member of a built family is then a box
-on the post block-bias differences, over which the target spans the
-corrected point plus or minus a radius (``_plugin_box``); in an rm union one
-member contains all the others, so no linear program is solved.
+on the post block-bias differences, so the set is the corrected point plus
+or minus a radius (``_plugin_box``) and no linear program is solved.
 
 Confidence sets invert a two-stage hybrid moment-inequality test over a grid
 of candidate values.  Writing the post effects as theta0 * lbar + X gamma
-(lbar a fixed vector with l'lbar = 1, X a basis of the null space of l'), the
-member constraints become moment inequalities linear in the nuisance gamma.
-Stage one compares the studentized max moment, profiled over gamma, against
-a seeded Monte Carlo least-favorable critical value at level kappa; stage
-two is a conditional test at level (alpha-kappa)/(1-kappa) that conditions on
-the basis of the optimal dual vertex (and on first-stage acceptance) via a
-truncated normal.  Degenerate or tied optima fall back to the stage-one
-decision, which never over-rejects.  The profiled statistic is the maximum
-of vertices @ y over the vertices of its dual polytope, the one evaluator:
-they come from a double-description enumeration of the extreme rays of
-{lam >= 0 : X'lam = 0}, with X of full column rank.  When that cone is {0}
-there is no vertex: the nuisance pushes every moment down without bound, the
-statistic is -inf and every point is accepted.  A member whose enumeration
-would exceed the working ray cap is refused (``VertexCapExceeded``).  The
-rays depend on X alone, so a confidence set enumerates them once per
-distinct nuisance system and scales them per member.  A family's members
-are formed in blocks as they are tested; at parameter 0 the family is one
-polyhedron and is tested once.  The Monte Carlo draws of a member are its
-own Gaussian root applied to shared seeded normals Z, so its statistic per
-draw is the max of (vertices root) Z'; the members of a block stack those
-products and take their critical values from one chunked product and one
-quantile call.
+(l'lbar = 1, X a basis of the null space of l'), the member constraints are
+moment inequalities linear in the nuisance gamma.  Stage one compares the
+studentized max moment, profiled over gamma, with a seeded Monte Carlo
+least-favorable critical value at level kappa; stage two is a truncated
+normal test at level (alpha-kappa)/(1-kappa) that conditions on the basis of
+the optimal dual vertex and on first-stage acceptance.  The profiled
+statistic is the max of vertices @ y over the vertices of its dual polytope:
+the extreme rays of {lam >= 0 : X'lam = 0}, by double description and shared
+by the members with one X (none when that cone is {0}: the statistic is then
+-inf; past a ray cap the member is refused).  A family's members are tested
+``_MEMBER_BLOCK`` at a time, and the block is the unit of work: stacked
+moments and Gaussian roots, one Monte Carlo product and quantile call, and
+one stage-two pass with one truncated normal quantile call.
 """
 
 import functools
@@ -90,6 +80,9 @@ _MEMBER_BLOCK = 16
 # values of one chunk of the stacked Monte Carlo product, which bounds its
 # transient memory (256 KiB)
 _MC_CHUNK_VALUES = 1 << 15
+# values of one stacked stage-one statistic, or of the bases gathered for
+# the points of stage two (8 MiB)
+_STACK_VALUES = 1 << 20
 
 
 class InferenceError(RuntimeError):
@@ -241,14 +234,19 @@ class IntervalSet:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_member(member: Polyhedron, cells: CellIndex, positions):
-    """Member rows restricted to the coefficient coordinate system."""
-    structural = cells.structural
-    for blk in (member.A, member.A_eq):
-        if blk is not None and np.abs(blk[:, structural]).max(initial=0.0) > 1e-12:
+def _reduced_rows(A, d, A_eq, d_eq, cells: CellIndex, positions):
+    """Stacked member rows A (n, rows, cells) and bounds d (n, rows) in the
+    coefficient coordinate system, each equality row as two inequalities."""
+    for blk in (A, A_eq):
+        if blk is not None and np.abs(blk[..., cells.structural]).max(initial=0.0) > 1e-12:
             raise InferenceError("structural-zero columns must carry zero coefficients")
-    A_eq = None if member.A_eq is None else member.A_eq[:, positions]
-    return member.A[:, positions], member.d, A_eq, member.d_eq
+    A = A[..., positions]
+    if A_eq is not None:
+        eq = np.broadcast_to(A_eq[:, positions], (len(A), len(A_eq), A.shape[-1]))
+        d_eq = np.broadcast_to(d_eq, (len(A), len(d_eq)))
+        A = np.concatenate([A, eq, -eq], axis=1)
+        d = np.concatenate([d, d_eq, -d_eq], axis=1)
+    return A, d
 
 
 def _check_alignment(coeffs: CoefficientSet, family: RestrictionFamily):
@@ -386,49 +384,53 @@ def _target_basis(coeffs, target):
     return post, lbar, X_post
 
 
-def _build_moments(coeffs, member, target):
-    return _member_moments(coeffs, member, *_target_basis(coeffs, target))
-
-
 def _member_moments(coeffs, member, post, lbar, X_post):
-    """One member's moment system on a target basis from ``_target_basis``."""
-    A, d, A_eq, d_eq = _reduced_member(member, coeffs.cells, coeffs.positions)
-    if A_eq is not None:
-        A = np.vstack([A, A_eq, -A_eq])
-        d = np.concatenate([d, d_eq, -d_eq])
+    """One member's moment system (``_block_moments`` of one)."""
+    rows = (member.A[None], member.d[None], member.A_eq, member.d_eq)
+    A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
+    return _block_moments(coeffs, A, d, (post, lbar, X_post))[0]
 
-    a0 = A @ coeffs.values - d
-    a1 = A[:, post] @ lbar
-    X = _column_space(A[:, post] @ X_post)
-    sigma = A @ coeffs.vcov @ A.T
-    sd = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
 
+def _block_moments(coeffs, A, d, basis, spans=None):
+    """Moment systems of stacked member rows A (n, m, coefficients) and
+    bounds d (n, m), from ``_reduced_rows``: a0, a1, sigma = A V A' and sd
+    by stacked operations, X = span(A[:, post] X_post) once per distinct
+    A[:, post] (``spans``, keyed by shape and bytes, shares it across
+    blocks).  Only a member with a zero-variance row is treated alone."""
+    post, lbar, X_post = basis
+    spans = {} if spans is None else spans
+    A_post = A[:, :, post]
+    a0, a1 = A @ coeffs.values - d, A_post @ lbar
+    sigma = A @ coeffs.vcov @ A.transpose(0, 2, 1)
+    sd = np.sqrt(np.clip(np.diagonal(sigma, axis1=1, axis2=2), 0.0, None))
     # a row's estimated variance is meaningless below the rounding floor of
     # row' Sigma row, which scales with the row norm and the largest
     # coefficient variance
     diag_scale = math.sqrt(float(np.max(np.diag(coeffs.vcov), initial=0.0)))
-    row_norm = np.linalg.norm(A, axis=1)
-    floor = 1e-6 * row_norm * max(diag_scale, 1e-12)
-    tiny = sd <= floor
-    det_mask = tiny & (np.abs(X).max(axis=1, initial=0.0) <= 1e-12)
-    drop_mask = tiny & ~det_mask  # degenerate rows that involve the nuisance
-    keep = ~(det_mask | drop_mask)
-    if not keep.any():
-        raise SingularVcov("every moment row has zero variance")
-    # dropping rows can lose X's column rank, which the vertex enumeration
-    # needs; a deterministic row's loadings are zero, so moving it cannot
-    X = _column_space(X[keep]) if drop_mask.any() else X[keep]
+    row_norm = np.linalg.norm(A, axis=2)
+    tiny = sd <= 1e-6 * row_norm * max(diag_scale, 1e-12)
     beta_scale = 1.0 + float(np.max(np.abs(coeffs.values), initial=0.0))
-    return _MomentSystem(
-        a0=a0[keep],
-        a1=a1[keep],
-        X=X,
-        sigma=sigma[np.ix_(keep, keep)],
-        sd=sd[keep],
-        det_a0=a0[det_mask],
-        det_a1=a1[det_mask],
-        det_tol=1e-8 * (1.0 + row_norm[det_mask] * beta_scale),
-    )
+    systems = []
+    for i, rows in enumerate(A_post):
+        key = (rows.shape, rows.tobytes())
+        if key not in spans:
+            spans[key] = _column_space(rows @ X_post)
+        X, none = spans[key], row_norm[i, :0]
+        if not tiny[i].any():
+            systems.append(_MomentSystem(a0[i], a1[i], X, sigma[i], sd[i], *[none] * 3))
+            continue
+        # rows not involving the nuisance move to det_*; the rest drop, which
+        # can lose X's column rank that the vertex enumeration needs
+        det, keep = tiny[i] & (np.abs(X).max(axis=1, initial=0.0) <= 1e-12), ~tiny[i]
+        if not keep.any():
+            raise SingularVcov("every moment row has zero variance")
+        systems.append(_MomentSystem(
+            a0[i, keep], a1[i, keep],
+            _column_space(X[keep]) if (tiny[i] & ~det).any() else X[keep],
+            sigma[i][np.ix_(keep, keep)], sd[i, keep],
+            a0[i, det], a1[i, det], 1e-8 * (1.0 + row_norm[i, det] * beta_scale),
+        ))
+    return systems
 
 
 def _dual_vertices(sd, X, shared_rays=None):
@@ -443,13 +445,11 @@ def _dual_vertices(sd, X, shared_rays=None):
     depend on X alone: ``shared_rays``, a dict keyed by X's shape and bytes,
     lets every moment system with the same X reuse one enumeration.
     """
-    if shared_rays is None:
-        rays = _cone_rays(X)
-    else:
-        key = (X.shape, X.tobytes())
-        if key not in shared_rays:
-            shared_rays[key] = _cone_rays(X)
-        rays = shared_rays[key]
+    shared_rays = {} if shared_rays is None else shared_rays
+    key = (X.shape, X.tobytes())
+    if key not in shared_rays:
+        shared_rays[key] = _cone_rays(X)
+    rays = shared_rays[key]
     return rays / (rays @ sd)[:, None]
 
 
@@ -521,8 +521,10 @@ class _HybridContext:
 
 
 def _gaussian_root(sigma):
-    vals, vecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    """Roots R with R R' = sigma of one covariance matrix or a stack of
+    them, from one (stacked) eigendecomposition."""
+    vals, vecs = np.linalg.eigh((sigma + np.swapaxes(sigma, -1, -2)) / 2.0)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
 @functools.lru_cache(maxsize=4)
@@ -536,36 +538,24 @@ def _standard_normals(seed, draws, dim):
 
 
 def _prepare_contexts(moments_list, kappa, draws, seed, shared_rays=None):
-    """Contexts of several moment systems, with their least-favorable
-    critical values: the 1 - kappa quantile over the seeded draws Z of the
-    max moment eta*(root Z'), each system on its own Gaussian root.
-
-    eta* is the max over the vertices of vertices @ root @ Z', computed as
-    P @ Z' with P = vertices @ root.  The systems with the same moment and
-    vertex counts share Z, so their P are stacked vertex-major (row j*n + i
-    is system i's vertex j) and multiplied by Z' in chunks of at most
-    ``_MC_CHUNK_VALUES`` values; each chunk's (vertices, n, draws) maximum
-    over its first axis gives every system's eta* at once, and one quantile
-    call gives every critical value.  A system without vertices has eta* =
-    -inf at every draw, and so a critical value of -inf.
-    """
-    contexts = []
-    stacks = {}  # (vertex count, moment count) -> [(context index, P)]
-    for i, moments in enumerate(moments_list):
-        verts = _dual_vertices(moments.sd, moments.X, shared_rays)
-        if len(verts):
-            root = _gaussian_root(moments.sigma)
-            stacks.setdefault(verts.shape, []).append((i, verts @ root))
-        contexts.append(
-            _HybridContext(moments=moments, vertices=verts, lf_cv=-math.inf, kappa=kappa)
-        )
-    for (_, dim), stack in stacks.items():
-        at, products = zip(*stack)
-        eta = _stacked_maxima(
-            np.stack(products, axis=1).reshape(-1, dim),
-            len(at),
-            _standard_normals(seed, draws, dim),
-        )
+    """Contexts of moment systems with their least-favorable critical
+    values, the 1 - kappa quantiles over seeded normals Z of the max over
+    vertices of P Z', P = vertices @ root.  Systems with the same vertex and
+    moment counts take their roots from one stacked ``eigh``, share Z, and
+    stack their P vertex-major (row j*n + i is system i's vertex j) for one
+    chunked product (``_stacked_maxima``) and one quantile call.  A system
+    without vertices gets -inf."""
+    contexts, stacks = [], {}  # (vertex count, moment count) -> systems
+    for i, m in enumerate(moments_list):
+        vertices = _dual_vertices(m.sd, m.X, shared_rays)
+        contexts.append(_HybridContext(m, vertices, -math.inf, kappa))
+        if len(vertices):
+            stacks.setdefault(vertices.shape, []).append(i)
+    for (_, dim), at in stacks.items():
+        roots = _gaussian_root(np.stack([contexts[i].moments.sigma for i in at]))
+        products = np.stack([contexts[i].vertices for i in at]) @ roots
+        stacked = products.transpose(1, 0, 2).reshape(-1, dim)
+        eta = _stacked_maxima(stacked, len(at), _standard_normals(seed, draws, dim))
         cvs = np.quantile(eta, 1.0 - kappa, axis=1, overwrite_input=True)
         for i, cv in zip(at, cvs.tolist()):
             contexts[i].lf_cv = cv
@@ -585,11 +575,6 @@ def _stacked_maxima(stacked, n, z):
     return out
 
 
-def _prepare_context(moments, kappa, draws, seed, shared_rays=None):
-    """One moment system's context (``_prepare_contexts`` of one)."""
-    return _prepare_contexts([moments], kappa, draws, seed, shared_rays)[0]
-
-
 def _truncnorm_quantile(p, lo, hi):
     """Quantiles of standard normals truncated to [lo[i], hi[i]].
 
@@ -607,8 +592,9 @@ def _truncnorm_quantile(p, lo, hi):
     return out
 
 
-def _decisions(ctx, points, alpha):
-    """Hybrid rejection decision at every candidate value in ``points``.
+def _block_decisions(contexts, points, alpha):
+    """(members, points) hybrid rejection decisions of a block of contexts
+    that share one kappa; one truncated normal quantile call serves them.
 
     Stage one rejects when eta* exceeds the least-favorable critical value.
     Stage two conditions on the basis of the optimal dual vertex lam: the
@@ -618,54 +604,113 @@ def _decisions(ctx, points, alpha):
     not of size 1+k, or a non-basic moment with zero slack, i.e. a tied
     optimum) keeps the stage-one acceptance, which never over-rejects.
     """
-    mom = ctx.moments
     points = np.asarray(points, dtype=float)
-    reject = (
-        mom.det_a0[:, None] - np.outer(mom.det_a1, points) > mom.det_tol[:, None]
-    ).any(axis=0)
-    if len(ctx.vertices) == 0:  # eta* is -inf at every point
-        return reject
-    live = np.flatnonzero(~reject)
-    Y = mom.a0[:, None] - np.outer(mom.a1, points[live])
-    vals = ctx.vertices @ Y
-    eta, lam = vals.max(axis=0), ctx.vertices[vals.argmax(axis=0)]
-    reject[live] = eta > ctx.lf_cv
-
-    W = np.column_stack([mom.sd, mom.X])
-    conditional = []  # (point, sigma, vlo, vup)
-    for j in np.flatnonzero(eta <= ctx.lf_cv):
-        basic = lam[j] > _VERTEX_TIE_TOL
-        if int(basic.sum()) != W.shape[1]:
-            continue  # degenerate vertex
-        y, eta_j, scale = Y[:, j], eta[j], 1.0 + abs(eta[j])
-        try:
-            proj = W[~basic] @ np.linalg.inv(W[basic])
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(proj @ y[basic] - y[~basic] <= _VERTEX_TIE_TOL * scale):
-            continue  # tied optimum
-        sig2 = float(lam[j] @ mom.sigma @ lam[j])
-        if sig2 <= 1e-24:
-            reject[live[j]] = eta_j > 0
-            continue
-        c = mom.sigma @ lam[j] / sig2
-        z = y - c * eta_j
-        const = proj @ z[basic] - z[~basic]
-        slope = proj @ c[basic] - c[~basic]
-        lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
-        hi_set = slope < -_VERTEX_TIE_TOL
-        vlo = np.max(-const[lo_set] / slope[lo_set], initial=-np.inf)
-        vup = np.min(-const[hi_set] / slope[hi_set], initial=np.inf)
-        vup = min(vup, ctx.lf_cv)  # condition on first-stage acceptance
-        # every non-basic slack is positive, so vlo < eta_j <= vup
-        conditional.append((j, math.sqrt(sig2), vlo, vup))
-    if conditional:
-        at, sig, vlo, vup = np.array(conditional).T
-        at = at.astype(int)
-        alpha_mod = (alpha - ctx.kappa) / (1.0 - ctx.kappa)
+    reject = np.zeros((len(contexts), len(points)), dtype=bool)
+    shapes = {}  # (vertex count, moment count, nuisance columns) -> members
+    for i, ctx in enumerate(contexts):
+        mom = ctx.moments
+        if len(mom.det_a0):
+            det = mom.det_a0[:, None] - np.outer(mom.det_a1, points)
+            reject[i] = (det > mom.det_tol[:, None]).any(axis=0)
+        if len(ctx.vertices):  # else eta* is -inf at every point
+            shapes.setdefault(ctx.vertices.shape + mom.X.shape[1:], []).append(i)
+    conditional = [np.empty(0, dtype=int)] * 2 + [np.empty(0)] * 4
+    for (nv, _, _), at in shapes.items():
+        step = max(1, _STACK_VALUES // (nv * max(len(points), 1)))
+        for s in range(0, len(at), step):
+            part = _stage_two(contexts, at[s:s + step], points, reject)
+            conditional = [np.concatenate(v) for v in zip(conditional, part)]
+    i, p, eta, sig, vlo, vup = conditional
+    if len(i):
+        alpha_mod = (alpha - contexts[0].kappa) / (1.0 - contexts[0].kappa)
         q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
-        reject[live[at]] = eta[at] > np.maximum(0.0, sig * q)
+        reject[i, p] = eta > np.maximum(0.0, sig * q)
     return reject
+
+
+def _stage_two(contexts, at, points, reject):
+    """Stage one of the block members ``at`` (of one shape), stacked, and
+    stage two up to its quantile; rejections are added to ``reject``.  All
+    but z depends on the (member, optimal vertex) pair alone, so points are
+    grouped by pair, each distinct basis is inverted once, and slack, vlo
+    and vup are arrays.  Returns the (member, point, eta, sigma, vlo, vup)
+    of the points left to the quantile."""
+    at = np.asarray(at)
+    ctxs = [contexts[i] for i in at]
+    moms = [ctx.moments for ctx in ctxs]
+    lf = np.array([ctx.lf_cv for ctx in ctxs])[:, None]
+    V = np.stack([ctx.vertices for ctx in ctxs])  # (n, vertices, m)
+    a0, a1 = (np.stack([mom.a0 for mom in moms]), np.stack([mom.a1 for mom in moms]))
+    Y = a0[:, :, None] - a1[:, :, None] * points  # (n, m, points)
+    vals = V @ Y
+    eta = vals.max(axis=1)
+    live = ~reject[at]
+    reject[at] |= eta > lf
+    g, p = np.nonzero(live & (eta <= lf))
+
+    # the conditional points' (member, vertex) pairs whose basis has 1+k rows
+    (nv, m), k1 = V.shape[1:], moms[0].X.shape[1] + 1
+    pairs, of = np.unique(g * nv + vals.argmax(axis=1)[g, p], return_inverse=True)
+    pg, pv = np.divmod(pairs, nv)
+    basic = V[pg, pv] > _VERTEX_TIE_TOL
+    ok = np.flatnonzero(basic.sum(axis=1) == k1)  # else a degenerate vertex
+    order = np.argsort(~basic[ok], axis=1, kind="stable")  # basic rows first
+    W = np.stack([np.column_stack([mom.sd, mom.X]) for mom in moms])
+    inv, invertible = _inverses(W[pg[ok, None], order[:, :k1]])
+    ok, order, inv = ok[invertible], order[invertible], inv[invertible]
+    proj = W[pg[ok, None], order[:, k1:]] @ inv
+
+    # every product below is stacked matrix-vector products, which round as
+    # the product of one pair or one point alone does
+    def slack(v, q):  # proj @ v[basic] - v[~basic] per row of v, of pair q
+        v, out = np.take_along_axis(v, order[q], axis=1), np.empty((len(q), m - k1))
+        step = max(1, _STACK_VALUES // max((m - k1) * k1, 1))  # bounds proj[q]
+        for s in range(0, len(q), step):
+            rows = slice(s, s + step)
+            basic_part = np.matmul(proj[q[rows]], v[rows, :k1, None])[:, :, 0]
+            out[rows] = basic_part - v[rows, k1:]
+        return out
+
+    lam = V[pg[ok], pv[ok]]
+    ls, c = np.empty_like(lam), np.empty_like(lam)
+    for j, mom in enumerate(moms):  # lam' Sigma and Sigma lam of j's pairs
+        mine = pg[ok] == j
+        ls[mine] = np.matmul(lam[mine][:, None, :], mom.sigma)[:, 0]
+        c[mine] = np.matmul(mom.sigma, lam[mine][:, :, None])[:, :, 0]
+    sig2 = np.matmul(ls[:, None, :], lam[:, :, None])[:, 0, 0]
+    flat = sig2 <= 1e-24
+    c /= np.where(flat, 1.0, sig2)[:, None]
+    slope = slack(c, np.arange(len(ok)))
+
+    slot = np.full(len(pairs), -1)
+    slot[ok] = np.arange(len(ok))
+    g, p, q = (v[slot[of] >= 0] for v in (g, p, slot[of]))
+    y, e = Y[g, :, p], eta[g, p]
+    tied = (slack(y, q) <= _VERTEX_TIE_TOL * (1.0 + np.abs(e))[:, None]).any(axis=1)
+    sure = ~tied & flat[q]
+    reject[at[g[sure]], p[sure]] = e[sure] > 0
+    g, p, q, y, e = (v[~tied & ~flat[q]] for v in (g, p, q, y, e))
+    const = slack(y - c[q] * e[:, None], q)
+    lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
+    hi_set = slope < -_VERTEX_TIE_TOL
+    ratio = -const / np.where(lo_set | hi_set, slope, 1.0)[q]
+    vlo = np.where(lo_set[q], ratio, -np.inf).max(axis=1, initial=-np.inf)
+    vup = np.where(hi_set[q], ratio, np.inf).min(axis=1, initial=np.inf)
+    # every non-basic slack is positive, so vlo < eta <= vup; vup is capped
+    # by the critical value, conditioning on first-stage acceptance
+    return at[g], p, e, np.sqrt(sig2[q]), vlo, np.minimum(vup, lf[g, 0])
+
+
+def _inverses(B):
+    """Inverses of the stacked bases B, and which exist: a singular basis
+    keeps its points' stage-one acceptance."""
+    try:
+        return np.linalg.inv(B), np.ones(len(B), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(B) == 1:
+            return np.zeros_like(B), np.zeros(1, dtype=bool)
+    (a, x), (b, y) = _inverses(B[: len(B) // 2]), _inverses(B[len(B) // 2:])
+    return np.concatenate([a, b]), np.concatenate([x, y])
 
 
 def _first_stage_level(alpha, kappa):
@@ -685,11 +730,6 @@ def _check_draws(draws):
         raise InvalidDraws(f"need at least 1 Monte Carlo draw, got {draws}")
 
 
-def _test_point(ctx, theta0, alpha):
-    """Hybrid rejection decision for one candidate value."""
-    return bool(_decisions(ctx, [theta0], alpha)[0])
-
-
 def hybrid_test(
     coeffs: CoefficientSet,
     member: Polyhedron,
@@ -707,9 +747,9 @@ def hybrid_test(
     """
     kappa = _first_stage_level(alpha, kappa)
     _check_draws(draws)
-    moments = _build_moments(coeffs, member, target)
-    ctx = _prepare_context(moments, kappa, draws, seed)
-    return _test_point(ctx, theta0, alpha)
+    moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
+    contexts = _prepare_contexts([moments], kappa, draws, seed)
+    return bool(_block_decisions(contexts, [theta0], alpha)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -750,18 +790,11 @@ def confidence_set(
 ) -> IntervalSet:
     """Invert the hybrid test over a grid, unioning acceptance over members.
 
-    A candidate value enters the confidence set as soon as one member's test
-    accepts it; members are visited in family order so results do not depend
-    on scheduling.  An empty set is a legal outcome.
-
-    Work shared by the family is done once per call: the target's nuisance
-    basis, and one dual-ray enumeration per distinct nuisance system X (the
-    rm members differ only in their benchmark columns, so they mostly share
-    one).  Only the family's distinct members are tested: at parameter 0
-    the family is one polyhedron, tested once.  They are formed and their
-    Monte Carlo stages prepared ``_MEMBER_BLOCK`` at a time
-    (``_member_contexts``), and no block is formed once every point is
-    accepted.
+    A value enters the set as soon as one member accepts it, so the set does
+    not depend on the order of visits; an empty set is a legal outcome.  The
+    family's distinct members (one at parameter 0) are formed, prepared and
+    decided ``_MEMBER_BLOCK`` at a time, and no block is formed once every
+    point is accepted.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
@@ -771,8 +804,8 @@ def confidence_set(
     points = grid.points()
     accepted = np.zeros(len(points), dtype=bool)
     todo = np.arange(len(points))
-    for ctx in _member_contexts(coeffs, family, target, kappa, draws, seed):
-        accepted[todo] = ~_decisions(ctx, points[todo], alpha)
+    for contexts in _member_blocks(coeffs, family, target, kappa, draws, seed):
+        accepted[todo] = ~_block_decisions(contexts, points[todo], alpha).all(axis=0)
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
@@ -790,34 +823,27 @@ def confidence_set(
     )
 
 
-def _member_contexts(coeffs, family, target, kappa, draws, seed):
-    """Contexts of the family's distinct members in family order, prepared
-    ``_MEMBER_BLOCK`` at a time as the caller consumes them.
-
-    A block that cannot be prepared whole (a member with no usable moment
-    row, say) is prepared member by member instead, so that a member's
-    error surfaces only when that member is reached, as when every member
-    was prepared alone.
-    """
+def _member_blocks(coeffs, family, target, kappa, draws, seed):
+    """Contexts of the family's distinct members in family order, a list
+    per ``_MEMBER_BLOCK``, prepared as consumed.  A block that cannot be
+    prepared whole is prepared member by member, so that a member's error
+    surfaces only when that member is reached."""
     basis = _target_basis(coeffs, target)
-    shared_rays = {}
+    shared_rays, spans = {}, {}
 
-    def moments(i):
-        return _member_moments(coeffs, family.member(i), *basis)
+    def prepare(block):
+        rows = _reduced_rows(*family.member_rows(block), coeffs.cells, coeffs.positions)
+        moments = _block_moments(coeffs, *rows, basis, spans)
+        return _prepare_contexts(moments, kappa, draws, seed, shared_rays)
 
     members = family.distinct
     for start in range(0, len(members), _MEMBER_BLOCK):
         block = members[start:start + _MEMBER_BLOCK]
         try:
-            contexts = _prepare_contexts(
-                [moments(i) for i in block], kappa, draws, seed, shared_rays
-            )
+            blocks = [prepare(block)]
         except (InferenceError, np.linalg.LinAlgError):
-            contexts = (
-                _prepare_context(moments(i), kappa, draws, seed, shared_rays)
-                for i in block
-            )
-        yield from contexts
+            blocks = (prepare([i]) for i in block)
+        yield from blocks
 
 
 # ---------------------------------------------------------------------------

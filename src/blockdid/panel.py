@@ -15,6 +15,7 @@ estimation works off three objects built here:
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +156,10 @@ class PanelData:
         return self.time_labels[t - 1]
 
 
+# CSV rows parsed together, which bounds the parse's transient memory
+_LOAD_BLOCK = 1024
+
+
 def load_panel(source) -> PanelData:
     """Read a panel from CSV with columns ``unit,time,outcome,cohort``.
 
@@ -163,6 +168,10 @@ def load_panel(source) -> PanelData:
     integer range and are shifted internally to 1..T.
 
     ``source`` may be a path, a string of CSV text, or a readable text stream.
+
+    Rows are parsed ``_LOAD_BLOCK`` at a time, a column at a time, and coded
+    as they are read: units, times and cohort labels by order of first
+    appearance.  The balance checks count rows per unit-period cell.
     """
     if hasattr(source, "read"):
         stream = source
@@ -171,84 +180,69 @@ def load_panel(source) -> PanelData:
     else:
         stream = open(source, "r", encoding="utf-8", newline="")
 
+    units, times, labels = {}, {}, {}  # value -> code, by first appearance
+    blocks = []  # per block: unit, time and label codes, and outcomes
     try:
-        lines = (line for line in stream if not line.startswith("#"))
-        reader = csv.DictReader(lines)
+        reader = csv.reader(line for line in stream if not line.startswith("#"))
+        header = next(reader, None)
         required = {"unit", "time", "outcome", "cohort"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if header is None or not required.issubset(header):
             raise PanelError(
-                f"CSV header must contain {sorted(required)}, got {reader.fieldnames}"
+                f"CSV header must contain {sorted(required)}, got {header}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            unit = row["unit"].strip()
-            try:
-                t = int(row["time"].strip())
-            except ValueError:
-                raise NonIntegerTime(
-                    f"line {lineno}: time {row['time']!r} is not an integer"
-                ) from None
-            try:
-                y = float(row["outcome"].strip())
-            except ValueError:
-                raise PanelError(
-                    f"line {lineno}: outcome {row['outcome']!r} is not a number"
-                ) from None
-            label = row["cohort"].strip()
-            if label == NEVER:
-                g = None
-            else:
-                try:
-                    g = int(label)
-                except ValueError:
-                    raise BadAdoptionTime(
-                        f"line {lineno}: cohort {label!r} is neither an integer "
-                        f"nor {NEVER!r}"
-                    ) from None
-            rows.append((unit, t, y, g))
+        at = {name: i for i, name in enumerate(header)}  # a repeated name's last
+        fields = [at[name] for name in ("unit", "time", "outcome", "cohort")]
+        line = 2  # data rows are numbered without the blank ones
+        while chunk := list(itertools.islice(reader, _LOAD_BLOCK)):
+            block = [row for row in chunk if row]
+            unit, t, y, g = _parse_block(block, header, fields, line)
+            blocks.append((
+                _codes(unit, units), _codes(t, times), _codes(g, labels),
+                np.array(y, dtype=float),
+            ))
+            line += len(block)
     finally:
         if stream is not source:
             stream.close()
 
-    if not rows:
+    if not units:
         raise PanelError("empty panel file")
+    u, t, g, y = (np.concatenate(column) for column in zip(*blocks))
+    units, labels = list(units), list(labels)
+    first = np.unique(u, return_index=True)[1]  # each unit's first row
+    bad = np.flatnonzero(g != g[first][u])
+    if len(bad):
+        r = bad[0]
+        raise InconsistentCohortLabel(
+            f"unit {units[u[r]]!r} labeled both {labels[g[first[u[r]]]]!r} "
+            f"and {labels[g[r]]!r}"
+        )
 
-    units = []
-    unit_idx = {}
-    adoption = {}
-    for unit, t, y, g in rows:
-        if unit not in unit_idx:
-            unit_idx[unit] = len(units)
-            units.append(unit)
-            adoption[unit] = g
-        elif adoption[unit] != g:
-            raise InconsistentCohortLabel(
-                f"unit {unit!r} labeled both {adoption[unit]!r} and {g!r}"
-            )
-
-    times = sorted({t for _, t, _, _ in rows})
-    lo, hi = times[0], times[-1]
-    if times != list(range(lo, hi + 1)):
-        raise UnbalancedPanel(f"periods {times} are not a consecutive range")
+    ordered = sorted(times)
+    lo, hi = ordered[0], ordered[-1]
+    if ordered != list(range(lo, hi + 1)):
+        raise UnbalancedPanel(f"periods {ordered} are not a consecutive range")
     T = hi - lo + 1
     offset = lo - 1  # internal period = label - offset
+    col = np.array([time - lo for time in times])[t]
 
     N = len(units)
-    outcome = np.full((N, T), np.nan)
-    seen = np.zeros((N, T), dtype=bool)
-    for unit, t, y, g in rows:
-        i, j = unit_idx[unit], t - offset - 1
-        if seen[i, j]:
-            raise DuplicateCell(f"duplicate observation for ({unit!r}, {t})")
-        seen[i, j] = True
-        outcome[i, j] = y
-    if not seen.all():
-        i, j = np.argwhere(~seen)[0]
+    cell = u * T + col
+    counts = np.bincount(cell, minlength=N * T)
+    if counts.max() > 1:
+        order = np.argsort(cell, kind="stable")
+        r = order[1:][cell[order[1:]] == cell[order[:-1]]].min()  # first repeat
+        raise DuplicateCell(
+            f"duplicate observation for ({units[u[r]]!r}, {int(col[r]) + lo})"
+        )
+    if not counts.all():
+        i, j = divmod(int(np.flatnonzero(counts == 0)[0]), T)
         raise UnbalancedPanel(f"missing cell ({units[i]!r}, {j + 1 + offset})")
+    outcome = np.empty((N, T))
+    outcome[u, col] = y
 
-    shifted = tuple(
-        None if adoption[u] is None else adoption[u] - offset for u in units
-    )
+    adoption = map(labels.__getitem__, g[first].tolist())
+    shifted = tuple(None if v is None else v - offset for v in adoption)
     return PanelData(
         units=tuple(units),
         n_periods=T,
@@ -256,6 +250,65 @@ def load_panel(source) -> PanelData:
         adoption=shifted,
         time_labels=tuple(range(lo, hi + 1)),
     )
+
+
+def _codes(values, index):
+    """Codes of ``values`` in ``index`` (value -> code), which new values
+    join in order of first appearance."""
+    for v in dict.fromkeys(values):
+        index.setdefault(v, len(index))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _parse_block(block, header, fields, line):
+    """Units, times, outcomes and cohort labels (None for never) of a block
+    of CSV rows, a column at a time.  A block with a bad field is parsed
+    again row by row (``_parse_row``), which raises at the first bad field
+    with its line number."""
+    try:
+        if block and min(map(len, block)) <= max(fields):
+            raise IndexError("a row lacks a required field")
+        columns = list(zip(*block)) or [()] * len(header)
+        unit, t, y, label = (columns[f] for f in fields)
+        label = list(map(str.strip, label))
+        values = {s: None if s == NEVER else int(s) for s in set(label)}
+        return (
+            list(map(str.strip, unit)), list(map(int, t)), list(map(float, y)),
+            list(map(values.__getitem__, label)),
+        )
+    except (ValueError, IndexError):
+        pass
+    rows = [  # a short row's missing fields are None, as csv.DictReader has them
+        _parse_row(dict(zip(header, row + [None] * (len(header) - len(row)))), n)
+        for n, row in enumerate(block, start=line)
+    ]
+    return tuple(list(column) for column in zip(*rows))
+
+
+def _parse_row(row, lineno):
+    """One CSV row, as a dict of its fields, parsed field by field."""
+    unit = row["unit"].strip()
+    try:
+        t = int(row["time"].strip())
+    except ValueError:
+        raise NonIntegerTime(
+            f"line {lineno}: time {row['time']!r} is not an integer"
+        ) from None
+    try:
+        y = float(row["outcome"].strip())
+    except ValueError:
+        raise PanelError(
+            f"line {lineno}: outcome {row['outcome']!r} is not a number"
+        ) from None
+    label = row["cohort"].strip()
+    if label == NEVER:
+        return unit, t, y, None
+    try:
+        return unit, t, y, int(label)
+    except ValueError:
+        raise BadAdoptionTime(
+            f"line {lineno}: cohort {label!r} is neither an integer nor {NEVER!r}"
+        ) from None
 
 
 @dataclass(frozen=True)

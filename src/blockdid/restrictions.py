@@ -121,7 +121,8 @@ class RestrictionFamily:
     ``equalities`` holds the per-cohort zero-sum rows appended by
     ``with_normalization``.  ``bias_map``, recorded by ``map_to_delta_space``,
     puts the family in overall-bias space.  Members are formed only when
-    asked for (``member``).  Feasible set = union of members.
+    asked for (``member``, or a stack of them by ``member_rows``).  Feasible
+    set = union of members.
     """
 
     family: str
@@ -165,30 +166,40 @@ class RestrictionFamily:
 
     @property
     def members(self):
-        """Every member formed in full; inference forms them one at a time."""
+        """Every member formed in full; inference forms them a block at a
+        time (``member_rows``)."""
         return tuple(self.member(i) for i in range(self.member_count))
 
     def member(self, i) -> Polyhedron:
-        """Member ``i``: the bound and mirror rows of every difference, less
-        the cohort's benchmark rows (rm) or within ``parameter`` (sd),
-        mapped through W^-1 in overall space."""
+        """Member ``i`` as a polyhedron (``member_rows`` of one member)."""
+        (A,), (d,), A_eq, d_eq = self.member_rows([i])
+        return Polyhedron(
+            A=A, d=d, A_eq=A_eq, d_eq=d_eq, label={"benchmarks": self.label(i)}
+        )
+
+    def member_rows(self, members):
+        """Stacked rows of the members indexed by ``members``: the bound and
+        mirror rows of every difference, less the cohort's benchmark rows
+        (rm) or within ``parameter`` (sd), as an (n, rows, cells) array with
+        (n, rows) bounds, and the equality rows and bounds or None; all
+        mapped through W^-1 in overall space, one product per member."""
         cells, bench, bound = self.cells, 0.0, self.parameter
+        members = np.asarray(members, dtype=int)
         if self.family != "sd":
-            k, s_star, sign = self.benchmarks[i].T
-            coeff, bound = self.parameter * sign, 0.0
+            k, s_star, sign = self.benchmarks[members].transpose(2, 0, 1)  # (n, G)
+            coeff, bound = (self.parameter * sign).ravel(), 0.0
             cal = np.asarray(cells.times)[k] + s_star - 1
-            bench = _difference_rows(cells, k, cal, (coeff, -coeff))
-            bench = bench[cells.cohort[_post_cells(cells)]]  # rows take their cohort's
-        A = _member_rows(self.diffs - bench, -self.diffs - bench, cells)
+            bench = _difference_rows(cells, k.ravel(), cal.ravel(), (coeff, -coeff))
+            # rows take their cohort's benchmark
+            bench = bench.reshape(k.shape + (-1,))[:, cells.cohort[_post_cells(cells)]]
+        first = np.broadcast_to(self.diffs - bench, (len(members),) + self.diffs.shape)
+        A = _member_rows(first, -self.diffs - bench, cells)
         A_eq = self.equalities
         if self.bias_map is not None:
             A = A @ self.bias_map.W_inverse
             A_eq = None if A_eq is None else A_eq @ self.bias_map.W_inverse
-        return Polyhedron(
-            A=A, d=np.full(len(A), bound),
-            A_eq=A_eq, d_eq=None if A_eq is None else np.zeros(len(A_eq)),
-            label={"benchmarks": self.label(i)},
-        )
+        d_eq = None if A_eq is None else np.zeros(len(A_eq))
+        return A, np.full(A.shape[:2], bound), A_eq, d_eq
 
     def label(self, i):
         """Member ``i``'s benchmarks as (cohort time, benchmark cohort time,
@@ -224,12 +235,12 @@ def _difference_rows(cells: CellIndex, cohort, cal, coeffs):
 
 
 def _member_rows(first, second, cells: CellIndex):
-    """Rows ``first`` and ``second`` interleaved, structural-zero columns
-    zeroed by assignment (multiplying by a mask would leave -0.0)."""
-    A = np.empty((2 * len(first), len(cells)))
-    A[0::2] = first
-    A[1::2] = second
-    A[:, cells.structural] = 0.0
+    """Stacked rows ``first`` and ``second`` interleaved, structural-zero
+    columns zeroed by assignment (multiplying by a mask would leave -0.0)."""
+    A = np.empty(first.shape[:-2] + (2 * first.shape[-2], len(cells)))
+    A[..., 0::2, :] = first
+    A[..., 1::2, :] = second
+    A[..., cells.structural] = 0.0
     return A
 
 

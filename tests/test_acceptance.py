@@ -29,10 +29,11 @@ from blockdid.estimators import (
 )
 from blockdid.inference import (
     GridSpec,
-    _build_moments,
+    _block_decisions,
     _HybridContext,
-    _prepare_context,
-    _test_point,
+    _member_moments,
+    _prepare_contexts,
+    _target_basis,
     aggregated_att_target,
     aggregated_system,
     by_period_sets,
@@ -368,8 +369,8 @@ def test_criterion_09_hybrid_oracle_and_size():
     fam = map_to_delta_space(sd(layout, bcells, 0.0), bmap)
     btarget = overall_att_target(layout, bcells)
     alpha = 0.05
-    moments = _build_moments(coeffs, fam.members[0], btarget)
-    ctx = _prepare_context(moments, kappa=alpha / 10, draws=10_000, seed=9)
+    moments = _member_moments(coeffs, fam.members[0], *_target_basis(coeffs, btarget))
+    ctx = _prepare_contexts([moments], kappa=alpha / 10, draws=10_000, seed=9)[0]
     chol = np.linalg.cholesky(sigma)
     A_keep = fam.members[0].A[:, bcells.value_positions]
     assert len(moments.a0) == A_keep.shape[0]  # no rows were screened out
@@ -382,7 +383,7 @@ def test_criterion_09_hybrid_oracle_and_size():
         ctx_b = _HybridContext(
             moments=shifted, vertices=ctx.vertices, lf_cv=ctx.lf_cv, kappa=ctx.kappa
         )
-        rejections += _test_point(ctx_b, 0.0, alpha)
+        rejections += _block_decisions([ctx_b], [0.0], alpha)[0, 0]
     rate = rejections / reps
     elapsed = time.perf_counter() - t0
     report(

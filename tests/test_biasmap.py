@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -135,6 +136,14 @@ def test_invert_shares_the_frozen_map(staircase_layout):
         inv.W[0, 0] = 2.0
 
 
+def per_element_csv(cells, M):
+    labels = cells.labels()
+    return "cell," + ",".join(labels) + "\n" + "".join(
+        lab + "," + ",".join(repr(float(x)) for x in row) + "\n"
+        for lab, row in zip(labels, M)
+    )
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 def test_biasmap_csv_bytes_match_per_element_repr(staircase_layout, inverse):
     cells = build_cell_index(staircase_layout, 8, "imputation")
@@ -142,12 +151,22 @@ def test_biasmap_csv_bytes_match_per_element_repr(staircase_layout, inverse):
     out = io.StringIO()
     write_biasmap_csv(bm, out, inverse=inverse)
     M = bm.W_inverse if inverse else bm.W
-    labels = cells.labels()
-    want = "cell," + ",".join(labels) + "\n" + "".join(
-        lab + "," + ",".join(repr(float(x)) for x in row) + "\n"
-        for lab, row in zip(labels, M)
-    )
-    assert out.getvalue() == want
+    assert out.getvalue() == per_element_csv(cells, M)
+
+
+def test_biasmap_csv_writes_signed_zeros_and_non_finite_entries(staircase_layout):
+    # only +0.0 is written without formatting; -0.0, nan and inf keep their repr
+    cells = build_cell_index(staircase_layout, 8, "imputation")
+    M = np.zeros((len(cells), len(cells)))
+    M[0, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.25]
+    M[-1, -1] = -0.0
+    bm = dataclasses.replace(build_w_imputation(staircase_layout, cells), W_inverse=M)
+    out = io.StringIO()
+    write_biasmap_csv(bm, out, inverse=True)
+    assert out.getvalue() == per_element_csv(cells, M)
+    first = out.getvalue().splitlines()[1].split(",")
+    assert first[1:8] == ["-0.0", "nan", "inf", "-inf", "5e-324", "0.25", "0.0"]
+    assert out.getvalue().splitlines()[-1].endswith(",-0.0")
 
 
 def test_identity_map_inverts_to_identity():

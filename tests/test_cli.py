@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from blockdid.cli import main
+from blockdid.cli import _parse_sweep, main
 
 
 def run_cli(*args):
@@ -441,3 +441,19 @@ def test_malformed_text_options_get_stable_codes_before_any_bootstrap(
     assert err["error"]["code"] == code
     assert boots == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("0:1:0.35", (0.0, 0.35, 0.7)),  # the step does not divide: stop below hi
+        ("0.1:0.3:0.1", (0.1, 0.2, 0.3)),  # 0.1 + 2 * 0.1 rounds past 0.3
+        ("0:1:0.25", (0.0, 0.25, 0.5, 0.75, 1.0)),
+    ],
+)
+def test_param_sweep_never_passes_hi_and_ends_on_it_when_the_step_divides(
+    text, want
+):
+    got = _parse_sweep(text)
+    assert got == want
+    assert max(got) <= float(text.split(":")[1])

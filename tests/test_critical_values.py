@@ -20,11 +20,10 @@ import blockdid.inference as inference
 from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.estimators import aggregate
 from blockdid.inference import (
+    _block_decisions,
     _column_space,
-    _decisions,
     _gaussian_root,
     _member_moments,
-    _prepare_context,
     _prepare_contexts,
     _standard_normals,
     _target_basis,
@@ -157,7 +156,7 @@ def check_blocks(rng, designs, draws, empty_every=0):
                     mom = ctx.moments
                     det = mom.det_a0[:, None] - np.outer(mom.det_a1, points)
                     allowed = ~(det > mom.det_tol[:, None]).any(axis=0)
-                    assert not _decisions(ctx, points, 0.05)[allowed].any()
+                    assert not _block_decisions([ctx], points, 0.05)[0, allowed].any()
                     seen["empty"] += 1
             shapes = {c.vertices.shape for c in contexts if len(c.vertices)}
             seen["mixed shapes"] += len(shapes) > 1
@@ -192,7 +191,7 @@ def test_a_members_critical_value_does_not_depend_on_its_block():
             systems += design_systems(rng, "rm-cohort", estimator)[0]
         contexts = _prepare_contexts(systems[:BLOCK], KAPPA, DRAWS, seed=11)
         for moments, ctx in zip(systems, contexts):
-            alone = _prepare_context(moments, KAPPA, DRAWS, seed=11)
+            alone = _prepare_contexts([moments], KAPPA, DRAWS, seed=11)[0]
             assert_close(ctx.lf_cv, alone.lf_cv)
             compared += 1
     assert compared == 2 * BLOCK

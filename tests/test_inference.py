@@ -14,17 +14,15 @@ from blockdid.inference import (
     GridSpec,
     InvalidDraws,
     InvalidGrid,
-    _build_moments,
+    _block_decisions,
     _column_space,
-    _decisions,
     _dual_vertices,
     _gaussian_root,
     _HybridContext,
     _member_moments,
-    _prepare_context,
+    _prepare_contexts,
     _standard_normals,
     _target_basis,
-    _test_point,
     _truncnorm_quantile,
     aggregated_att_target,
     aggregated_system,
@@ -278,8 +276,8 @@ def csnyt_boundary_system():
 def test_hybrid_size_at_boundary_null():
     coeffs, member, target, sigma = csnyt_boundary_system()
     alpha = 0.05
-    moments = _build_moments(coeffs, member, target)
-    ctx = _prepare_context(moments, kappa=alpha / 10, draws=4000, seed=9)
+    moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
+    ctx = _prepare_contexts([moments], kappa=alpha / 10, draws=4000, seed=9)[0]
     rng = np.random.default_rng(123)
     root = np.linalg.cholesky(sigma)
     rejections = 0
@@ -292,7 +290,7 @@ def test_hybrid_size_at_boundary_null():
         ctx_b = _HybridContext(
             moments=draw, vertices=ctx.vertices, lf_cv=ctx.lf_cv, kappa=ctx.kappa
         )
-        rejections += _test_point(ctx_b, 0.0, alpha)
+        rejections += _block_decisions([ctx_b], [0.0], alpha)[0, 0]
     assert rejections / reps <= alpha + 0.05
 
 
@@ -345,12 +343,12 @@ def test_hybrid_fallback_no_smaller_than_least_favorable():
                          d=np.concatenate([base.d, base.d]))
     target = overall_att_target(layout, cells)
     alpha = 0.05
-    moments = _build_moments(coeffs, doubled, target)
-    hybrid_ctx = _prepare_context(moments, kappa=alpha / 10, draws=4000, seed=2)
-    lf_ctx = _prepare_context(moments, kappa=alpha, draws=4000, seed=2)
+    moments = _member_moments(coeffs, doubled, *_target_basis(coeffs, target))
+    hybrid_ctx, = _prepare_contexts([moments], kappa=alpha / 10, draws=4000, seed=2)
+    lf_ctx = _prepare_contexts([moments], kappa=alpha, draws=4000, seed=2)[0]
     assert hybrid_ctx.lf_cv >= lf_ctx.lf_cv
     for theta0 in np.linspace(-2, 2, 41):
-        hybrid_rejects = _test_point(hybrid_ctx, theta0, alpha)
+        hybrid_rejects = _block_decisions([hybrid_ctx], [theta0], alpha)[0, 0]
         # pure least-favorable decision: first stage at level alpha only
         y = moments.a0 - moments.a1 * theta0
         lf_rejects = float((hybrid_ctx.vertices @ y).max()) > lf_ctx.lf_cv
@@ -406,7 +404,7 @@ def test_lp_path_matches_vertex_path(boot_toy):
         map_to_delta_space(rm_global(layout, cells, 0.4), bm).members[:3]
     )
     for member in members:
-        moments = _build_moments(coeffs, member, target)
+        moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
         vertices = _dual_vertices(moments.sd, moments.X)
         assert len(vertices)
         for theta0 in np.linspace(-2.0, 6.0, 17):
@@ -520,7 +518,7 @@ def test_dual_vertices_match_brute_force_on_design_members(estimator):
             sd(layout, coeffs.cells, 0.1),
         ):
             for member in map_to_delta_space(fam, bm).members:
-                mom = _build_moments(coeffs, member, target)
+                mom = _member_moments(coeffs, member, *_target_basis(coeffs, target))
                 assert_same_vertices(
                     _dual_vertices(mom.sd, mom.X), brute_force_vertices(mom.sd, mom.X)
                 )
@@ -543,15 +541,13 @@ def sd_cliff_systems():
     coeffs = bootstrap_vcov(sim.panel, BootstrapSpec(60, 5, "csnyt"))
     bm = invert(build_w_csnyt(layout, coeffs.cells))
     fam = map_to_delta_space(sd(layout, coeffs.cells, 0.05), bm)
-    cohort = _build_moments(
-        coeffs, fam.members[0], overall_att_target(layout, coeffs.cells)
-    )
+    target = overall_att_target(layout, coeffs.cells)
+    cohort = _member_moments(coeffs, fam.members[0], *_target_basis(coeffs, target))
     agg = aggregate(coeffs, layout)
     agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
     agg_fam = map_to_delta_space(sd(agg_layout, agg_cells, 0.05), agg_map)
-    pooled = _build_moments(
-        agg_coeffs, agg_fam.members[0], aggregated_att_target(agg, agg_cells)
-    )
+    agg_basis = _target_basis(agg_coeffs, aggregated_att_target(agg, agg_cells))
+    pooled = _member_moments(agg_coeffs, agg_fam.members[0], *agg_basis)
     return {"cohort": cohort, "aggregated": pooled}
 
 
@@ -668,14 +664,16 @@ def test_nuisance_basis_invariance(boot_toy):
     post, lbar, basis = _target_basis(coeffs, target)
     points = np.linspace(-1, 5, 9)
     a, b = (
-        _decisions(
-            _prepare_context(
-                _member_moments(coeffs, fam.members[0], post, lbar, X_post),
-                kappa=0.005, draws=10_000, seed=3,
-            ),
+        _block_decisions(
+            [
+                _prepare_contexts(
+                    [_member_moments(coeffs, fam.members[0], post, lbar, X_post)],
+                    kappa=0.005, draws=10_000, seed=3,
+                )[0]
+            ],
             points,
             0.05,
-        )
+        )[0]
         for X_post in (basis, alt_basis)
     )
     assert np.array_equal(a, b)

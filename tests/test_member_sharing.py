@@ -20,10 +20,10 @@ from blockdid.estimators import aggregate
 from blockdid.inference import (
     GridSpec,
     InferenceError,
-    _build_moments,
-    _decisions,
     _dual_vertices,
-    _prepare_context,
+    _member_moments,
+    _prepare_contexts,
+    _target_basis,
     aggregated_att_target,
     aggregated_system,
     confidence_set,
@@ -42,6 +42,7 @@ from blockdid.simgen import gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
+from oracles import decisions
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
 W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}
@@ -61,9 +62,9 @@ def unshared_accepted(coeffs, family, target, grid, seed):
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
-        moments = _build_moments(coeffs, member, target)
-        ctx = _prepare_context(moments, kappa=ALPHA / 10, draws=DRAWS, seed=seed)
-        accepted[todo] = ~_decisions(ctx, points[todo], ALPHA)
+        moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
+        ctx, = _prepare_contexts([moments], kappa=ALPHA / 10, draws=DRAWS, seed=seed)
+        accepted[todo] = ~decisions(ctx, points[todo], ALPHA)
     return accepted
 
 
@@ -261,7 +262,8 @@ def test_nuisance_systems_of_one_shape_get_their_own_rays(toy_system, counted):
     scale = np.ones(len(first.d))
     scale[0] = 2.0  # moves the column space of the nuisance loadings
     scaled = replace(first, A=first.A * scale[:, None])
-    systems = [_build_moments(coeffs, m, target) for m in (first, scaled, first)]
+    basis = _target_basis(coeffs, target)
+    systems = [_member_moments(coeffs, m, *basis) for m in (first, scaled, first)]
     assert systems[0].X.shape == systems[1].X.shape
     assert not np.array_equal(systems[0].X, systems[1].X)
 
@@ -285,21 +287,26 @@ def test_no_block_is_formed_after_every_point_is_accepted(
     block = inference._MEMBER_BLOCK
     assert fam.member_count > 3 * block
     formed, decided, accepting = [], [], {"member": 20}
-    member_moments = inference._member_moments
+    block_moments = inference._block_moments
 
-    def count_members(coeffs, member, *basis):
-        formed.append(member)
-        return member_moments(coeffs, member, *basis)
+    def count_members(coeffs, A, *args):
+        formed.extend(A)
+        return block_moments(coeffs, A, *args)
 
-    def decisions(ctx, points, alpha):
-        decided.append(ctx)
-        return np.full(len(points), len(decided) < accepting["member"])
+    def decisions(contexts, points, alpha):
+        rows = []
+        for ctx in contexts:  # the nth member decided rejects while n < 20
+            decided.append(ctx)
+            rows.append(np.full(len(points), len(decided) < accepting["member"]))
+        return np.array(rows)
 
-    monkeypatch.setattr(inference, "_member_moments", count_members)
-    monkeypatch.setattr(inference, "_decisions", decisions)
+    monkeypatch.setattr(inference, "_block_moments", count_members)
+    monkeypatch.setattr(inference, "_block_decisions", decisions)
     cset = shared_set(coeffs, fam, target, _far_grid(coeffs, target), seed=3)
     assert len(cset.intervals) == 1
-    assert len(decided) == 20
+    # a block is decided whole: the members decided are those formed
+    assert [id(c) for c in decided] == [id(c) for c in counted["contexts"]]
+    assert len(decided) == 2 * block
     assert counted["blocks"] == [block, block]
     assert len(formed) == 2 * block
 
@@ -311,6 +318,26 @@ def test_no_block_is_formed_after_every_point_is_accepted(
     assert len(formed) == block
 
 
+def _accepting_from(member):
+    """Block decisions that reject every point until the ``member``-th
+    member decided, which accepts them all."""
+    left = {"n": member}
+
+    def decisions(contexts, points, alpha):
+        rows = []
+        for _ in contexts:
+            left["n"] -= 1
+            rows.append(np.full(len(points), left["n"] > 0))
+        return np.array(rows)
+
+    return decisions
+
+
+def _reduced(member, coeffs):
+    """A member's rows as ``_block_moments`` receives them."""
+    return member.A[:, coeffs.positions].tobytes()
+
+
 def test_a_member_past_the_accepting_one_fails_only_when_reached(
     toy_system, monkeypatch
 ):
@@ -318,25 +345,19 @@ def test_a_member_past_the_accepting_one_fails_only_when_reached(
     # must not fail the set, and when it is reached it fails as before
     coeffs, layout, bm, target = toy_system
     fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
-    bad = fam.member(3).A.tobytes()
-    member_moments = inference._member_moments
+    bad = _reduced(fam.member(3), coeffs)
+    block_moments = inference._block_moments
 
-    def refuse_member_3(coeffs, member, *basis):
-        if member.A.tobytes() == bad:
+    def refuse_member_3(coeffs, A, *args):
+        if any(rows.tobytes() == bad for rows in A):
             raise inference.SingularVcov("every moment row has zero variance")
-        return member_moments(coeffs, member, *basis)
+        return block_moments(coeffs, A, *args)
 
-    monkeypatch.setattr(inference, "_member_moments", refuse_member_3)
+    monkeypatch.setattr(inference, "_block_moments", refuse_member_3)
     grid = _far_grid(coeffs, target)
-    accept_at = {"n": 2}
-
-    def decisions(ctx, points, alpha):
-        accept_at["n"] -= 1
-        return np.full(len(points), accept_at["n"] > 0)
-
-    monkeypatch.setattr(inference, "_decisions", decisions)
+    monkeypatch.setattr(inference, "_block_decisions", _accepting_from(2))
     assert not shared_set(coeffs, fam, target, grid, seed=3).is_empty
-    accept_at["n"] = 10
+    monkeypatch.setattr(inference, "_block_decisions", _accepting_from(10))
     with pytest.raises(inference.SingularVcov):
         shared_set(coeffs, fam, target, grid, seed=3)
 
@@ -354,13 +375,10 @@ def test_a_member_over_the_vertex_cap_is_refused_only_when_reached(
     monkeypatch.setattr(inference, "_VERTEX_ENUM_CAP", 2 * m - k - 1)
     assert shared_set(coeffs, fam, target, grid, seed=3).is_empty  # all fit
 
-    bad = fam.member(3).A.tobytes()
-    member_moments = inference._member_moments
+    bad = _reduced(fam.member(3), coeffs)
+    block_moments = inference._block_moments
 
-    def double_member_3(coeffs, member, *basis):
-        mom = member_moments(coeffs, member, *basis)
-        if member.A.tobytes() != bad:
-            return mom
+    def doubled(mom):
         return replace(
             mom,
             a0=np.tile(mom.a0, 2),
@@ -370,16 +388,17 @@ def test_a_member_over_the_vertex_cap_is_refused_only_when_reached(
             sd=np.tile(mom.sd, 2),
         )
 
-    monkeypatch.setattr(inference, "_member_moments", double_member_3)
-    accept_at = {"n": 2}
+    def double_member_3(coeffs, A, *args):
+        systems = block_moments(coeffs, A, *args)
+        return [
+            doubled(mom) if rows.tobytes() == bad else mom
+            for rows, mom in zip(A, systems)
+        ]
 
-    def decisions(ctx, points, alpha):
-        accept_at["n"] -= 1
-        return np.full(len(points), accept_at["n"] > 0)
-
-    monkeypatch.setattr(inference, "_decisions", decisions)
+    monkeypatch.setattr(inference, "_block_moments", double_member_3)
+    monkeypatch.setattr(inference, "_block_decisions", _accepting_from(2))
     assert not shared_set(coeffs, fam, target, grid, seed=3).is_empty
-    accept_at["n"] = 10
+    monkeypatch.setattr(inference, "_block_decisions", _accepting_from(10))
     with pytest.raises(inference.VertexCapExceeded) as exc:
         shared_set(coeffs, fam, target, grid, seed=3)
     assert exc.value.code == "VERTEX_CAP_EXCEEDED"

@@ -23,7 +23,7 @@ from blockdid.inference import (
     AllMembersInfeasible,
     InferenceError,
     IntervalSet,
-    _reduced_member,
+    _reduced_rows,
     aggregated_att_target,
     aggregated_system,
     corrected_point,
@@ -85,7 +85,11 @@ def member_bounds(coeffs, member, target):
     """[min, max] of l'(beta_post - delta_post) over one member, or None."""
     cells = coeffs.cells
     positions = coeffs.positions
-    A, d, A_eq, d_eq = _reduced_member(member, cells, positions)
+    rows = (member.A[None], member.d[None], None, None)
+    (A,), (d,) = _reduced_rows(*rows, cells, positions)
+    A_eq, d_eq = member.A_eq, member.d_eq
+    if A_eq is not None:
+        A_eq = A_eq[:, positions]
     n = len(positions)
     pre = cells.pre[positions]
     l_vec = target.weights[positions]
