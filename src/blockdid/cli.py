@@ -10,6 +10,7 @@ record ``{"error": {"code": ..., "message": ...}}``.
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -79,6 +80,8 @@ class RunConfig:
     def hash(self):
         payload = asdict(self)
         payload.pop("out", None)  # the destination does not shape the results
+        if self.input:  # one file, however its path is spelled
+            payload["input"] = os.path.realpath(self.input)
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as scilinalg
-from scipy import stats as scistats
+from scipy import special as scispecial
 
 from .biasmap import BiasMap
 from .estimators import AggregatedSeries, CoefficientSet, _check_pre_zero_sum
@@ -578,18 +578,58 @@ def _stacked_maxima(stacked, n, z):
 def _truncnorm_quantile(p, lo, hi):
     """Quantiles of standard normals truncated to [lo[i], hi[i]].
 
-    An empty interval gives ``lo``; a far-tail interval where scipy returns a
-    non-finite value gives its finite bound.
+    From ``scipy.special`` alone, by scipy 1.17's own algorithms for
+    ``norm.ppf`` and ``truncnorm.ppf`` (``_truncnorm_ppf``), bit for bit.  An
+    empty interval gives ``lo``, a far-tail one with no finite quantile its
+    finite bound.
     """
     lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi)))
     free = np.isinf(lo) & np.isinf(hi) & (lo < hi)
     cut = ~(lo >= hi) & ~free
-    out = np.where(free, scistats.norm.ppf(p), lo)
+    out = np.where(free, scispecial.ndtri(p) * 1.0 + 0.0, lo)
     if cut.any():
-        out[cut] = scistats.truncnorm.ppf(p, a=lo[cut], b=hi[cut])
+        out[cut] = _truncnorm_ppf(p, lo[cut], hi[cut])
     bad = cut & ~np.isfinite(out)
     out[bad] = np.where(np.isfinite(hi[bad]), hi[bad], lo[bad])
     return out
+
+
+def _truncnorm_ppf(q, a, b):
+    """scipy's ``truncnorm.ppf(q, a, b)`` by scipy 1.17's log-space
+    algorithm, operation for operation: nan unless a < b, a at q == 0, b at
+    q == 1, else ``ndtri_exp`` of the log cdf, from a's side when a < 0."""
+    q, a, b = np.broadcast_arrays(np.asarray(q, dtype=float), a, b)
+    out = np.full(q.shape, np.nan)
+    ok = a < b
+    for edge, bound in ((q == 0, a), (q == 1, b)):
+        out[ok & edge] = bound[ok & edge] * 1.0 + 0.0
+    ok &= (0 < q) & (q < 1)
+    q, a, b = q[ok], a[ok], b[ok]
+    x, left = np.empty_like(q), a < 0
+    sides = ((left, 1.0, np.log(q), scispecial.log_ndtr(a)),
+             (~left, -1.0, np.log1p(-q), scispecial.log_ndtr(-b)))
+    for at, sign, log_q, log_tail in sides:
+        if at.any():
+            log_mass = log_q[at] + _log_gauss_mass(a[at], b[at])
+            log_cdf = scispecial.logsumexp([log_tail[at], log_mass], axis=0)
+            x[at] = sign * scispecial.ndtri_exp(log_cdf)
+    out[ok] = x * 1.0 + 0.0
+    return out
+
+
+def _log_gauss_mass(a, b):
+    """Log standard normal mass of [a, b] as scipy's ``truncnorm`` has it:
+    ``log_ndtr`` differences (-e^x = e^(x + pi i)) in the tails, else log1p."""
+    out = np.full_like(a, np.nan, dtype=np.complex128)
+    left, right = b <= 0, a > 0
+    for at, upper, lower in ((left, b, a), (right, -a, -b)):
+        if at.any():
+            log_cdf = scispecial.log_ndtr(upper[at]), scispecial.log_ndtr(lower[at])
+            out[at] = scispecial.logsumexp([log_cdf[0], log_cdf[1] + np.pi * 1j], axis=0)
+    mid = ~(left | right)
+    if mid.any():
+        out[mid] = scispecial.log1p(-scispecial.ndtr(a[mid]) - scispecial.ndtr(-b[mid]))
+    return np.real(out)
 
 
 def _block_decisions(contexts, points, alpha):

@@ -32,6 +32,7 @@ __all__ = [
     "BadAdoptionTime",
     "InconsistentCohortLabel",
     "NoNeverTreated",
+    "MissingField",
     "PanelData",
     "CohortLayout",
     "Cell",
@@ -74,6 +75,10 @@ class InconsistentCohortLabel(PanelError):
 
 class NoNeverTreated(PanelError):
     code = "NO_NEVER_TREATED"
+
+
+class MissingField(PanelError):
+    code = "MISSING_FIELD"
 
 
 @dataclass(frozen=True)
@@ -286,21 +291,30 @@ def _parse_block(block, header, fields, line):
 
 
 def _parse_row(row, lineno):
-    """One CSV row, as a dict of its fields, parsed field by field."""
-    unit = row["unit"].strip()
+    """One CSV row, as a dict of its fields, parsed field by field; a field
+    missing from a short row raises ``MissingField`` when its turn comes."""
+
+    def field(name):
+        if row[name] is None:
+            raise MissingField(f"line {lineno}: no {name!r} field")
+        return row[name].strip()
+
+    unit = field("unit")
+    text = field("time")
     try:
-        t = int(row["time"].strip())
+        t = int(text)
     except ValueError:
         raise NonIntegerTime(
             f"line {lineno}: time {row['time']!r} is not an integer"
         ) from None
+    text = field("outcome")
     try:
-        y = float(row["outcome"].strip())
+        y = float(text)
     except ValueError:
         raise PanelError(
             f"line {lineno}: outcome {row['outcome']!r} is not a number"
         ) from None
-    label = row["cohort"].strip()
+    label = field("cohort")
     if label == NEVER:
         return unit, t, y, None
     try:

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockdid.cli import _parse_sweep, main
+import blockdid
+from blockdid.cli import RunConfig, _parse_sweep, main
 
 
 def run_cli(*args):
@@ -57,6 +62,14 @@ def test_validate_non_finite_outcome_exits_with_code(tmp_path, capsys):
     assert run_cli("validate", "--input", str(bad)) == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == "NON_FINITE_OUTCOME"
+
+
+def test_validate_short_row_exits_with_code(tmp_path, capsys):
+    bad = tmp_path / "short.csv"
+    bad.write_text("unit,time,outcome,cohort\na,1,0.5,never\na,2\n")
+    assert run_cli("validate", "--input", str(bad)) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": "MISSING_FIELD", "message": "line 3: no 'outcome' field"}
 
 
 def test_estimate_csv_schema(panel_csv, tmp_path):
@@ -280,6 +293,25 @@ def test_byperiod_aggregated_framework(panel_csv, tmp_path):
     assert sorted(payload["periods"], key=int) == ["1", "2", "3", "4"]
 
 
+def test_config_hash_does_not_depend_on_the_input_spelling(
+    panel_csv, tmp_path, monkeypatch
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    (tmp_path / "panel.csv").write_bytes(panel_csv.read_bytes())
+    monkeypatch.chdir(work)
+    spellings = ["../panel.csv", str(tmp_path / "panel.csv"), "./../work/../panel.csv"]
+    assert len({RunConfig("estimate", input=p).hash() for p in spellings}) == 1
+    firsts = set()
+    for n, path in enumerate(spellings):
+        out = work / f"coeffs{n}.csv"
+        assert run_cli("estimate", "--input", path, "--out", str(out)) == 0
+        firsts.add(out.read_text().splitlines()[0])
+    assert len(firsts) == 1
+    other = RunConfig("estimate", input=str(panel_csv)).hash()
+    assert other != RunConfig("estimate", input="../panel.csv").hash()
+
+
 def test_reruns_reproduce_results(panel_csv, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = [
@@ -457,3 +489,41 @@ def test_param_sweep_never_passes_hi_and_ends_on_it_when_the_step_divides(
     got = _parse_sweep(text)
     assert got == want
     assert max(got) <= float(text.split(":")[1])
+
+
+IMPORT_GRAPH = """
+import json, sys
+import blockdid.cli as cli
+import blockdid.inference as inference
+
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))
+
+after_import = heavy()
+calls = []
+quantile = inference._truncnorm_quantile
+inference._truncnorm_quantile = lambda *a: calls.append(1) or quantile(*a)
+out = sys.argv[1]
+cli.run(cli.RunConfig("simulate", example="toy", seed=3, out=out + "/toy.csv"))
+cli.run(cli.RunConfig(
+    "sets", input=out + "/toy.csv", out=out + "/sets.json", params=(0.0, 0.5),
+    framework="both", bootstrap=50, draws=500,
+))
+print(json.dumps([after_import, heavy(), len(calls)]))
+"""
+
+
+def test_no_command_loads_scipy_stats_or_optimize(tmp_path):
+    """A fresh process that imports the CLI and runs a toy ``sets`` chain,
+    conditional quantiles included, never loads ``scipy.stats`` (nor the
+    ``scipy.optimize`` it pulls in)."""
+    src = str(Path(blockdid.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    after_import, after_sets, quantile_calls = json.loads(done.stdout.splitlines()[-1])
+    assert after_import == [] and after_sets == []
+    assert quantile_calls > 0

@@ -7,6 +7,7 @@ from blockdid.panel import (
     BadAdoptionTime,
     DuplicateCell,
     InconsistentCohortLabel,
+    MissingField,
     NoNeverTreated,
     NonFiniteOutcome,
     NonIntegerTime,
@@ -100,6 +101,27 @@ def test_non_integer_time():
     text = make_csv(["a,1.5,3,never"])
     with pytest.raises(NonIntegerTime):
         load_panel(text)
+
+
+@pytest.mark.parametrize(
+    "row, missing",
+    [("a,2", "outcome"), ("a,2,0.5", "cohort"), ("a", "time")],
+)
+def test_short_row_names_its_line_and_missing_field(row, missing):
+    text = make_csv(["a,1,0.5,never", row])
+    with pytest.raises(MissingField) as err:
+        load_panel(text)
+    assert err.value.code == "MISSING_FIELD"
+    assert str(err.value) == f"line 3: no {missing!r} field"
+
+
+def test_short_row_keeps_earlier_field_errors():
+    # fields are checked in column order: a bad time before the missing
+    # outcome is still a bad time, on the same line
+    with pytest.raises(NonIntegerTime, match="^line 3: time 'x'"):
+        load_panel(make_csv(["a,1,0.5,never", "a,x"]))
+    with pytest.raises(BadAdoptionTime, match="^line 2: cohort"):
+        load_panel(make_csv(["a,1,0.5,later", "a,2"]))
 
 
 def test_adoption_outside_range():

@@ -6,7 +6,9 @@
 records apart from ``runtime_ms``: every field exactly, except that an
 interval endpoint may move by one grid step and the plug-in bounds and the
 corrected point by 1e-9 relative, the rounding another BLAS build may give.
-The top-level ``config_hash`` covers the input path, so it is not compared.
+The top-level ``config_hash`` covers the input's resolved path (one file
+gives one hash, however its path is spelled), and that path differs from
+one checkout or temporary directory to the next, so it is not compared.
 
 ``python tests/test_sets_golden.py SETS.json`` compares a ``sets`` output
 with the pinned one and exits 1 when they differ.
