@@ -40,7 +40,15 @@ from .restrictions import map_to_delta_space, rm_cohort, rm_global, sd
 from .simgen import gen_example1, gen_example2, gen_toy
 from .vcov import BootstrapSpec, bootstrap_vcov
 
-__all__ = ["RunConfig", "UnsupportedOption", "InvalidParam", "run", "main"]
+__all__ = [
+    "RunConfig",
+    "UnsupportedOption",
+    "InvalidParam",
+    "InvalidSizes",
+    "InvalidNoiseVariance",
+    "run",
+    "main",
+]
 
 
 class UnsupportedOption(ValueError):
@@ -51,6 +59,14 @@ class UnsupportedOption(ValueError):
 
 class InvalidParam(ValueError):
     code = "INVALID_PARAM"
+
+
+class InvalidSizes(ValueError):
+    code = "INVALID_SIZES"
+
+
+class InvalidNoiseVariance(ValueError):
+    code = "INVALID_NOISE_VARIANCE"
 
 
 @dataclass(frozen=True)
@@ -113,6 +129,19 @@ def _parse_grid(text):
         return (float(lo), float(hi), int(n))
     except ValueError:
         raise InvalidGrid(f"--grid takes lo:hi:n, got {text!r}") from None
+
+
+def _parse_sizes(text):
+    """``--sizes`` as exactly three positive integers."""
+    try:
+        sizes = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3 or min(sizes) < 1:
+        raise InvalidSizes(
+            f"--sizes takes three positive integers N5,N7,Nnever; got {text!r}"
+        )
+    return sizes
 
 
 def _target_period(text):
@@ -200,7 +229,7 @@ def _config_from_args(args):
     if getattr(args, "grid", None):
         kw["grid"] = _parse_grid(args.grid)
     if getattr(args, "sizes", None):
-        kw["sizes"] = tuple(int(x) for x in args.sizes.split(","))
+        kw["sizes"] = _parse_sizes(args.sizes)
     return RunConfig(**kw)
 
 
@@ -323,6 +352,11 @@ def run(config: RunConfig) -> int:
         _target_period(config.target)
     if config.command in ("vcov", "sets", "byperiod", "compare"):
         BootstrapSpec(config.bootstrap, config.seed, config.estimator)
+    if config.command == "simulate" and not 0.0 <= config.noise_variance < float("inf"):
+        raise InvalidNoiseVariance(
+            "--noise-variance takes a finite, nonnegative value; "
+            f"got {config.noise_variance!r}"
+        )
     if config.command == "validate":
         load_panel(config.input)
         print("ok")

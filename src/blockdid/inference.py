@@ -19,8 +19,10 @@ the extreme rays of {lam >= 0 : X'lam = 0}, by double description and shared
 by the members with one X (none when that cone is {0}: the statistic is then
 -inf; past a ray cap the member is refused).  A family's members are tested
 ``_MEMBER_BLOCK`` at a time, and the block is the unit of work: stacked
-moments and Gaussian roots, one Monte Carlo product and quantile call, and
-one stage-two pass with one truncated normal quantile call.
+moments and Gaussian roots, one Monte Carlo product, and one stage-two pass
+with one truncated normal quantile call.  Each member's critical value is
+read from the upper tail of its draws (``_row_quantiles``): only the values
+not below a threshold set on a strided sample are partitioned.
 """
 
 import functools
@@ -80,6 +82,8 @@ _MEMBER_BLOCK = 16
 # values of one chunk of the stacked Monte Carlo product, which bounds its
 # transient memory (256 KiB)
 _MC_CHUNK_VALUES = 1 << 15
+# every _QUANTILE_STRIDE-th draw is the sample that sets a row's tail threshold
+_QUANTILE_STRIDE = 16
 # values of one stacked stage-one statistic, or of the bases gathered for
 # the points of stage two (8 MiB)
 _STACK_VALUES = 1 << 20
@@ -543,8 +547,9 @@ def _prepare_contexts(moments_list, kappa, draws, seed, shared_rays=None):
     vertices of P Z', P = vertices @ root.  Systems with the same vertex and
     moment counts take their roots from one stacked ``eigh``, share Z, and
     stack their P vertex-major (row j*n + i is system i's vertex j) for one
-    chunked product (``_stacked_maxima``) and one quantile call.  A system
-    without vertices gets -inf."""
+    chunked product (``_stacked_maxima``); each row's quantile is then taken
+    from its upper tail (``_row_quantiles``), exactly as ``np.quantile``
+    gives it.  A system without vertices gets -inf."""
     contexts, stacks = [], {}  # (vertex count, moment count) -> systems
     for i, m in enumerate(moments_list):
         vertices = _dual_vertices(m.sd, m.X, shared_rays)
@@ -556,10 +561,41 @@ def _prepare_contexts(moments_list, kappa, draws, seed, shared_rays=None):
         products = np.stack([contexts[i].vertices for i in at]) @ roots
         stacked = products.transpose(1, 0, 2).reshape(-1, dim)
         eta = _stacked_maxima(stacked, len(at), _standard_normals(seed, draws, dim))
-        cvs = np.quantile(eta, 1.0 - kappa, axis=1, overwrite_input=True)
+        cvs = _row_quantiles(eta, 1.0 - kappa)
         for i, cv in zip(at, cvs.tolist()):
             contexts[i].lf_cv = cv
     return contexts
+
+
+def _row_quantiles(eta, q):
+    """``np.quantile(eta, q, axis=1)`` (the linear method) bit for bit, from
+    each row's upper tail.  Numpy's ranks lo and lo + 1 of (n - 1) q, with
+    its clamps, lie among the row's n - lo largest values.  A fixed order
+    statistic of every ``_QUANTILE_STRIDE``-th draw is a threshold; only the
+    values not below it are partitioned, or the whole row when they are
+    fewer than n - lo.  A row with a NaN gives NaN, as in numpy."""
+    n = eta.shape[1]
+    v = (n - 1) * q  # numpy's virtual index, for 0 <= q <= 1
+    lo = math.floor(v)
+    lo, hi = (-1, -1) if v >= n - 1 else (lo, lo + 1)  # numpy's clamp past the end
+    gamma, lo, hi = v - lo, lo % n, hi % n
+    sample = eta[:, ::_QUANTILE_STRIDE]
+    # on average stride * (m - k) >= 2 (n - lo) + 128 values are not below
+    # the k-th value of the m sampled draws
+    k = sample.shape[1] - 2 * -(-(n - lo) // _QUANTILE_STRIDE) - 8
+    t = np.partition(sample, k, axis=1)[:, k] if k > 0 else np.full(len(eta), -np.inf)
+    a, b, last = np.empty((3, len(eta)))
+    for i, row in enumerate(eta):
+        top = row[~(row < t[i])]  # NaN is kept, so the row's last value shows it
+        if len(top) < n - lo:
+            top = row
+        at = len(top) - n
+        part = np.partition(top, (lo + at, hi + at, -1))
+        a[i], b[i], last[i] = part[lo + at], part[hi + at], part[-1]
+    diff = b - a  # numpy's _lerp
+    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    np.copyto(out, last, where=np.isnan(last))
+    return out
 
 
 def _stacked_maxima(stacked, n, z):

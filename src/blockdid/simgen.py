@@ -70,8 +70,10 @@ class DGPSpec:
             raise ValueError(f"adoption times {times} not strictly increasing")
         if self.never_size < 1:
             raise ValueError("need at least one never-treated unit")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < float("inf"):  # NaN fails too
+            raise ValueError(
+                f"noise_sd must be finite and nonnegative, got {self.noise_sd}"
+            )
         if self.violations and len(self.violations) != len(self.cohorts):
             raise ValueError("one violation entry per cohort required")
 

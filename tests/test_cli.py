@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,31 @@ def test_malformed_text_options_get_stable_codes_before_any_bootstrap(
     assert err["error"]["code"] == code
     assert boots == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--example", "1", "--noise-variance", "-1"], "INVALID_NOISE_VARIANCE"),
+        (["--example", "2", "--noise-variance", "nan"], "INVALID_NOISE_VARIANCE"),
+        (["--example", "1", "--noise-variance", "inf"], "INVALID_NOISE_VARIANCE"),
+        (["--example", "toy", "--sizes", "4,4"], "INVALID_SIZES"),
+        (["--example", "toy", "--sizes", "a,b"], "INVALID_SIZES"),
+        (["--example", "toy", "--sizes", "4,0,4"], "INVALID_SIZES"),
+        (["--example", "toy", "--sizes", "4,4,4,4"], "INVALID_SIZES"),
+    ],
+)
+def test_simulate_refuses_bad_noise_and_sizes_before_writing(
+    tmp_path, capsys, argv, code
+):
+    out = tmp_path / "panel.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 'invalid value encountered in sqrt'
+        assert run_cli("simulate", *argv, "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == code
+    assert argv[-2] in err["error"]["message"]  # the message names the flag
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

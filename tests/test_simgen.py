@@ -118,3 +118,6 @@ def test_generated_panels_pass_validation():
         DGPSpec(T=5, cohorts=((3, 2),), never_size=0)
     with pytest.raises(ValueError):
         DGPSpec(T=5, cohorts=((3, 2),), never_size=2, noise_sd=-1.0)
+    for noise_sd in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sd"):
+            DGPSpec(T=5, cohorts=((3, 2),), never_size=2, noise_sd=noise_sd)
