@@ -10,6 +10,7 @@ record ``{"error": {"code": ..., "message": ...}}``.
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -137,9 +138,20 @@ def _parse_sizes(text):
         sizes = tuple(int(x) for x in text.split(","))
     except ValueError:
         sizes = ()
-    if len(sizes) != 3 or min(sizes) < 1:
+    return _check_sizes(sizes, text)
+
+
+def _check_sizes(sizes, text=None):
+    """Toy sizes as given, refused unless they are three positive integers;
+    the message quotes ``text`` when they were parsed from it."""
+    try:
+        ok = len(sizes) == 3 and min(map(operator.index, sizes)) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        shown = text if text is not None else sizes
         raise InvalidSizes(
-            f"--sizes takes three positive integers N5,N7,Nnever; got {text!r}"
+            f"--sizes takes three positive integers N5,N7,Nnever; got {shown!r}"
         )
     return sizes
 
@@ -352,11 +364,13 @@ def run(config: RunConfig) -> int:
         _target_period(config.target)
     if config.command in ("vcov", "sets", "byperiod", "compare"):
         BootstrapSpec(config.bootstrap, config.seed, config.estimator)
-    if config.command == "simulate" and not 0.0 <= config.noise_variance < float("inf"):
-        raise InvalidNoiseVariance(
-            "--noise-variance takes a finite, nonnegative value; "
-            f"got {config.noise_variance!r}"
-        )
+    if config.command == "simulate":
+        if not 0.0 <= config.noise_variance < float("inf"):
+            raise InvalidNoiseVariance(
+                "--noise-variance takes a finite, nonnegative value; "
+                f"got {config.noise_variance!r}"
+            )
+        _check_sizes(config.sizes)
     if config.command == "validate":
         load_panel(config.input)
         print("ok")

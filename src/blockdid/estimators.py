@@ -511,11 +511,48 @@ def write_coefficients_csv(coeffs: CoefficientSet, stream, time_labels=None):
         stream.write(f"{coeffs.estimator},{t_g},{s},{cal},{kind},{v!r}\n")
 
 
+# rows per block and columns per tile of the covariance writer
+_VCOV_BLOCK = 16
+_VCOV_TILE = 64
+
+
 def write_vcov_csv(coeffs: CoefficientSet, stream):
-    """Emit the dense covariance matrix with a header row of cell labels."""
+    """Emit the dense covariance matrix with a header row of cell labels.
+
+    Every entry is written as ``repr`` of its float, so the bytes equal the
+    per-element loop's.  A mirrored pair is formatted once: each block of
+    rows formats its upper part, from the diagonal rightwards, tile by tile,
+    and each tile column's text is appended to the pending left part of the
+    later row it mirrors.  A row uses that text when its left entries are
+    bitwise equal to their mirror images (``-0.0`` and ``0.0`` differ) and
+    formats its own entries otherwise.  Besides one tile and one block of
+    row text, only the pending left parts are held: at most about n²/4
+    entries of text.
+    """
     if coeffs.vcov is None:
         raise ValueError("coefficient set has no covariance matrix")
     labels = coeffs.labels()
     stream.write(",".join(labels) + "\n")
-    for row in coeffs.vcov:
-        stream.write(",".join(map(repr, row.tolist())) + "\n")
+    v = coeffs.vcov
+    n = len(v)
+    bits = v.view(np.uint64)
+    pending = [""] * n  # text of V[:r0, j] with a trailing comma, for row j
+    for r0 in range(0, n, _VCOV_BLOCK):
+        r1 = min(r0 + _VCOV_BLOCK, n)
+        mirrored = (bits[r0:r1, :r0] == bits[:r0, r0:r1].T).all(axis=1).tolist()
+        rights = [[] for _ in range(r0, r1)]
+        for c0 in range(r0, n, _VCOV_TILE):
+            c1 = min(c0 + _VCOV_TILE, n)
+            width = c1 - c0
+            text = list(map(repr, v[r0:r1, c0:c1].ravel().tolist()))
+            for k, right in enumerate(rights):
+                right.append(",".join(text[k * width:(k + 1) * width]))
+            for c in range(max(r1 - c0, 0), width):
+                pending[c0 + c] += ",".join(text[c::width]) + ","
+        for k, right in enumerate(rights):
+            i = r0 + k
+            left = pending[i]
+            if not mirrored[k]:
+                left = ",".join(map(repr, v[i, :r0].tolist())) + ","
+            pending[i] = None
+            stream.write(left + ",".join(right) + "\n")

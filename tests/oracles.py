@@ -6,6 +6,9 @@ its optimal dual vertex is inverted, its slack checked and its truncated
 normal bounds taken on their own, with one quantile call per member.
 ``inference._block_decisions`` groups the same work by (member, vertex)
 across a block of members.
+
+``vcov_csv`` is the covariance CSV as the per-element loop wrote it;
+``estimators.write_vcov_csv`` formats each mirrored pair once.
 """
 
 import math
@@ -65,3 +68,10 @@ def decisions(ctx, points, alpha):
         q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
         reject[live[at]] = eta[at] > np.maximum(0.0, sig * q)
     return reject
+
+
+def vcov_csv(coeffs):
+    """Header of cell labels, then every covariance entry as ``repr``."""
+    return ",".join(coeffs.labels()) + "\n" + "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in coeffs.vcov
+    )

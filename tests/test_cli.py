@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import blockdid
-from blockdid.cli import RunConfig, _parse_sweep, main
+from blockdid.cli import RunConfig, _parse_sweep, main, run
+from blockdid.panel import load_panel
+from blockdid.vcov import BootstrapSpec, bootstrap_vcov
+
+from oracles import vcov_csv
 
 
 def run_cli(*args):
@@ -101,6 +105,9 @@ def test_vcov_and_biasmap_outputs(panel_csv, tmp_path):
     mat = np.array([[float(x) for x in row.split(",")] for row in lines[2:]])
     assert mat.shape == (16, 16)
     assert np.max(np.abs(mat - mat.T)) < 1e-12
+    panel = load_panel(str(panel_csv))
+    coeffs = bootstrap_vcov(panel, BootstrapSpec(40, 2, "imputation"))
+    assert vout.read_text().split("\n", 1)[1] == vcov_csv(coeffs)  # past the meta line
 
     wout = tmp_path / "w.csv"
     assert run_cli(
@@ -498,6 +505,17 @@ def test_simulate_refuses_bad_noise_and_sizes_before_writing(
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == code
     assert argv[-2] in err["error"]["message"]  # the message names the flag
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "sizes", [(4, 4), (4, 0, 4), (4, 4, 4, 4), (4, 4.0, 4), ("4", "4", "4"), None]
+)
+def test_run_refuses_bad_sizes_before_writing(tmp_path, sizes):
+    out = tmp_path / "panel.csv"
+    with pytest.raises(ValueError, match="--sizes") as info:
+        run(RunConfig("simulate", example="toy", sizes=sizes, out=str(out)))
+    assert info.value.code == "INVALID_SIZES"
     assert list(tmp_path.iterdir()) == []
 
 

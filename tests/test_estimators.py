@@ -1,8 +1,11 @@
 import io
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from blockdid import estimators
 from blockdid.estimators import (
     CoefficientSet,
     SinglePrePeriod,
@@ -21,6 +24,7 @@ from blockdid.panel import PanelData, build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 
 from conftest import random_panel
+from oracles import vcov_csv
 
 
 def test_saturated_model_zero_residuals():
@@ -403,7 +407,96 @@ def test_vcov_csv_bytes_match_per_element_repr(toy_panel):
     )
     out = io.StringIO()
     write_vcov_csv(coeffs, out)
-    want = ",".join(coeffs.labels()) + "\n" + "".join(
-        ",".join(repr(float(x)) for x in row) + "\n" for row in coeffs.vcov
-    )
-    assert out.getvalue() == want
+    assert out.getvalue() == vcov_csv(coeffs)
+
+
+def _labelled(vcov):
+    """The two things ``write_vcov_csv`` reads from a coefficient set."""
+    labels = [f"c{i}" for i in range(len(vcov))]
+    return SimpleNamespace(vcov=vcov, labels=lambda: labels)
+
+
+def _written(vcov):
+    out = io.StringIO()
+    write_vcov_csv(_labelled(vcov), out)
+    return out.getvalue()
+
+
+def _ulp(x):
+    return np.nextafter(x, np.inf)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 63, 64, 65, 130])
+def test_vcov_csv_matches_oracle_symmetric_or_not(n):
+    rng = np.random.default_rng(n)
+    root = rng.normal(size=(n, n)) * np.exp(rng.uniform(-30, 30, size=(n, 1)))
+    sym = (root + root.T) / 2.0
+    assert (sym.view(np.uint64) == sym.T.view(np.uint64)).all()
+    variants = [sym, np.asfortranarray(sym), root]
+    last, edge = n - 1, min(16, n - 1)
+    for i, j in [
+        (last, 0),  # first column, below and above the diagonal
+        (0, last),
+        (edge, edge - 1),  # across the first row-block edge
+        (edge - 1, edge),
+        (last, last - 1),  # last row
+        (last - 1, last),
+    ]:
+        if i != j:
+            v = sym.copy()
+            v[i, j] = _ulp(v[i, j])
+            variants.append(v)
+    if n > 20:
+        v = sym.copy()
+        v[3, 20], v[20, 3] = 0.0, -0.0  # equal as floats, not as bits
+        v[20, 5], v[5, 20] = 0.0, -0.0
+        v[2, n - 2] = v[n - 2, 2] = 5e-324
+        v[7, 9], v[9, 7] = 5e-324, 0.0
+        variants.append(v)
+    for v in variants:
+        # lines, so that a failure names the first bad row without a long diff
+        assert _written(v).split("\n") == vcov_csv(_labelled(v)).split("\n")
+
+
+def test_vcov_csv_formats_each_mirrored_pair_once(monkeypatch):
+    n = 130
+    rng = np.random.default_rng(3)
+    root = rng.normal(size=(n, n))
+    sym = (root + root.T) / 2.0
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(estimators, "repr", counted, raising=False)
+    _written(sym)
+    # each block of rows formats its upper part from the diagonal rightwards:
+    # the upper triangle plus half of each 16 x 16 diagonal square
+    upper = sum(min(16, n - r0) * (n - r0) for r0 in range(0, n, 16))
+    assert len(calls) == upper <= n * (n + 1) // 2 + 8 * n
+    calls.clear()
+    sym[100, 40] = _ulp(sym[100, 40])  # row 100 formats its own left part
+    _written(sym)
+    assert len(calls) == upper + 96
+
+
+def test_vcov_csv_holds_little_more_than_the_pending_mirror_text():
+    n = 400
+    rng = np.random.default_rng(5)
+    root = rng.normal(size=(n, n))
+    sym = (root + root.T) / 2.0
+
+    class Null:
+        def write(self, text):
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        write_vcov_csv(_labelled(sym), Null())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pending left parts peak near n^2/4 entries of ~20 characters; a
+    # whole matrix of str objects would take about 75 n^2
+    assert peak < 12 * n * n

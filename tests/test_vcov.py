@@ -5,6 +5,8 @@ from blockdid.panel import PanelData, build_layout
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
+from conftest import random_spec
+
 
 @pytest.fixture(scope="module")
 def noisy_panel():
@@ -38,6 +40,18 @@ def test_symmetric_psd_positive_diagonal(noisy_panel, estimator):
     assert np.max(np.abs(v - v.T)) < 1e-12
     assert np.linalg.eigvalsh(v).min() > -1e-8
     assert np.all(np.diag(v) > 0)
+
+
+@pytest.mark.filterwarnings("ignore:singleton cohort strata")
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_vcov_bitwise_symmetric_on_random_designs(estimator):
+    # the covariance writer formats each mirrored pair once; that rests on
+    # (v + v.T) / 2 being symmetric to the bit
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        panel = gen_custom(random_spec(rng)).panel
+        v = bootstrap_vcov(panel, BootstrapSpec(30, 4, estimator)).vcov
+        assert (v.view(np.uint64) == v.T.view(np.uint64)).all()
 
 
 def test_point_values_from_original_sample(noisy_panel):
