@@ -10,6 +10,7 @@ record ``{"error": {"code": ..., "message": ...}}``.
 import argparse
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -39,7 +40,7 @@ from .inference import (
 from .panel import build_cell_index, build_layout, load_panel
 from .restrictions import map_to_delta_space, rm_cohort, rm_global, sd
 from .simgen import gen_example1, gen_example2, gen_toy
-from .vcov import BootstrapSpec, bootstrap_vcov
+from .vcov import BootstrapSpec, InvalidSeed, _check_seed, bootstrap_vcov
 
 __all__ = [
     "RunConfig",
@@ -47,6 +48,7 @@ __all__ = [
     "InvalidParam",
     "InvalidSizes",
     "InvalidNoiseVariance",
+    "InvalidSeed",
     "run",
     "main",
 ]
@@ -89,7 +91,7 @@ class RunConfig:
     workers: int = 1  # only 1 is supported
     example: str = None
     sizes: tuple = (4, 4, 4)
-    noise_variance: float = 2.0
+    noise_variance: float = None  # None: 2.0, or noise sd 1.0 for the toy
     inverse: bool = False
     kappa: float = None
     draws: int = 10_000
@@ -97,10 +99,19 @@ class RunConfig:
     def hash(self):
         payload = asdict(self)
         payload.pop("out", None)  # the destination does not shape the results
+        payload["noise_variance"] = _noise_variance(self)  # as the run uses it
         if self.input:  # one file, however its path is spelled
             payload["input"] = os.path.realpath(self.input)
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _noise_variance(config):
+    """The noise variance ``simulate`` uses: the given one, else the
+    example's default (2.0, or 1.0 for the toy)."""
+    if config.noise_variance is not None:
+        return config.noise_variance
+    return 1.0 if config.example == "toy" else 2.0
 
 
 def _parse_sweep(text):
@@ -223,7 +234,9 @@ def _build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--sizes", default="4,4,4", help="toy sizes N5,N7,Nnever")
-    sp.add_argument("--noise-variance", type=float, default=2.0)
+    sp.add_argument(
+        "--noise-variance", type=float, help="default 2.0 (1.0 for the toy)"
+    )
     return p
 
 
@@ -365,24 +378,26 @@ def run(config: RunConfig) -> int:
     if config.command in ("vcov", "sets", "byperiod", "compare"):
         BootstrapSpec(config.bootstrap, config.seed, config.estimator)
     if config.command == "simulate":
-        if not 0.0 <= config.noise_variance < float("inf"):
+        if not 0.0 <= _noise_variance(config) < float("inf"):
             raise InvalidNoiseVariance(
                 "--noise-variance takes a finite, nonnegative value; "
                 f"got {config.noise_variance!r}"
             )
         _check_sizes(config.sizes)
+        _check_seed(config.seed)
     if config.command == "validate":
         load_panel(config.input)
         print("ok")
         return 0
 
     if config.command == "simulate":
+        variance = _noise_variance(config)
         if config.example == "1":
-            sim = gen_example1(config.seed, config.noise_variance)
+            sim = gen_example1(config.seed, variance)
         elif config.example == "2":
-            sim = gen_example2(config.seed, config.noise_variance)
+            sim = gen_example2(config.seed, variance)
         else:
-            sim = gen_toy(config.seed, config.sizes, noise_sd=1.0)
+            sim = gen_toy(config.seed, config.sizes, noise_sd=math.sqrt(variance))
         panel = sim.panel
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(_meta_line(config))

@@ -9,10 +9,12 @@ draws estimates the joint sampling covariance of the original coefficients.
 Point values always come from the original sample.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .estimators import (
     CoefficientSet,
@@ -23,11 +25,24 @@ from .estimators import (
 )
 from .panel import PanelData, build_cell_index, build_layout
 
-__all__ = ["InvalidBootstrap", "BootstrapSpec", "bootstrap_vcov"]
+__all__ = ["InvalidBootstrap", "InvalidSeed", "BootstrapSpec", "bootstrap_vcov"]
+
+_BOOT_CHUNK_VALUES = 16_000  # a chunk's gather stays under malloc's mmap threshold
 
 
 class InvalidBootstrap(ValueError):
     code = "INVALID_BOOTSTRAP"
+
+
+class InvalidSeed(ValueError):
+    code = "INVALID_SEED"
+
+
+def _check_seed(seed):
+    """Refuse, with a stable code and before any work, what ``SeedSequence``
+    would refuse: a seed that is not a nonnegative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidSeed(f"--seed takes a nonnegative integer; got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -41,38 +56,40 @@ class BootstrapSpec:
     def __post_init__(self):
         if self.replications < 2:
             raise InvalidBootstrap("need at least 2 bootstrap replications")
-
-
-def _strata(panel: PanelData):
-    return _stratum_units(build_layout(panel))
-
-
-def _resample_rows(groups, rng):
-    """Within-stratum draws, concatenated in canonical stratum order."""
-    rows = np.empty(sum(len(g) for g in groups), dtype=int)
-    at = 0
-    for g in groups:
-        rows[at : at + len(g)] = g[rng.integers(0, len(g), size=len(g))]
-        at += len(g)
-    return rows
+        _check_seed(self.seed)
 
 
 def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec) -> np.ndarray:
     """Stacked coefficient draws, one row per replicate.
 
-    Replicate b resamples rows from its own substream keyed by (seed, b)
-    and is the coefficient operator applied to the resampled stratum means.
+    Replicate b resamples rows from its own substream
+    ``SeedSequence(entropy=seed, spawn_key=(b, 0))`` and is the coefficient
+    operator applied to the resampled stratum means.  A run of consecutive
+    equal-size strata takes one ``integers`` call, which yields the same draws
+    and leaves the same generator state as one call per stratum.  The draws
+    index the outcome rows sorted by stratum, gathered and summed in chunks
+    of replicates (``_BOOT_CHUNK_VALUES`` values at most, or one replicate).
     """
-    groups = _strata(panel)
-    sizes = [len(g) for g in groups]
-    means = np.empty((spec.replications, len(groups), panel.n_periods))
-    for b in range(spec.replications):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=spec.seed, spawn_key=(b, 0))
-        )
-        rows = _resample_rows(groups, rng)
-        means[b] = _strata_means(panel.outcome[rows], sizes)
     layout = build_layout(panel)
+    groups = _stratum_units(layout)
+    sizes = np.array([len(g) for g in groups])
+    edges = np.concatenate([[0], np.cumsum(sizes)])  # first row per stratum, end
+    bounds = np.r_[0, np.flatnonzero(np.diff(sizes)) + 1, len(sizes)]
+    runs = [(edges[a], edges[b], sizes[a]) for a, b in zip(bounds, bounds[1:])]
+    offsets = np.repeat(edges[:-1], sizes)  # each row's stratum's first row
+    outcome = panel.outcome[np.concatenate(groups)]
+    chunk = max(1, _BOOT_CHUNK_VALUES // outcome.size)
+    means = np.empty((spec.replications, len(groups), panel.n_periods))
+    for lo in range(0, spec.replications, chunk):
+        rows = np.empty((min(chunk, spec.replications - lo), len(outcome)), dtype=int)
+        for b, drawn in enumerate(rows, lo):
+            rng = Generator(PCG64(SeedSequence(entropy=spec.seed, spawn_key=(b, 0))))
+            for start, stop, n in runs:
+                drawn[start:stop] = rng.integers(0, n, size=stop - start)
+        rows += offsets
+        means[lo : lo + len(rows)] = _strata_means(
+            outcome[rows].reshape(-1, panel.n_periods), np.tile(sizes, len(rows))
+        ).reshape(len(rows), len(groups), -1)
     cells = build_cell_index(layout, panel.n_periods, spec.estimator)
     E = _coefficient_operator(layout, cells)
     return means.reshape(spec.replications, -1) @ E.T
@@ -85,9 +102,7 @@ def bootstrap_vcov(panel: PanelData, spec: BootstrapSpec) -> CoefficientSet:
     so its draw depends only on the seed and its index.
     """
     layout = build_layout(panel)
-    singletons = [
-        f"g{t}" for t, n in zip(layout.times, layout.sizes) if n < 2
-    ]
+    singletons = [f"g{t}" for t, n in zip(layout.times, layout.sizes) if n < 2]
     if layout.never_size < 2:
         singletons.append("never")
     if singletons:

@@ -9,13 +9,21 @@ across a block of members.
 
 ``vcov_csv`` is the covariance CSV as the per-element loop wrote it;
 ``estimators.write_vcov_csv`` formats each mirrored pair once.
+
+``bootstrap_draws`` is the stratified bootstrap as it ran one replicate and
+one stratum at a time: ``resample_rows`` makes one ``integers`` call per
+stratum and indexes the stratum's units with it.  ``vcov._bootstrap_draws``
+draws each run of equal-size strata in one call and gathers a chunk of
+replicates at once.
 """
 
 import math
 
 import numpy as np
 
+from blockdid.estimators import _coefficient_operator, _strata_means, _stratum_units
 from blockdid.inference import _VERTEX_TIE_TOL, _truncnorm_quantile
+from blockdid.panel import build_cell_index, build_layout
 
 
 def decisions(ctx, points, alpha):
@@ -75,3 +83,29 @@ def vcov_csv(coeffs):
     return ",".join(coeffs.labels()) + "\n" + "".join(
         ",".join(repr(float(x)) for x in row) + "\n" for row in coeffs.vcov
     )
+
+
+def resample_rows(groups, rng):
+    """Within-stratum draws, concatenated in canonical stratum order."""
+    rows = np.empty(sum(len(g) for g in groups), dtype=int)
+    at = 0
+    for g in groups:
+        rows[at : at + len(g)] = g[rng.integers(0, len(g), size=len(g))]
+        at += len(g)
+    return rows
+
+
+def bootstrap_draws(panel, spec):
+    """Stacked coefficient draws of ``spec``, one replicate at a time."""
+    layout = build_layout(panel)
+    groups = _stratum_units(layout)
+    sizes = [len(g) for g in groups]
+    means = np.empty((spec.replications, len(groups), panel.n_periods))
+    for b in range(spec.replications):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=spec.seed, spawn_key=(b, 0))
+        )
+        means[b] = _strata_means(panel.outcome[resample_rows(groups, rng)], sizes)
+    cells = build_cell_index(layout, panel.n_periods, spec.estimator)
+    E = _coefficient_operator(layout, cells)
+    return means.reshape(spec.replications, -1) @ E.T

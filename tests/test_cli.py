@@ -435,6 +435,10 @@ def test_no_command_calls_linprog_on_a_vertex_path_design(
         (["byperiod", "--draws", "-5"], "INVALID_DRAWS"),
         (["sets", "--bootstrap", "1"], "INVALID_BOOTSTRAP"),
         (["vcov", "--bootstrap", "1"], "INVALID_BOOTSTRAP"),
+        (["vcov", "--seed", "-1"], "INVALID_SEED"),
+        (["sets", "--seed", "-1"], "INVALID_SEED"),
+        (["byperiod", "--seed", "-3"], "INVALID_SEED"),
+        (["compare", "--seed", "-1"], "INVALID_SEED"),
     ],
 )
 def test_invalid_options_refused_before_the_panel_loads(
@@ -493,6 +497,8 @@ def test_malformed_text_options_get_stable_codes_before_any_bootstrap(
         (["--example", "toy", "--sizes", "a,b"], "INVALID_SIZES"),
         (["--example", "toy", "--sizes", "4,0,4"], "INVALID_SIZES"),
         (["--example", "toy", "--sizes", "4,4,4,4"], "INVALID_SIZES"),
+        (["--example", "toy", "--seed", "-1"], "INVALID_SEED"),
+        (["--example", "1", "--seed", "-2"], "INVALID_SEED"),
     ],
 )
 def test_simulate_refuses_bad_noise_and_sizes_before_writing(
@@ -517,6 +523,56 @@ def test_run_refuses_bad_sizes_before_writing(tmp_path, sizes):
         run(RunConfig("simulate", example="toy", sizes=sizes, out=str(out)))
     assert info.value.code == "INVALID_SIZES"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["vcov", "sets", "byperiod", "compare", "simulate"])
+def test_run_refuses_a_negative_seed_before_the_panel_loads(
+    panel_csv, tmp_path, monkeypatch, command
+):
+    import blockdid.cli
+
+    loads = []
+    monkeypatch.setattr(blockdid.cli, "load_panel", lambda *a, **k: loads.append(a))
+    out = tmp_path / "refused.out"
+    config = RunConfig(
+        command, input=str(panel_csv), out=str(out), seed=-1, example="toy"
+    )
+    with pytest.raises(ValueError, match="--seed") as info:
+        run(config)
+    assert info.value.code == "INVALID_SEED"
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_toy_honours_the_noise_variance(tmp_path):
+    from blockdid.simgen import gen_example1, gen_toy
+
+    def simulate(*argv):
+        out = tmp_path / f"panel{len(list(tmp_path.iterdir()))}.csv"
+        assert run_cli("simulate", "--seed", "3", *argv, "--out", str(out)) == 0
+        return load_panel(str(out)).outcome
+
+    sizes = (4, 4, 4)
+    quiet = simulate("--example", "toy", "--noise-variance", "0")
+    loud = simulate("--example", "toy", "--noise-variance", "5")
+    assert np.array_equal(quiet, gen_toy(3, sizes, noise_sd=0.0).panel.outcome)
+    assert np.array_equal(loud, gen_toy(3, sizes, noise_sd=5**0.5).panel.outcome)
+    assert not np.array_equal(quiet, loud)
+    # the defaults: noise sd 1.0 for the toy, variance 2.0 for examples 1 and 2
+    default = simulate("--example", "toy")
+    assert np.array_equal(default, gen_toy(3, sizes, noise_sd=1.0).panel.outcome)
+    unit = simulate("--example", "toy", "--noise-variance", "1")
+    assert np.array_equal(default, unit)
+    one = simulate("--example", "1")
+    assert np.array_equal(one, gen_example1(3, 2.0).panel.outcome)
+
+
+def test_config_hash_covers_the_noise_variance_simulate_uses():
+    toy = RunConfig("simulate", example="toy")
+    assert toy.hash() == RunConfig("simulate", example="toy", noise_variance=1.0).hash()
+    assert toy.hash() != RunConfig("simulate", example="toy", noise_variance=2.0).hash()
+    one = RunConfig("simulate", example="1")
+    assert one.hash() == RunConfig("simulate", example="1", noise_variance=2.0).hash()
 
 
 @pytest.mark.parametrize(
