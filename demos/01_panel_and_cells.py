@@ -30,7 +30,7 @@ layout = build_layout(panel)
 for g, (t_g, n_g) in enumerate(zip(layout.times, layout.sizes)):
     print(
         f"cohort g{t_g}: {n_g} unit(s), "
-        f"{layout.initial_control_size(g)} initial controls, "
+        f"{sum(layout.sizes[g + 1:]) + layout.never_size} initial controls, "
         f"adjustment weight {layout.weight(g):.3f}"
     )
 # The mid cohort's weight is 3 / (3 + 1 + 4) = 0.375 and the late cohort's

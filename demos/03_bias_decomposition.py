@@ -46,9 +46,10 @@ for estimator, builder in (("imputation", build_w_imputation), ("csnyt", build_w
     for p in range(len(cells)):
         c = cells.cell(p)
         own = layout.cohort_units[c.cohort]
-        ctrl = layout.initial_control_units(c.cohort)
+        # the initial control group: later cohorts and the never-treated
+        ctrl = np.concatenate([*layout.cohort_units[c.cohort + 1:], layout.never_units])
         if estimator == "imputation":
-            pre_cols = [t - 1 for t in layout.pre_periods(c.cohort)]
+            pre_cols = list(range(layout.times[c.cohort] - 1))
             block[p] = (
                 y0[own, c.cal - 1].mean() - y0[np.ix_(own, pre_cols)].mean()
             ) - (y0[ctrl, c.cal - 1].mean() - y0[np.ix_(ctrl, pre_cols)].mean())

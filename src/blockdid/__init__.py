@@ -7,19 +7,7 @@ plug-in identified sets and hybrid-test confidence sets for linear targets.
 """
 
 from .biasmap import BiasMap, build_w_csnyt, build_w_imputation, invert
-from .estimators import (
-    AggregatedSeries,
-    CoefficientSet,
-    FixedEffectsFit,
-    aggregate,
-    block_bias_pre_imputation,
-    cohort_loo,
-    csnyt_estimates,
-    estimate,
-    fit_twfe_untreated,
-    imputation_estimates,
-    sequential_imputation,
-)
+from .estimators import AggregatedSeries, CoefficientSet, aggregate, estimate
 from .inference import (
     GridSpec,
     IntervalSet,
@@ -68,7 +56,6 @@ __all__ = [
     "CoefficientSet",
     "CohortLayout",
     "DGPSpec",
-    "FixedEffectsFit",
     "GridSpec",
     "IntervalSet",
     "PanelData",
@@ -80,7 +67,6 @@ __all__ = [
     "aggregated_att_target",
     "aggregated_confidence_set",
     "aggregated_system",
-    "block_bias_pre_imputation",
     "bootstrap_vcov",
     "build_cell_index",
     "build_layout",
@@ -88,21 +74,17 @@ __all__ = [
     "build_w_imputation",
     "by_period_sets",
     "by_period_target",
-    "cohort_loo",
     "confidence_set",
     "corrected_point",
-    "csnyt_estimates",
     "custom_target",
     "default_grid",
     "estimate",
     "family_summary",
-    "fit_twfe_untreated",
     "gen_custom",
     "gen_example1",
     "gen_example2",
     "gen_toy",
     "hybrid_test",
-    "imputation_estimates",
     "invert",
     "load_panel",
     "map_to_delta_space",
@@ -111,6 +93,5 @@ __all__ = [
     "rm_cohort",
     "rm_global",
     "sd",
-    "sequential_imputation",
     "with_normalization",
 ]

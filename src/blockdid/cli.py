@@ -369,6 +369,8 @@ def run(config: RunConfig) -> int:
         raise UnsupportedOption(
             "byperiod runs one framework at a time: choose cohort or aggregated"
         )
+    if config.command == "byperiod" and len(config.params) != 1:
+        raise InvalidParam("byperiod takes a single --param value, not a sweep")
     # options that can be refused are refused before the panel loads
     if config.command in ("sets", "byperiod", "compare"):
         _first_stage_level(config.alpha, config.kappa)
@@ -455,8 +457,6 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "byperiod":
-        if len(config.params) != 1:
-            raise ValueError("byperiod expects a single --param value")
         layout = build_layout(panel)
         coeffs = _bootstrap(config, panel)
         if config.framework == "aggregated":

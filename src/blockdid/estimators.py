@@ -14,8 +14,9 @@ Both produce one coefficient per cohort-period cell, stacked in the canonical
 cell order, so downstream code treats them interchangeably.  Both are linear
 in the (G+1) x T matrix of stratum-period outcome means (cohorts, then the
 never-treated), with weights that depend only on cohort sizes;
-:func:`estimate` applies that linear operator.  The unit-level two-way fit
-and the sequential imputation are kept as independent cross-checks.
+:func:`estimate` applies that linear operator.  The unit-level two-way fit,
+the sequential imputation and the hold-out re-estimates, which the tests
+check it against, live in ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -26,131 +27,13 @@ from scipy import linalg as scilinalg
 from .panel import CellIndex, CohortLayout, PanelData, build_cell_index, build_layout
 
 __all__ = [
-    "EstimationError",
-    "RankDeficientFit",
-    "SinglePrePeriod",
-    "FixedEffectsFit",
     "CoefficientSet",
     "AggregatedSeries",
-    "fit_twfe_untreated",
-    "imputation_estimates",
-    "sequential_imputation",
-    "block_bias_pre_imputation",
-    "csnyt_estimates",
     "estimate",
-    "cohort_loo",
     "aggregate",
     "write_coefficients_csv",
     "write_vcov_csv",
 ]
-
-
-class EstimationError(RuntimeError):
-    code = "ESTIMATION_ERROR"
-
-
-class RankDeficientFit(EstimationError):
-    code = "RANK_DEFICIENT_FIT"
-
-
-class SinglePrePeriod(EstimationError):
-    code = "SINGLE_PRE_PERIOD"
-
-
-@dataclass(frozen=True)
-class FixedEffectsFit:
-    """Least-squares unit and time effects over an untreated-cell sample.
-
-    ``xi`` is normalized so the first period's effect is zero.  ``residuals``
-    holds Y - alpha_i - xi_t on included cells and NaN elsewhere.
-    """
-
-    alpha: np.ndarray
-    xi: np.ndarray
-    residuals: np.ndarray
-    mask: np.ndarray
-
-    def imputed(self):
-        """Fitted grid alpha_i + xi_t for every (unit, period)."""
-        return self.alpha[:, None] + self.xi[None, :]
-
-
-def _fit_two_way(outcome, mask, tol=1e-12, max_sweeps=10_000):
-    """Least-squares alpha_i + xi_t on cells where ``mask`` is True.
-
-    Alternating within-demeaning, followed by a small dense solve on the
-    period effects whenever the sweep cap is hit or the first-order
-    conditions are not met to tolerance.  The period effects are normalized
-    to xi[0] = 0 at the end.
-    """
-    N, T = outcome.shape
-    unit_counts = mask.sum(axis=1)
-    period_counts = mask.sum(axis=0)
-    if (unit_counts == 0).any() or (period_counts == 0).any():
-        raise RankDeficientFit("a unit or period has no untreated observations")
-
-    y = np.where(mask, outcome, 0.0)
-    unit_sums = y.sum(axis=1)
-    period_sums = y.sum(axis=0)
-    scale = 1.0 + np.max(np.abs(outcome[mask]))
-
-    alpha = np.zeros(N)
-    xi = np.zeros(T)
-    maskf = mask.astype(float)
-    for _ in range(max_sweeps):
-        alpha_new = (unit_sums - maskf @ xi) / unit_counts
-        xi_new = (period_sums - alpha_new @ maskf) / period_counts
-        change = max(np.max(np.abs(alpha_new - alpha)), np.max(np.abs(xi_new - xi)))
-        alpha, xi = alpha_new, xi_new
-        if change < tol * scale:
-            break
-
-    alpha = (unit_sums - maskf @ xi) / unit_counts
-    if not _foc_satisfied(alpha, xi, unit_sums, period_sums, maskf,
-                          unit_counts, period_counts, scale):
-        alpha, xi = _dense_period_solve(
-            unit_sums, period_sums, maskf, unit_counts, period_counts
-        )
-        if not _foc_satisfied(alpha, xi, unit_sums, period_sums, maskf,
-                              unit_counts, period_counts, scale, loose=True):
-            raise RankDeficientFit("two-way fit did not reach the least-squares optimum")
-
-    # normalize: xi[0] = 0
-    alpha = alpha + xi[0]
-    xi = xi - xi[0]
-    return alpha, xi
-
-
-def _foc_satisfied(alpha, xi, unit_sums, period_sums, maskf,
-                   unit_counts, period_counts, scale, loose=False):
-    tol = (1e-9 if loose else 1e-11) * scale
-    unit_gap = unit_sums - unit_counts * alpha - maskf @ xi
-    period_gap = period_sums - alpha @ maskf - period_counts * xi
-    return max(np.max(np.abs(unit_gap)), np.max(np.abs(period_gap))) < tol
-
-
-def _dense_period_solve(unit_sums, period_sums, maskf, unit_counts, period_counts):
-    """Exact T x T solve for the period effects with unit effects absorbed."""
-    # Schur complement of the block-diagonal unit-effect block
-    weighted = maskf / unit_counts[:, None]
-    S = np.diag(period_counts) - maskf.T @ weighted
-    rhs = period_sums - (unit_sums / unit_counts) @ maskf
-    # one period effect is free; pin the first and solve the rest
-    try:
-        xi_rest = np.linalg.solve(S[1:, 1:], rhs[1:])
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientFit("period-effect system is singular") from exc
-    xi = np.concatenate([[0.0], xi_rest])
-    alpha = (unit_sums - maskf @ xi) / unit_counts
-    return alpha, xi
-
-
-def fit_twfe_untreated(panel: PanelData) -> FixedEffectsFit:
-    """Fit unit and time effects on the untreated cells of the panel."""
-    mask = ~panel.treated_mask()
-    alpha, xi = _fit_two_way(panel.outcome, mask)
-    resid = np.where(mask, panel.outcome - alpha[:, None] - xi[None, :], np.nan)
-    return FixedEffectsFit(alpha=alpha, xi=xi, residuals=resid, mask=mask)
 
 
 def _check_pre_zero_sum(cells: CellIndex, positions, values, error=ValueError):
@@ -268,8 +151,9 @@ def _period_effects_operator(adopt, sizes, T):
     """Period effects xi = X @ vec(M), normalized to xi_1 = 0.
 
     The size-weighted two-way fit of the stratum means M on the untreated
-    stratum-period cells: the same Schur-complement solve as
-    ``_dense_period_solve``, with strata in place of units.
+    stratum-period cells, with the stratum effects absorbed by a Schur
+    complement: the unit-level fit of ``tests/oracles.py`` with strata in
+    place of units.
     """
     m = (np.arange(1, T + 1)[None, :] < adopt[:, None]).astype(float)
     w = sizes / m.sum(axis=1)
@@ -341,124 +225,6 @@ def estimate(panel: PanelData, estimator: str) -> CoefficientSet:
         positions=cells.value_positions,
         values=E @ means.ravel(),
     )
-
-
-def _select(coeffs: CoefficientSet, keep) -> CoefficientSet:
-    return CoefficientSet(
-        estimator=coeffs.estimator,
-        cells=coeffs.cells,
-        positions=coeffs.positions[keep],
-        values=coeffs.values[keep],
-    )
-
-
-def imputation_estimates(panel: PanelData) -> CoefficientSet:
-    """Post-treatment effects: observed minus imputed, averaged per cell."""
-    full = estimate(panel, "imputation")
-    return _select(full, full.post_mask)
-
-
-def block_bias_pre_imputation(panel: PanelData) -> CoefficientSet:
-    """Pre-treatment block biases for the imputation estimator.
-
-    Each cohort is compared with its initial control group, both measured
-    relative to their averages over the cohort's pre-treatment window.  The
-    per-cohort biases sum to zero by construction.
-    """
-    full = estimate(panel, "imputation")
-    return _select(full, full.pre_mask)
-
-
-def csnyt_estimates(panel: PanelData) -> CoefficientSet:
-    """Not-yet-treated estimator: pre block biases and post effects.
-
-    Post cells compare the cohort's change from its reference period t_g - 1
-    with the contemporaneous not-yet-treated group's change; pre cells use
-    the fixed initial control group.  The reference cell (s = 0) is a
-    structural zero and carries no coefficient.
-    """
-    return estimate(panel, "csnyt")
-
-
-def sequential_imputation(panel: PanelData) -> CoefficientSet:
-    """Round-by-round imputation over a working copy of the outcome grid.
-
-    Untreated outcomes seed the grid; each round s = 1, 2, ... imputes every
-    cohort's cells at relative period s from a block comparison of the cohort
-    with its initial control group over all prior periods, then writes the
-    imputed values back so later rounds can use them.  Kept free of any
-    shared code with the direct fixed-effects path on purpose: it serves as
-    an independent cross-check of the imputation estimator.
-    """
-    layout = build_layout(panel)
-    cells = build_cell_index(layout, panel.n_periods, "imputation")
-    T = panel.n_periods
-    treated = panel.treated_mask()
-    Z = np.where(treated, np.nan, panel.outcome)
-
-    max_s = max(T - t_g + 1 for t_g in layout.times)
-    for s in range(1, max_s + 1):
-        for g, t_g in enumerate(layout.times):
-            t = t_g + s - 1
-            if t > T:
-                continue
-            own = layout.cohort_units[g]
-            ctrl = layout.initial_control_units(g)
-            prior = slice(0, t - 1)
-            own_pre = Z[own, prior].mean(axis=1)          # per-unit prior mean
-            ctrl_now = Z[ctrl, t - 1].mean()
-            ctrl_pre = Z[ctrl, prior].mean()
-            Z[own, t - 1] = own_pre + (ctrl_now - ctrl_pre)
-
-    positions, values = [], []
-    for p in range(len(cells)):
-        c = cells.cell(p)
-        if not c.post:
-            continue
-        units = layout.cohort_units[c.cohort]
-        gap = panel.outcome[units, c.cal - 1] - Z[units, c.cal - 1]
-        positions.append(p)
-        values.append(float(gap.mean()))
-    return CoefficientSet(
-        estimator="imputation",
-        cells=cells,
-        positions=np.array(positions),
-        values=np.array(values),
-    )
-
-
-def cohort_loo(panel: PanelData, cohort_time: int) -> np.ndarray:
-    """Hold-out re-estimates of one cohort's pre-treatment coefficients.
-
-    For each pre-treatment period of the target cohort, the two-way model is
-    refit on the cohort-plus-initial-controls subsample with that period's
-    cohort observations held out, and the held-out cells are imputed.  The
-    result is a rescaled version of the direct block biases; callers can
-    multiply by (T_g - 1) / T_g to recover them.
-    """
-    layout = build_layout(panel)
-    g = layout.times.index(cohort_time)
-    T_g = cohort_time - 1
-    if T_g < 2:
-        raise SinglePrePeriod(
-            f"cohort g{cohort_time} has a single pre-treatment period; "
-            "hold-out estimation is undefined"
-        )
-    own = layout.cohort_units[g]
-    ctrl = layout.initial_control_units(g)
-    keep = np.concatenate([own, ctrl])
-    sub_outcome = panel.outcome[keep]
-    sub_untreated = ~panel.treated_mask()[keep]
-    own_rows = np.arange(len(own))
-
-    out = np.empty(T_g)
-    for j, t_star in enumerate(range(1, cohort_time)):
-        mask = sub_untreated.copy()
-        mask[own_rows, t_star - 1] = False
-        alpha, xi = _fit_two_way(sub_outcome, mask)
-        fitted = alpha[own_rows] + xi[t_star - 1]
-        out[j] = float((sub_outcome[own_rows, t_star - 1] - fitted).mean())
-    return out
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .restrictions import (
     RestrictionFamily,
     map_to_delta_space,
 )
+from .vcov import _check_seed
 
 __all__ = [
     "InferenceError",
@@ -823,6 +824,7 @@ def hybrid_test(
     """
     kappa = _first_stage_level(alpha, kappa)
     _check_draws(draws)
+    _check_seed(seed)
     moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
     contexts = _prepare_contexts([moments], kappa, draws, seed)
     return bool(_block_decisions(contexts, [theta0], alpha)[0, 0])
@@ -875,6 +877,7 @@ def confidence_set(
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
     _check_draws(draws)
+    _check_seed(seed)
     if grid is None:
         grid = default_grid(coeffs, family, target)
     points = grid.points()

@@ -6,7 +6,7 @@ never adopts.  Units sharing an adoption period form a cohort.  All downstream
 estimation works off three objects built here:
 
 * :class:`PanelData` -- the validated grid,
-* :class:`CohortLayout` -- cohort sizes, control-group memberships, weights,
+* :class:`CohortLayout` -- cohort sizes, unit memberships, adjustment weights,
 * :class:`CellIndex` -- the canonical ordering of cohort-period cells, as
   read-only per-position arrays (cohort, relative and calendar period, pre,
   post and structural-zero masks) that later layers read instead of walking
@@ -147,15 +147,6 @@ class PanelData:
     def cohort_times(self):
         """Distinct adoption periods, strictly increasing."""
         return tuple(sorted({t for t in self.adoption if t is not None}))
-
-    def treated_mask(self):
-        """Boolean (N, T) mask of treated observations."""
-        N, T = self.n_units, self.n_periods
-        mask = np.zeros((N, T), dtype=bool)
-        for i, t_g in enumerate(self.adoption):
-            if t_g is not None:
-                mask[i, t_g - 1 :] = True
-        return mask
 
     def time_label(self, t):
         return self.time_labels[t - 1]
@@ -327,7 +318,7 @@ def _parse_row(row, lineno):
 
 @dataclass(frozen=True)
 class CohortLayout:
-    """Cohort structure of a panel: sizes, memberships, adjustment weights.
+    """Cohort structure of a panel: sizes, unit memberships, adjustment weights.
 
     Cohorts are ordered by adoption time.  ``cohort_units[g]`` holds the unit
     indices of the g-th treated cohort; ``never_units`` those of the
@@ -349,42 +340,13 @@ class CohortLayout:
     def n_cohorts(self):
         return len(self.times)
 
-    def pre_periods(self, g):
-        """Calendar periods 1..t_g-1 for cohort g."""
-        return range(1, self.times[g])
-
-    def initial_control_units(self, g):
-        """Units untreated when cohort g adopts: later cohorts plus never."""
-        parts = [self.cohort_units[k] for k in range(g + 1, self.n_cohorts)]
-        parts.append(self.never_units)
-        return np.concatenate(parts)
-
-    def not_yet_treated_units(self, t):
-        """Units untreated at calendar period t."""
-        parts = [
-            self.cohort_units[k]
-            for k in range(self.n_cohorts)
-            if self.times[k] > t
-        ]
-        parts.append(self.never_units)
-        return np.concatenate(parts)
-
-    def adjustment_cohorts(self, g, t):
-        """Indices k with t_g < t_k <= t."""
-        return [
-            k for k in range(self.n_cohorts) if self.times[g] < self.times[k] <= t
-        ]
-
     def weight(self, k):
         """Adjustment weight w_k of cohort k."""
         return self.sizes[k] / (sum(self.sizes[k:]) + self.never_size)
 
-    def initial_control_size(self, g):
-        return sum(self.sizes[g + 1 :]) + self.never_size
-
 
 def build_layout(panel: PanelData) -> CohortLayout:
-    """Group units into cohorts and compute control memberships and weights."""
+    """Group units into cohorts, the never-treated apart."""
     times = panel.cohort_times()
     adoption = np.array(
         [-1 if t is None else t for t in panel.adoption], dtype=int

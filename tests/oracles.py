@@ -15,13 +15,28 @@ one stratum at a time: ``resample_rows`` makes one ``integers`` call per
 stratum and indexes the stratum's units with it.  ``vcov._bootstrap_draws``
 draws each run of equal-size strata in one call and gathers a chunk of
 replicates at once.
+
+``fit_two_way`` is the unit-level two-way fit, one least-squares solve on
+the unit and period dummies; ``fit_twfe_untreated`` fits it on a panel's
+untreated cells.  ``sequential_imputation`` imputes the outcome grid round
+by round, and ``cohort_loo`` refits the two-way model with one pre-treatment
+period of a cohort held out.  ``estimators.estimate`` applies one linear map
+of the stratum-period means instead; the acceptance suite checks it against
+all three.  ``treated_mask`` and the layout helpers ``initial_control_units``,
+``not_yet_treated_units`` and ``adjustment_cohorts`` serve these paths and
+the tests' loop and group-mean oracles.
 """
 
 import math
 
 import numpy as np
 
-from blockdid.estimators import _coefficient_operator, _strata_means, _stratum_units
+from blockdid.estimators import (
+    CoefficientSet,
+    _coefficient_operator,
+    _strata_means,
+    _stratum_units,
+)
 from blockdid.inference import _VERTEX_TIE_TOL, _truncnorm_quantile
 from blockdid.panel import build_cell_index, build_layout
 
@@ -109,3 +124,99 @@ def bootstrap_draws(panel, spec):
     cells = build_cell_index(layout, panel.n_periods, spec.estimator)
     E = _coefficient_operator(layout, cells)
     return means.reshape(spec.replications, -1) @ E.T
+
+
+def treated_mask(panel):
+    """Boolean (N, T) mask of treated observations."""
+    adoption = [panel.n_periods + 1 if t is None else t for t in panel.adoption]
+    return np.arange(1, panel.n_periods + 1) >= np.array(adoption)[:, None]
+
+
+def initial_control_units(layout, g):
+    """Units untreated when cohort g adopts: later cohorts plus never."""
+    return np.concatenate([*layout.cohort_units[g + 1 :], layout.never_units])
+
+
+def not_yet_treated_units(layout, t):
+    """Units untreated at calendar period t."""
+    later = [u for t_k, u in zip(layout.times, layout.cohort_units) if t_k > t]
+    return np.concatenate([*later, layout.never_units])
+
+
+def adjustment_cohorts(layout, g, t):
+    """Indices k with t_g < t_k <= t."""
+    return [k for k, t_k in enumerate(layout.times) if layout.times[g] < t_k <= t]
+
+
+def fit_two_way(outcome, mask):
+    """Least-squares alpha_i + xi_t on the cells where ``mask`` holds.
+
+    One solve on the unit and period dummies; leaving out the first period's
+    dummy normalizes xi[0] = 0.
+    """
+    N, T = outcome.shape
+    unit, period = np.nonzero(mask)
+    design = np.zeros((len(unit), N + T))
+    design[np.arange(len(unit)), unit] = 1.0
+    design[np.arange(len(unit)), N + period] = 1.0
+    coef = np.linalg.lstsq(np.delete(design, N, axis=1), outcome[mask], rcond=None)[0]
+    return coef[:N], np.concatenate([[0.0], coef[N:]])
+
+
+def fit_twfe_untreated(panel):
+    """Unit and period effects ``(alpha, xi)`` fitted on the untreated cells."""
+    return fit_two_way(panel.outcome, ~treated_mask(panel))
+
+
+def sequential_imputation(panel):
+    """Post-treatment effects by round-by-round imputation.
+
+    Untreated outcomes seed a working grid.  Round s imputes every cohort's
+    cells at relative period s from a block comparison of the cohort with its
+    initial control group over all prior periods, and writes the imputed
+    values back so that later rounds use them.
+    """
+    layout = build_layout(panel)
+    cells = build_cell_index(layout, panel.n_periods, "imputation")
+    T = panel.n_periods
+    Z = np.where(treated_mask(panel), np.nan, panel.outcome)
+    for s in range(1, T - min(layout.times) + 2):
+        for g, t_g in enumerate(layout.times):
+            t = t_g + s - 1
+            if t > T:
+                continue
+            own, ctrl = layout.cohort_units[g], initial_control_units(layout, g)
+            prior = slice(0, t - 1)
+            Z[own, t - 1] = Z[own, prior].mean(axis=1) + (
+                Z[ctrl, t - 1].mean() - Z[ctrl, prior].mean()
+            )
+    positions = np.flatnonzero(cells.post)
+    values = []
+    for p in positions:
+        c = cells.cell(p)
+        units = layout.cohort_units[c.cohort]
+        values.append((panel.outcome[units, c.cal - 1] - Z[units, c.cal - 1]).mean())
+    return CoefficientSet("imputation", cells, positions, np.array(values))
+
+
+def cohort_loo(panel, cohort_time):
+    """Hold-out re-estimates of one cohort's pre-treatment coefficients.
+
+    For each pre-treatment period, the two-way model is refit on the cohort
+    and its initial controls with the cohort's cells at that period held
+    out, and the held-out cells are imputed.  With T_g >= 2 pre-treatment
+    periods the result is T_g / (T_g - 1) times the direct block biases.
+    """
+    layout = build_layout(panel)
+    g = layout.times.index(cohort_time)
+    own = layout.cohort_units[g]
+    keep = np.concatenate([own, initial_control_units(layout, g)])
+    outcome, untreated = panel.outcome[keep], ~treated_mask(panel)[keep]
+    rows = np.arange(len(own))
+    out = np.empty(cohort_time - 1)
+    for j in range(cohort_time - 1):
+        mask = untreated.copy()
+        mask[rows, j] = False
+        alpha, xi = fit_two_way(outcome, mask)
+        out[j] = (outcome[rows, j] - alpha[rows] - xi[j]).mean()
+    return out

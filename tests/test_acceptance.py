@@ -16,17 +16,7 @@ from scipy import stats as scistats
 
 from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.cli import main as cli_main
-from blockdid.estimators import (
-    CoefficientSet,
-    block_bias_pre_imputation,
-    cohort_loo,
-    csnyt_estimates,
-    estimate,
-    fit_twfe_untreated,
-    imputation_estimates,
-    sequential_imputation,
-    aggregate,
-)
+from blockdid.estimators import CoefficientSet, aggregate, estimate
 from blockdid.inference import (
     GridSpec,
     _block_decisions,
@@ -54,6 +44,13 @@ from blockdid.simgen import DGPSpec, Violation, gen_custom, gen_example1, gen_ex
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
+from oracles import (
+    cohort_loo,
+    fit_twfe_untreated,
+    initial_control_units,
+    sequential_imputation,
+    treated_mask,
+)
 from test_panel import grid_csv
 
 
@@ -73,9 +70,10 @@ def test_criterion_01_sequential_equivalence(random_panel_batch):
     t0 = time.perf_counter()
     worst = 0.0
     for sim in random_panel_batch:
-        direct = imputation_estimates(sim.panel)
+        direct = estimate(sim.panel, "imputation")
         seq = sequential_imputation(sim.panel)
-        worst = max(worst, float(np.max(np.abs(direct.values - seq.values))))
+        gap = direct.values[direct.post_mask] - seq.values
+        worst = max(worst, float(np.max(np.abs(gap))))
     elapsed = time.perf_counter() - t0
     report(
         1,
@@ -90,15 +88,15 @@ def test_criterion_02_first_period_block_identity(random_panel_batch):
     for sim in random_panel_batch[:40]:
         panel = sim.panel
         layout = build_layout(panel)
-        fit = fit_twfe_untreated(panel)
+        alpha, xi = fit_twfe_untreated(panel)
         for g, t_g in enumerate(layout.times):
-            ctrl = layout.initial_control_units(g)
-            pre_cols = [t - 1 for t in layout.pre_periods(g)]
+            ctrl = initial_control_units(layout, g)
+            pre_cols = list(range(t_g - 1))
             ctrl_term = panel.outcome[ctrl, t_g - 1].mean() - panel.outcome[
                 np.ix_(ctrl, pre_cols)
             ].mean()
             for i in layout.cohort_units[g]:
-                direct = fit.alpha[i] + fit.xi[t_g - 1]
+                direct = alpha[i] + xi[t_g - 1]
                 block = panel.outcome[i, pre_cols].mean() + ctrl_term
                 worst = max(worst, abs(direct - block))
     report(
@@ -160,9 +158,9 @@ def _true_block_biases(sim, layout, cells, estimator):
     for p in range(len(cells)):
         c = cells.cell(p)
         own = layout.cohort_units[c.cohort]
-        ctrl = layout.initial_control_units(c.cohort)
+        ctrl = initial_control_units(layout, c.cohort)
         if estimator == "imputation":
-            pre_cols = [t - 1 for t in layout.pre_periods(c.cohort)]
+            pre_cols = list(range(layout.times[c.cohort] - 1))
             lhs = y0[own, c.cal - 1].mean() - y0[np.ix_(own, pre_cols)].mean()
             rhs = y0[ctrl, c.cal - 1].mean() - y0[np.ix_(ctrl, pre_cols)].mean()
         else:
@@ -226,18 +224,20 @@ def test_criterion_06_mechanical_identities(random_panel_batch):
     for sim in random_panel_batch[:40]:
         panel = sim.panel
         layout = build_layout(panel)
-        fit = fit_twfe_untreated(panel)
-        resid = np.where(fit.mask, fit.residuals, 0.0)
+        alpha, xi = fit_twfe_untreated(panel)
+        resid = np.where(
+            treated_mask(panel), 0.0, panel.outcome - alpha[:, None] - xi
+        )
         worst_resid = max(
             worst_resid,
             float(np.max(np.abs(resid.sum(axis=0)))),
             float(np.max(np.abs(resid.sum(axis=1)))),
         )
-        pre = block_bias_pre_imputation(panel)
+        pre = estimate(panel, "imputation")
         for g, t_g in enumerate(layout.times):
             total = sum(pre.value(t_g, s) for s in range(2 - t_g, 1))
             worst_sum = max(worst_sum, abs(total))
-        cs = csnyt_estimates(panel)
+        cs = estimate(panel, "csnyt")
         for t_g in layout.times:
             pos = cs.cells.position(t_g, 0)
             structural_ok &= cs.cells.structural_zero(pos)
@@ -257,7 +257,7 @@ def test_criterion_07_holdout_rescaling(random_panel_batch):
     for sim in random_panel_batch[:40]:
         panel = sim.panel
         layout = build_layout(panel)
-        pre = block_bias_pre_imputation(panel)
+        pre = estimate(panel, "imputation")
         for t_g in layout.times:
             T_g = t_g - 1
             if T_g < 2:

@@ -11,10 +11,11 @@ from blockdid.biasmap import (
     invert,
     write_biasmap_csv,
 )
-from blockdid.estimators import csnyt_estimates, estimate, imputation_estimates
+from blockdid.estimators import estimate
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 
+from oracles import adjustment_cohorts, initial_control_units
 from test_panel import grid_csv
 
 
@@ -186,7 +187,7 @@ def test_entries_and_post_row_sums(staircase_layout):
     for p in range(len(cells)):
         c = cells.cell(p)
         if c.post:
-            ks = layout.adjustment_cohorts(c.cohort, c.cal)
+            ks = adjustment_cohorts(layout, c.cohort, c.cal)
             want = 1.0 + sum(layout.weight(k) for k in ks)
             assert bm.W[p].sum() == pytest.approx(want, abs=1e-12)
 
@@ -207,9 +208,9 @@ def _true_block_biases(sim, layout, cells, estimator):
     for p in range(len(cells)):
         c = cells.cell(p)
         own = layout.cohort_units[c.cohort]
-        ctrl = layout.initial_control_units(c.cohort)
+        ctrl = initial_control_units(layout, c.cohort)
         if estimator == "imputation":
-            pre_cols = [t - 1 for t in layout.pre_periods(c.cohort)]
+            pre_cols = list(range(layout.times[c.cohort] - 1))
             lhs = y0[own, c.cal - 1].mean() - y0[np.ix_(own, pre_cols)].mean()
             rhs = y0[ctrl, c.cal - 1].mean() - y0[np.ix_(ctrl, pre_cols)].mean()
         else:
@@ -229,11 +230,7 @@ def _noiseless_identity_gap(sim, estimator):
     bm = builder(layout, cells)
     block = _true_block_biases(sim, layout, cells, estimator)
     overall = block.copy()
-    observed = (
-        imputation_estimates(panel)
-        if estimator == "imputation"
-        else csnyt_estimates(panel)
-    )
+    observed = estimate(panel, estimator)
     for p in range(len(cells)):
         c = cells.cell(p)
         if c.post:

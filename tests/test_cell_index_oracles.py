@@ -25,6 +25,7 @@ from blockdid.restrictions import (
 from blockdid.simgen import gen_custom
 
 from conftest import random_spec
+from oracles import adjustment_cohorts
 
 ESTIMATORS = ("imputation", "csnyt")
 
@@ -58,7 +59,7 @@ def loop_w(layout, lc, estimator):
         if s < 1:
             continue
         t = t_g + s - 1
-        for k in layout.adjustment_cohorts(g, t):
+        for k in adjustment_cohorts(layout, g, t):
             t_k = layout.times[k]
             w = layout.weight(k)
             W[p, lc.pos[(t_k, t - t_k + 1)]] = w

@@ -439,6 +439,7 @@ def test_no_command_calls_linprog_on_a_vertex_path_design(
         (["sets", "--seed", "-1"], "INVALID_SEED"),
         (["byperiod", "--seed", "-3"], "INVALID_SEED"),
         (["compare", "--seed", "-1"], "INVALID_SEED"),
+        (["byperiod", "--param", "0:1:0.5"], "INVALID_PARAM"),
     ],
 )
 def test_invalid_options_refused_before_the_panel_loads(

@@ -46,7 +46,7 @@ from blockdid.restrictions import (
     with_normalization,
 )
 from blockdid.simgen import DGPSpec, Violation, gen_custom, gen_toy
-from blockdid.vcov import BootstrapSpec, bootstrap_vcov
+from blockdid.vcov import BootstrapSpec, InvalidSeed, bootstrap_vcov
 
 from conftest import random_panel
 from test_panel import grid_csv
@@ -834,6 +834,30 @@ def test_confidence_set_refuses_fewer_than_one_draw(boot_toy, draws):
         confidence_set(coeffs, fam, target, draws=draws)
     with pytest.raises(InvalidDraws):
         hybrid_test(coeffs, fam.members[0], target, 0.0, draws=draws)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("test", ["confidence_set", "hybrid_test"])
+def test_monte_carlo_seed_must_be_a_nonnegative_integer(
+    boot_toy, monkeypatch, test, seed
+):
+    import blockdid.inference
+
+    layout, coeffs, bm = boot_toy
+    cells = coeffs.cells
+    fam = map_to_delta_space(sd(layout, cells, 0.1), bm)
+    target = overall_att_target(layout, cells)
+    formed = []
+    monkeypatch.setattr(
+        blockdid.inference, "_target_basis", lambda *a: formed.append(a)
+    )
+    with pytest.raises(InvalidSeed) as info:
+        if test == "confidence_set":
+            confidence_set(coeffs, fam, target, draws=200, seed=seed)
+        else:
+            hybrid_test(coeffs, fam.members[0], target, 0.0, draws=200, seed=seed)
+    assert info.value.code == "INVALID_SEED"
+    assert formed == []  # refused before any moment is formed
 
 
 def test_normalization_rows_screened_in_hybrid(boot_toy):

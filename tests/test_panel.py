@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from blockdid.biasmap import build_w_csnyt, build_w_imputation
 from blockdid.panel import (
     BadAdoptionTime,
     DuplicateCell,
@@ -152,25 +153,26 @@ def test_layout_adjustment_weights():
     assert layout.sizes == (1, 3, 1)
     assert layout.weight(1) == pytest.approx(0.375)
     assert layout.weight(2) == pytest.approx(0.2)
-    assert layout.initial_control_size(0) == 8
-    assert layout.adjustment_cohorts(0, 8) == [1, 2]
-    assert layout.adjustment_cohorts(0, 5) == []
 
 
 def test_layout_initial_controls_toy():
     units = [("a", "5"), ("b", "7"), ("c", "never"), ("d", "never")]
     panel = load_panel(grid_csv(units, T=8))
     layout = build_layout(panel)
-    assert sorted(layout.initial_control_units(0)) == [1, 2, 3]
-    assert sorted(layout.initial_control_units(1)) == [2, 3]
+    assert [u.tolist() for u in layout.cohort_units] == [[0], [1]]
+    assert layout.never_units.tolist() == [2, 3]
     assert layout.never_size == 2
     assert sum(layout.sizes) + layout.never_size == panel.n_units
 
 
 def test_layout_single_cohort_no_adjustment():
     layout = build_layout(load_panel(grid_csv([("a", "3"), ("b", "never")], T=5)))
-    for t in range(1, 6):
-        assert layout.adjustment_cohorts(0, t) == []
+    for estimator, builder in (
+        ("imputation", build_w_imputation),
+        ("csnyt", build_w_csnyt),
+    ):
+        cells = build_cell_index(layout, 5, estimator)
+        assert np.array_equal(builder(layout, cells).W, np.eye(5))
 
 
 def test_cell_index_toy_golden_order():
@@ -222,6 +224,8 @@ def test_cell_index_round_trip_and_tie_order():
 def test_pre_period_counts():
     units = [("a", "3"), ("b", "5"), ("n", "never")]
     layout = build_layout(load_panel(grid_csv(units, T=6)))
+    cells = build_cell_index(layout, 6, "imputation")
     for g, t_g in enumerate(layout.times):
-        assert len(layout.pre_periods(g)) == t_g - 1
-        assert len(layout.pre_periods(g)) >= 1
+        n_pre = int((cells.pre & (cells.cohort == g)).sum())
+        assert n_pre == t_g - 1
+        assert n_pre >= 1

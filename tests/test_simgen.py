@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockdid.estimators import block_bias_pre_imputation
+from blockdid.estimators import estimate
 from blockdid.panel import build_layout
 from blockdid.simgen import (
     DGPSpec,
@@ -52,7 +52,7 @@ def test_example2_linear_violation_slope():
 
 def test_example2_zero_noise_pre_biases_on_a_line():
     sim = gen_example2(seed=3, noise_variance=0.0)
-    pre = block_bias_pre_imputation(sim.panel)
+    pre = estimate(sim.panel, "imputation")
     vals = [pre.value(10, s) for s in range(-8, 1)]
     assert np.max(np.abs(np.diff(np.diff(vals)))) < 1e-10
     # the early cohort inherits a mild trend of the opposite sign
@@ -85,10 +85,8 @@ def test_custom_exact_recovery_and_reproducibility():
         effect=1.25, seed=11,
     )
     sim = gen_custom(spec)
-    from blockdid.estimators import imputation_estimates
-
-    est = imputation_estimates(sim.panel)
-    assert np.max(np.abs(est.values - 1.25)) < 1e-10
+    est = estimate(sim.panel, "imputation")
+    assert np.max(np.abs(est.values[est.post_mask] - 1.25)) < 1e-10
     again = gen_custom(spec)
     assert np.array_equal(sim.panel.outcome, again.panel.outcome)
 
