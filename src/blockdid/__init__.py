@@ -13,7 +13,6 @@ from .inference import (
     IntervalSet,
     TargetFunctional,
     aggregated_att_target,
-    aggregated_confidence_set,
     aggregated_system,
     by_period_sets,
     by_period_target,
@@ -65,7 +64,6 @@ __all__ = [
     "Violation",
     "aggregate",
     "aggregated_att_target",
-    "aggregated_confidence_set",
     "aggregated_system",
     "bootstrap_vcov",
     "build_cell_index",

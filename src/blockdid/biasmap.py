@@ -31,6 +31,10 @@ class BiasMap:
     W_inverse: np.ndarray = None
 
     def __post_init__(self):
+        if self.estimator != self.cells.estimator:
+            raise ValueError(
+                f"a {self.estimator} bias map over a {self.cells.estimator} cell index"
+            )
         W = np.asarray(self.W, dtype=float)
         n = len(self.cells)
         if W.shape != (n, n):

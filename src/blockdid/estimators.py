@@ -89,6 +89,11 @@ class CoefficientSet:
     aggregated: bool = False
 
     def __post_init__(self):
+        if self.estimator != self.cells.estimator:
+            raise ValueError(
+                f"{self.estimator} coefficients over a "
+                f"{self.cells.estimator} cell index"
+            )
         positions = np.asarray(self.positions, dtype=int)
         values = np.asarray(self.values, dtype=float)
         if positions.shape != values.shape:

@@ -17,12 +17,15 @@ the optimal dual vertex and on first-stage acceptance.  The profiled
 statistic is the max of vertices @ y over the vertices of its dual polytope:
 the extreme rays of {lam >= 0 : X'lam = 0}, by double description and shared
 by the members with one X (none when that cone is {0}: the statistic is then
--inf; past a ray cap the member is refused).  A family's members are tested
-``_MEMBER_BLOCK`` at a time, and the block is the unit of work: stacked
-moments and Gaussian roots, one Monte Carlo product, and one stage-two pass
-with one truncated normal quantile call.  Each member's critical value is
-read from the upper tail of its draws (``_row_quantiles``): only the values
-not below a threshold set on a strided sample are partitioned.
+-inf; past a ray cap the member is refused).  A family's members are formed
+``_MEMBER_BLOCK`` at a time and fall into blocks (``_Block``), one per shared
+nuisance system: on a built family, one block per chunk.  The block is the
+unit of work and stays stacked from its moments to its decisions: one
+stacked ``eigh`` and one Monte Carlo product for its critical values, and
+one stage-two pass on its slices with one truncated normal quantile call.
+Each member's critical value is read from the upper tail of its draws
+(``_row_quantiles``): only the values not below a threshold set on a strided
+sample are partitioned.
 """
 
 import functools
@@ -42,7 +45,6 @@ from .restrictions import (
     FAMILY_KINDS,
     Polyhedron,
     RestrictionFamily,
-    map_to_delta_space,
 )
 from .vcov import _check_seed
 
@@ -70,7 +72,6 @@ __all__ = [
     "ByPeriodResult",
     "aggregated_system",
     "aggregated_att_target",
-    "aggregated_confidence_set",
 ]
 
 _VERTEX_TIE_TOL = 1e-9
@@ -78,7 +79,8 @@ _VERTEX_TIE_TOL = 1e-9
 # refused with VertexCapExceeded (about 2,000 post cells on built families)
 _VERTEX_ENUM_CAP = 2_000
 _DEFAULT_DRAWS = 10_000
-# distinct members whose Monte Carlo stages are prepared together
+# distinct members formed together, a chunk that falls into one block per
+# shared nuisance system
 _MEMBER_BLOCK = 16
 # values of one chunk of the stacked Monte Carlo product, which bounds its
 # transient memory (256 KiB)
@@ -88,6 +90,10 @@ _QUANTILE_STRIDE = 16
 # values of one stacked stage-one statistic, or of the bases gathered for
 # the points of stage two (8 MiB)
 _STACK_VALUES = 1 << 20
+# the default grid: the plug-in set padded by this many standard errors of
+# the target estimate, at this many points
+_GRID_PAD_SES = 10.0
+_GRID_POINTS = 201
 
 
 class InferenceError(RuntimeError):
@@ -331,25 +337,30 @@ def plugin_identified_set(
 
 
 @dataclass
-class _MomentSystem:
-    """Moments A_v (betahat - L theta0 - X gamma) - d <= 0, studentized.
+class _Block:
+    """Moments A_v (betahat - L theta0 - X gamma) - d <= 0, studentized, of
+    n members that share one nuisance system, stacked.
 
-    ``a0`` is the moment value at theta0 = 0, ``a1`` the loading on theta0,
-    ``X`` the loading on the nuisance, ``sigma`` the Gaussian covariance of
-    the moment vector.  Rows whose variance sits below the covariance
-    matrix's rounding floor are deterministic: those not involving the
-    nuisance move to ``det_*`` and are checked exactly, the rest drop
-    (conservatively).
+    Member i's ``a0[i]`` is its moment value at theta0 = 0, ``a1[i]`` the
+    loading on theta0, ``sigma[i]`` the Gaussian covariance of the moment
+    vector and ``sd[i]`` its root diagonal; ``X`` is the loading on the
+    nuisance.  Rows whose variance sits below the covariance matrix's
+    rounding floor are deterministic, the same rows for every member: those
+    not involving the nuisance move to ``det_*`` and are checked exactly, the
+    rest drop (conservatively).  ``vertices[i]`` are member i's dual vertices
+    and ``lf_cv`` the least-favorable critical values (``_critical_values``).
     """
 
-    a0: np.ndarray
-    a1: np.ndarray
-    X: np.ndarray
-    sigma: np.ndarray
-    sd: np.ndarray
-    det_a0: np.ndarray
-    det_a1: np.ndarray
-    det_tol: np.ndarray
+    a0: np.ndarray  # (n, m)
+    a1: np.ndarray  # (n, m)
+    sd: np.ndarray  # (n, m)
+    sigma: np.ndarray  # (n, m, m)
+    X: np.ndarray  # (m, k)
+    vertices: np.ndarray  # (n, vertices, m); no vertices when the cone is {0}
+    det_a0: np.ndarray  # (n, j)
+    det_a1: np.ndarray  # (n, j)
+    det_tol: np.ndarray  # (n, j)
+    lf_cv: np.ndarray = None  # (n,)
 
 
 def _column_space(X):
@@ -389,21 +400,16 @@ def _target_basis(coeffs, target):
     return post, lbar, X_post
 
 
-def _member_moments(coeffs, member, post, lbar, X_post):
-    """One member's moment system (``_block_moments`` of one)."""
-    rows = (member.A[None], member.d[None], member.A_eq, member.d_eq)
-    A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
-    return _block_moments(coeffs, A, d, (post, lbar, X_post))[0]
-
-
-def _block_moments(coeffs, A, d, basis, spans=None):
-    """Moment systems of stacked member rows A (n, m, coefficients) and
-    bounds d (n, m), from ``_reduced_rows``: a0, a1, sigma = A V A' and sd
-    by stacked operations, X = span(A[:, post] X_post) once per distinct
-    A[:, post] (``spans``, keyed by shape and bytes, shares it across
-    blocks).  Only a member with a zero-variance row is treated alone."""
+def _block_moments(coeffs, A, d, basis, memo):
+    """Blocks of stacked member rows A (n, m, coefficients) and bounds d
+    (n, m), from ``_reduced_rows``, one per distinct pair of A[:, post] and
+    zero-variance-row mask, in order of first appearance.  a0, a1, sigma =
+    A V A' and sd come from stacked operations.  ``memo``, keyed by that
+    pair, holds what the pair fixes (``_nuisance_system``) for every block of
+    a set.  Member i's dual vertices, those of {lam >= 0 : sd_i'lam = 1,
+    X'lam = 0}, are the shared rays scaled to sd_i'lam = 1, one member at a
+    time so that each rounds as it would alone."""
     post, lbar, X_post = basis
-    spans = {} if spans is None else spans
     A_post = A[:, :, post]
     a0, a1 = A @ coeffs.values - d, A_post @ lbar
     sigma = A @ coeffs.vcov @ A.transpose(0, 2, 1)
@@ -415,47 +421,38 @@ def _block_moments(coeffs, A, d, basis, spans=None):
     row_norm = np.linalg.norm(A, axis=2)
     tiny = sd <= 1e-6 * row_norm * max(diag_scale, 1e-12)
     beta_scale = 1.0 + float(np.max(np.abs(coeffs.values), initial=0.0))
-    systems = []
-    for i, rows in enumerate(A_post):
-        key = (rows.shape, rows.tobytes())
-        if key not in spans:
-            spans[key] = _column_space(rows @ X_post)
-        X, none = spans[key], row_norm[i, :0]
-        if not tiny[i].any():
-            systems.append(_MomentSystem(a0[i], a1[i], X, sigma[i], sd[i], *[none] * 3))
-            continue
-        # rows not involving the nuisance move to det_*; the rest drop, which
-        # can lose X's column rank that the vertex enumeration needs
-        det, keep = tiny[i] & (np.abs(X).max(axis=1, initial=0.0) <= 1e-12), ~tiny[i]
-        if not keep.any():
-            raise SingularVcov("every moment row has zero variance")
-        systems.append(_MomentSystem(
-            a0[i, keep], a1[i, keep],
-            _column_space(X[keep]) if (tiny[i] & ~det).any() else X[keep],
-            sigma[i][np.ix_(keep, keep)], sd[i, keep],
-            a0[i, det], a1[i, det], 1e-8 * (1.0 + row_norm[i, det] * beta_scale),
+    members = {}  # key -> member indices
+    for i, (rows, t) in enumerate(zip(A_post, tiny)):
+        key = (rows.shape, rows.tobytes(), t.tobytes())
+        if key not in memo:
+            memo[key] = _nuisance_system(rows @ X_post, t)
+        members.setdefault(key, []).append(i)
+    blocks = []
+    for key, at in members.items():
+        det, keep, X, rays = memo[key]
+        sd_k = sd[np.ix_(at, keep)]
+        blocks.append(_Block(
+            a0[np.ix_(at, keep)], a1[np.ix_(at, keep)], sd_k,
+            sigma[np.ix_(at, keep, keep)], X,
+            np.stack([rays / (rays @ s)[:, None] for s in sd_k]),
+            a0[np.ix_(at, det)], a1[np.ix_(at, det)],
+            1e-8 * (1.0 + row_norm[np.ix_(at, det)] * beta_scale),
         ))
-    return systems
+    return blocks
 
 
-def _dual_vertices(sd, X, shared_rays=None):
-    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0}, one per row.
-
-    The profiled max-moment statistic equals the maximum of lam'y over this
-    polytope, so enumerating its vertices turns every evaluation into a
-    matrix product.  The vertices are the extreme rays of the pointed cone
-    {lam >= 0 : X'lam = 0} (``_cone_rays``) scaled to sd'lam = 1; with sd > 0
-    every ray has sd'lam > 0.  No rows when the cone is {0}, as it is
-    whenever sd lies in the span of X: the statistic is then -inf.  The rays
-    depend on X alone: ``shared_rays``, a dict keyed by X's shape and bytes,
-    lets every moment system with the same X reuse one enumeration.
-    """
-    shared_rays = {} if shared_rays is None else shared_rays
-    key = (X.shape, X.tobytes())
-    if key not in shared_rays:
-        shared_rays[key] = _cone_rays(X)
-    rays = shared_rays[key]
-    return rays / (rays @ sd)[:, None]
+def _nuisance_system(loadings, tiny):
+    """Deterministic rows, kept rows, nuisance basis X and dual cone rays of
+    the members with nuisance loadings A[:, post] X_post and zero-variance
+    rows ``tiny``.  Zero-variance rows not involving the nuisance are
+    deterministic; the rest drop, which can lose the column rank that the
+    vertex enumeration needs, so X is then the span of the kept rows'."""
+    X = _column_space(loadings)
+    det, keep = tiny & (np.abs(X).max(axis=1, initial=0.0) <= 1e-12), ~tiny
+    if not keep.any():
+        raise SingularVcov("every moment row has zero variance")
+    X = _column_space(X[keep]) if (tiny & ~det).any() else X[keep]
+    return det, keep, X, _cone_rays(X)
 
 
 def _cone_rays(X):
@@ -515,16 +512,6 @@ def _check_ray_count(count, X):
         )
 
 
-@dataclass
-class _HybridContext:
-    """Per-(member, target) state shared across the whole grid."""
-
-    moments: _MomentSystem
-    vertices: np.ndarray  # (vertices, moments); no rows when the cone is {0}
-    lf_cv: float
-    kappa: float
-
-
 def _gaussian_root(sigma):
     """Roots R with R R' = sigma of one covariance matrix or a stack of
     them, from one (stacked) eigendecomposition."""
@@ -542,30 +529,21 @@ def _standard_normals(seed, draws, dim):
     return z
 
 
-def _prepare_contexts(moments_list, kappa, draws, seed, shared_rays=None):
-    """Contexts of moment systems with their least-favorable critical
-    values, the 1 - kappa quantiles over seeded normals Z of the max over
-    vertices of P Z', P = vertices @ root.  Systems with the same vertex and
-    moment counts take their roots from one stacked ``eigh``, share Z, and
-    stack their P vertex-major (row j*n + i is system i's vertex j) for one
-    chunked product (``_stacked_maxima``); each row's quantile is then taken
-    from its upper tail (``_row_quantiles``), exactly as ``np.quantile``
-    gives it.  A system without vertices gets -inf."""
-    contexts, stacks = [], {}  # (vertex count, moment count) -> systems
-    for i, m in enumerate(moments_list):
-        vertices = _dual_vertices(m.sd, m.X, shared_rays)
-        contexts.append(_HybridContext(m, vertices, -math.inf, kappa))
-        if len(vertices):
-            stacks.setdefault(vertices.shape, []).append(i)
-    for (_, dim), at in stacks.items():
-        roots = _gaussian_root(np.stack([contexts[i].moments.sigma for i in at]))
-        products = np.stack([contexts[i].vertices for i in at]) @ roots
-        stacked = products.transpose(1, 0, 2).reshape(-1, dim)
-        eta = _stacked_maxima(stacked, len(at), _standard_normals(seed, draws, dim))
-        cvs = _row_quantiles(eta, 1.0 - kappa)
-        for i, cv in zip(at, cvs.tolist()):
-            contexts[i].lf_cv = cv
-    return contexts
+def _critical_values(block, kappa, draws, seed):
+    """Least-favorable critical values of a block's members, the 1 - kappa
+    quantiles over seeded normals Z of the max over vertices of P Z',
+    P = vertices @ root.  The roots come from one stacked ``eigh``, and the
+    members' P, stacked vertex-major (row j*n + i is member i's vertex j),
+    make one chunked product (``_stacked_maxima``); each row's quantile is
+    then read from its upper tail (``_row_quantiles``), exactly as
+    ``np.quantile`` gives it.  Members without vertices get -inf."""
+    n, nv, m = block.vertices.shape
+    if nv == 0:
+        return np.full(n, -np.inf)
+    products = block.vertices @ _gaussian_root(block.sigma)
+    stacked = products.transpose(1, 0, 2).reshape(-1, m)
+    eta = _stacked_maxima(stacked, n, _standard_normals(seed, draws, m))
+    return _row_quantiles(eta, 1.0 - kappa)
 
 
 def _row_quantiles(eta, q):
@@ -669,9 +647,9 @@ def _log_gauss_mass(a, b):
     return np.real(out)
 
 
-def _block_decisions(contexts, points, alpha):
-    """(members, points) hybrid rejection decisions of a block of contexts
-    that share one kappa; one truncated normal quantile call serves them.
+def _block_decisions(block, points, alpha, kappa):
+    """(members, points) hybrid rejection decisions of a block; one
+    truncated normal quantile call serves them.
 
     Stage one rejects when eta* exceeds the least-favorable critical value.
     Stage two conditions on the basis of the optimal dual vertex lam: the
@@ -682,43 +660,35 @@ def _block_decisions(contexts, points, alpha):
     optimum) keeps the stage-one acceptance, which never over-rejects.
     """
     points = np.asarray(points, dtype=float)
-    reject = np.zeros((len(contexts), len(points)), dtype=bool)
-    shapes = {}  # (vertex count, moment count, nuisance columns) -> members
-    for i, ctx in enumerate(contexts):
-        mom = ctx.moments
-        if len(mom.det_a0):
-            det = mom.det_a0[:, None] - np.outer(mom.det_a1, points)
-            reject[i] = (det > mom.det_tol[:, None]).any(axis=0)
-        if len(ctx.vertices):  # else eta* is -inf at every point
-            shapes.setdefault(ctx.vertices.shape + mom.X.shape[1:], []).append(i)
-    conditional = [np.empty(0, dtype=int)] * 2 + [np.empty(0)] * 4
-    for (nv, _, _), at in shapes.items():
-        step = max(1, _STACK_VALUES // (nv * max(len(points), 1)))
-        for s in range(0, len(at), step):
-            part = _stage_two(contexts, at[s:s + step], points, reject)
-            conditional = [np.concatenate(v) for v in zip(conditional, part)]
-    i, p, eta, sig, vlo, vup = conditional
+    det = block.det_a0[:, :, None] - block.det_a1[:, :, None] * points
+    reject = (det > block.det_tol[:, :, None]).any(axis=1)
+    n, nv = block.vertices.shape[:2]
+    if nv == 0:  # eta* is -inf at every point
+        return reject
+    step = max(1, _STACK_VALUES // (nv * max(len(points), 1)))
+    parts = [
+        _stage_two(block, slice(s, s + step), points, reject) for s in range(0, n, step)
+    ]
+    i, p, eta, sig, vlo, vup = (np.concatenate(v) for v in zip(*parts))
     if len(i):
-        alpha_mod = (alpha - contexts[0].kappa) / (1.0 - contexts[0].kappa)
+        alpha_mod = (alpha - kappa) / (1.0 - kappa)
         q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
         reject[i, p] = eta > np.maximum(0.0, sig * q)
     return reject
 
 
-def _stage_two(contexts, at, points, reject):
-    """Stage one of the block members ``at`` (of one shape), stacked, and
-    stage two up to its quantile; rejections are added to ``reject``.  All
-    but z depends on the (member, optimal vertex) pair alone, so points are
-    grouped by pair, each distinct basis is inverted once, and slack, vlo
-    and vup are arrays.  Returns the (member, point, eta, sigma, vlo, vup)
-    of the points left to the quantile."""
-    at = np.asarray(at)
-    ctxs = [contexts[i] for i in at]
-    moms = [ctx.moments for ctx in ctxs]
-    lf = np.array([ctx.lf_cv for ctx in ctxs])[:, None]
-    V = np.stack([ctx.vertices for ctx in ctxs])  # (n, vertices, m)
-    a0, a1 = (np.stack([mom.a0 for mom in moms]), np.stack([mom.a1 for mom in moms]))
-    Y = a0[:, :, None] - a1[:, :, None] * points  # (n, m, points)
+def _stage_two(block, at, points, reject):
+    """Stage one of the block's members ``at`` (a slice), stacked, and stage
+    two up to its quantile; rejections are added to ``reject``.  All but z
+    depends on the (member, optimal vertex) pair alone, so points are grouped
+    by pair, each distinct basis is inverted once, and slack, vlo and vup are
+    arrays.  A basis that LU finds singular (``slogdet``'s sign 0, the
+    factorization on which ``inv`` would fail) keeps its points' stage-one
+    acceptance.  Returns the (member, point, eta, sigma, vlo, vup) of the
+    points left to the quantile."""
+    V, sd, sigma = block.vertices[at], block.sd[at], block.sigma[at]
+    lf = block.lf_cv[at, None]
+    Y = block.a0[at, :, None] - block.a1[at, :, None] * points  # (n, m, points)
     vals = V @ Y
     eta = vals.max(axis=1)
     live = ~reject[at]
@@ -726,16 +696,19 @@ def _stage_two(contexts, at, points, reject):
     g, p = np.nonzero(live & (eta <= lf))
 
     # the conditional points' (member, vertex) pairs whose basis has 1+k rows
-    (nv, m), k1 = V.shape[1:], moms[0].X.shape[1] + 1
+    (nv, m), k1 = V.shape[1:], block.X.shape[1] + 1
     pairs, of = np.unique(g * nv + vals.argmax(axis=1)[g, p], return_inverse=True)
     pg, pv = np.divmod(pairs, nv)
     basic = V[pg, pv] > _VERTEX_TIE_TOL
     ok = np.flatnonzero(basic.sum(axis=1) == k1)  # else a degenerate vertex
     order = np.argsort(~basic[ok], axis=1, kind="stable")  # basic rows first
-    W = np.stack([np.column_stack([mom.sd, mom.X]) for mom in moms])
-    inv, invertible = _inverses(W[pg[ok, None], order[:, :k1]])
-    ok, order, inv = ok[invertible], order[invertible], inv[invertible]
-    proj = W[pg[ok, None], order[:, k1:]] @ inv
+    W = np.concatenate(  # each member's [sd, X]
+        [sd[:, :, None], np.broadcast_to(block.X, sd.shape + block.X.shape[1:])], axis=2
+    )
+    bases = W[pg[ok, None], order[:, :k1]]
+    invertible = np.linalg.slogdet(bases)[0] != 0
+    ok, order = ok[invertible], order[invertible]
+    proj = W[pg[ok, None], order[:, k1:]] @ np.linalg.inv(bases[invertible])
 
     # every product below is stacked matrix-vector products, which round as
     # the product of one pair or one point alone does
@@ -750,10 +723,10 @@ def _stage_two(contexts, at, points, reject):
 
     lam = V[pg[ok], pv[ok]]
     ls, c = np.empty_like(lam), np.empty_like(lam)
-    for j, mom in enumerate(moms):  # lam' Sigma and Sigma lam of j's pairs
+    for j, s in enumerate(sigma):  # lam' Sigma and Sigma lam of j's pairs
         mine = pg[ok] == j
-        ls[mine] = np.matmul(lam[mine][:, None, :], mom.sigma)[:, 0]
-        c[mine] = np.matmul(mom.sigma, lam[mine][:, :, None])[:, :, 0]
+        ls[mine] = np.matmul(lam[mine][:, None, :], s)[:, 0]
+        c[mine] = np.matmul(s, lam[mine][:, :, None])[:, :, 0]
     sig2 = np.matmul(ls[:, None, :], lam[:, :, None])[:, 0, 0]
     flat = sig2 <= 1e-24
     c /= np.where(flat, 1.0, sig2)[:, None]
@@ -765,7 +738,7 @@ def _stage_two(contexts, at, points, reject):
     y, e = Y[g, :, p], eta[g, p]
     tied = (slack(y, q) <= _VERTEX_TIE_TOL * (1.0 + np.abs(e))[:, None]).any(axis=1)
     sure = ~tied & flat[q]
-    reject[at[g[sure]], p[sure]] = e[sure] > 0
+    reject[at.start + g[sure], p[sure]] = e[sure] > 0
     g, p, q, y, e = (v[~tied & ~flat[q]] for v in (g, p, q, y, e))
     const = slack(y - c[q] * e[:, None], q)
     lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
@@ -775,19 +748,7 @@ def _stage_two(contexts, at, points, reject):
     vup = np.where(hi_set[q], ratio, np.inf).min(axis=1, initial=np.inf)
     # every non-basic slack is positive, so vlo < eta <= vup; vup is capped
     # by the critical value, conditioning on first-stage acceptance
-    return at[g], p, e, np.sqrt(sig2[q]), vlo, np.minimum(vup, lf[g, 0])
-
-
-def _inverses(B):
-    """Inverses of the stacked bases B, and which exist: a singular basis
-    keeps its points' stage-one acceptance."""
-    try:
-        return np.linalg.inv(B), np.ones(len(B), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(B) == 1:
-            return np.zeros_like(B), np.zeros(1, dtype=bool)
-    (a, x), (b, y) = _inverses(B[: len(B) // 2]), _inverses(B[len(B) // 2:])
-    return np.concatenate([a, b]), np.concatenate([x, y])
+    return at.start + g, p, e, np.sqrt(sig2[q]), vlo, np.minimum(vup, lf[g, 0])
 
 
 def _first_stage_level(alpha, kappa):
@@ -825,9 +786,11 @@ def hybrid_test(
     kappa = _first_stage_level(alpha, kappa)
     _check_draws(draws)
     _check_seed(seed)
-    moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
-    contexts = _prepare_contexts([moments], kappa, draws, seed)
-    return bool(_block_decisions(contexts, [theta0], alpha)[0, 0])
+    rows = (member.A[None], member.d[None], member.A_eq, member.d_eq)
+    A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
+    (block,) = _block_moments(coeffs, A, d, _target_basis(coeffs, target), {})
+    block.lf_cv = _critical_values(block, kappa, draws, seed)
+    return bool(_block_decisions(block, [theta0], alpha, kappa)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -836,24 +799,19 @@ def hybrid_test(
 
 
 def default_grid(
-    coeffs: CoefficientSet,
-    family: RestrictionFamily,
-    target: TargetFunctional,
-    pad_ses: float = 10.0,
-    n: int = 201,
+    coeffs: CoefficientSet, family: RestrictionFamily, target: TargetFunctional
 ) -> GridSpec:
-    """Plug-in bounds padded by ``pad_ses`` standard errors of the estimate."""
-    return _padded_grid(
-        coeffs, plugin_identified_set(coeffs, family, target), target, pad_ses, n
-    )
+    """Plug-in bounds padded by ``_GRID_PAD_SES`` standard errors of the
+    estimate, at ``_GRID_POINTS`` points."""
+    return _padded_grid(coeffs, plugin_identified_set(coeffs, family, target), target)
 
 
-def _padded_grid(coeffs, plug, target, pad_ses=10.0, n=201) -> GridSpec:
+def _padded_grid(coeffs, plug, target) -> GridSpec:
     """``default_grid`` around an already solved plug-in set ``plug``."""
     l_vec = target.weights[coeffs.positions]
     se = math.sqrt(max(float(l_vec @ coeffs.vcov @ l_vec), 0.0))
-    pad = pad_ses * se if se > 0 else max(1.0, abs(plug.hi - plug.lo))
-    return GridSpec(lo=plug.lo - pad, hi=plug.hi + pad, n=n)
+    pad = _GRID_PAD_SES * se if se > 0 else max(1.0, abs(plug.hi - plug.lo))
+    return GridSpec(lo=plug.lo - pad, hi=plug.hi + pad, n=_GRID_POINTS)
 
 
 def confidence_set(
@@ -883,8 +841,9 @@ def confidence_set(
     points = grid.points()
     accepted = np.zeros(len(points), dtype=bool)
     todo = np.arange(len(points))
-    for contexts in _member_blocks(coeffs, family, target, kappa, draws, seed):
-        accepted[todo] = ~_block_decisions(contexts, points[todo], alpha).all(axis=0)
+    for block in _member_blocks(coeffs, family, target, kappa, draws, seed):
+        reject = _block_decisions(block, points[todo], alpha, kappa)
+        accepted[todo] = ~reject.all(axis=0)
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
@@ -903,25 +862,27 @@ def confidence_set(
 
 
 def _member_blocks(coeffs, family, target, kappa, draws, seed):
-    """Contexts of the family's distinct members in family order, a list
-    per ``_MEMBER_BLOCK``, prepared as consumed.  A block that cannot be
-    prepared whole is prepared member by member, so that a member's error
-    surfaces only when that member is reached."""
+    """Blocks of the family's distinct members with their critical values,
+    formed ``_MEMBER_BLOCK`` members at a time in family order, as consumed.
+    A chunk that cannot be prepared whole is prepared member by member, so
+    that a member's error surfaces only when that member is reached."""
     basis = _target_basis(coeffs, target)
-    shared_rays, spans = {}, {}
+    memo = {}
 
-    def prepare(block):
-        rows = _reduced_rows(*family.member_rows(block), coeffs.cells, coeffs.positions)
-        moments = _block_moments(coeffs, *rows, basis, spans)
-        return _prepare_contexts(moments, kappa, draws, seed, shared_rays)
+    def prepare(chunk):
+        rows = _reduced_rows(*family.member_rows(chunk), coeffs.cells, coeffs.positions)
+        blocks = _block_moments(coeffs, *rows, basis, memo)
+        for block in blocks:
+            block.lf_cv = _critical_values(block, kappa, draws, seed)
+        return blocks
 
     members = family.distinct
     for start in range(0, len(members), _MEMBER_BLOCK):
-        block = members[start:start + _MEMBER_BLOCK]
+        chunk = members[start:start + _MEMBER_BLOCK]
         try:
-            blocks = [prepare(block)]
+            blocks = prepare(chunk)
         except (InferenceError, np.linalg.LinAlgError):
-            blocks = (prepare([i]) for i in block)
+            blocks = (block for i in chunk for block in prepare([i]))
         yield from blocks
 
 
@@ -1091,22 +1052,3 @@ def aggregated_att_target(agg: AggregatedSeries, cells: CellIndex) -> TargetFunc
     )
     return TargetFunctional(weights=w / w.sum(), description="att", cells=cells)
 
-
-def aggregated_confidence_set(
-    agg: AggregatedSeries,
-    family: RestrictionFamily,
-    target: TargetFunctional,
-    alpha: float = 0.05,
-    grid: GridSpec = None,
-    kappa: float = None,
-    draws: int = _DEFAULT_DRAWS,
-    seed: int = 0,
-) -> IntervalSet:
-    """Confidence set for a target on the aggregated bias path."""
-    _, _, coeffs, bias_map = aggregated_system(agg)
-    if family.space == "block":
-        family = map_to_delta_space(family, bias_map)
-    return confidence_set(
-        coeffs, family, target, alpha=alpha, grid=grid, kappa=kappa,
-        draws=draws, seed=seed,
-    )

@@ -278,14 +278,12 @@ def rm_global(layout: CohortLayout, cells: CellIndex, mbar: float) -> Restrictio
     return _family("rm-global", cells, mbar, (1.0, -1.0), choices)
 
 
-def rm_cohort(
-    layout: CohortLayout, cells: CellIndex, mbar: float, cap: int = MEMBER_CAP
-) -> RestrictionFamily:
+def rm_cohort(layout: CohortLayout, cells: CellIndex, mbar: float) -> RestrictionFamily:
     """Relative-magnitudes family with per-cohort benchmarks.
 
     Members enumerate the Cartesian product of each cohort's (pre period,
     sign) choices, so the count grows multiplicatively with the number of
-    cohorts; ``cap`` guards against runaway enumeration.
+    cohorts; ``MEMBER_CAP`` guards against runaway enumeration.
     """
     slots = _pre_diff_slots(layout)
     for g, ss in enumerate(slots):
@@ -294,8 +292,10 @@ def rm_cohort(
                 f"cohort g{layout.times[g]} has no consecutive pre-treatment "
                 "difference to benchmark against"
             )
-    if math.prod(2 * len(ss) for ss in slots) > cap:
-        raise MemberCountExceedsCap(f"cohort-specific enumeration exceeds {cap} members")
+    if math.prod(2 * len(ss) for ss in slots) > MEMBER_CAP:
+        raise MemberCountExceedsCap(
+            f"cohort-specific enumeration exceeds {MEMBER_CAP} members"
+        )
     choice_sets = [
         [(g, s_star, sign) for s_star in ss for sign in (1, -1)]
         for g, ss in enumerate(slots)

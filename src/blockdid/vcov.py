@@ -42,7 +42,10 @@ def _check_seed(seed):
     """Refuse, with a stable code and before any work, what ``SeedSequence``
     would refuse: a seed that is not a nonnegative integer."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidSeed(f"--seed takes a nonnegative integer; got {seed!r}")
+        raise InvalidSeed(
+            "seed must be a nonnegative integer (--seed on the command line); "
+            f"got {seed!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ grid point at a time: for every point that stage one accepts, the basis of
 its optimal dual vertex is inverted, its slack checked and its truncated
 normal bounds taken on their own, with one quantile call per member.
 ``inference._block_decisions`` groups the same work by (member, vertex)
-across a block of members.
+across a block of members, stacked.  ``member_block`` is the block of one
+member, ``take`` the block of some of a block's members.
 
 ``vcov_csv`` is the covariance CSV as the per-element loop wrote it;
 ``estimators.write_vcov_csv`` formats each mirrored pair once.
@@ -27,6 +28,7 @@ all three.  ``treated_mask`` and the layout helpers ``initial_control_units``,
 the tests' loop and group-mean oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,28 +39,55 @@ from blockdid.estimators import (
     _strata_means,
     _stratum_units,
 )
-from blockdid.inference import _VERTEX_TIE_TOL, _truncnorm_quantile
+from blockdid.inference import (
+    _VERTEX_TIE_TOL,
+    _block_moments,
+    _reduced_rows,
+    _truncnorm_quantile,
+)
 from blockdid.panel import build_cell_index, build_layout
 
 
-def decisions(ctx, points, alpha):
-    """Hybrid rejection decision of one context at every value in ``points``."""
-    mom = ctx.moments
+def member_block(coeffs, member, basis):
+    """The block of one member, with target basis ``basis``
+    (``inference._target_basis``)."""
+    rows = (member.A[None], member.d[None], member.A_eq, member.d_eq)
+    A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
+    (block,) = _block_moments(coeffs, A, d, basis, {})
+    return block
+
+
+def take(block, members):
+    """The block of ``block``'s members at ``members``."""
+    stacked = {
+        f.name: getattr(block, f.name)[members]
+        for f in dataclasses.fields(block)
+        if f.name != "X" and getattr(block, f.name) is not None
+    }
+    return dataclasses.replace(block, **stacked)
+
+
+def decisions(block, i, points, alpha, kappa):
+    """Hybrid rejection decision of member i of a block at every value in
+    ``points``."""
+    a0, a1, sd, sigma = block.a0[i], block.a1[i], block.sd[i], block.sigma[i]
+    vertices, lf_cv = block.vertices[i], block.lf_cv[i]
     points = np.asarray(points, dtype=float)
     reject = (
-        mom.det_a0[:, None] - np.outer(mom.det_a1, points) > mom.det_tol[:, None]
+        block.det_a0[i][:, None] - np.outer(block.det_a1[i], points)
+        > block.det_tol[i][:, None]
     ).any(axis=0)
-    if len(ctx.vertices) == 0:  # eta* is -inf at every point
+    if len(vertices) == 0:  # eta* is -inf at every point
         return reject
     live = np.flatnonzero(~reject)
-    Y = mom.a0[:, None] - np.outer(mom.a1, points[live])
-    vals = ctx.vertices @ Y
-    eta, lam = vals.max(axis=0), ctx.vertices[vals.argmax(axis=0)]
-    reject[live] = eta > ctx.lf_cv
+    Y = a0[:, None] - np.outer(a1, points[live])
+    vals = vertices @ Y
+    eta, lam = vals.max(axis=0), vertices[vals.argmax(axis=0)]
+    reject[live] = eta > lf_cv
 
-    W = np.column_stack([mom.sd, mom.X])
+    W = np.column_stack([sd, block.X])
     conditional = []  # (point, sigma, vlo, vup)
-    for j in np.flatnonzero(eta <= ctx.lf_cv):
+    for j in np.flatnonzero(eta <= lf_cv):
         basic = lam[j] > _VERTEX_TIE_TOL
         if int(basic.sum()) != W.shape[1]:
             continue  # degenerate vertex
@@ -69,11 +98,11 @@ def decisions(ctx, points, alpha):
             continue
         if np.any(proj @ y[basic] - y[~basic] <= _VERTEX_TIE_TOL * scale):
             continue  # tied optimum
-        sig2 = float(lam[j] @ mom.sigma @ lam[j])
+        sig2 = float(lam[j] @ sigma @ lam[j])
         if sig2 <= 1e-24:
             reject[live[j]] = eta_j > 0
             continue
-        c = mom.sigma @ lam[j] / sig2
+        c = sigma @ lam[j] / sig2
         z = y - c * eta_j
         const = proj @ z[basic] - z[~basic]
         slope = proj @ c[basic] - c[~basic]
@@ -81,13 +110,13 @@ def decisions(ctx, points, alpha):
         hi_set = slope < -_VERTEX_TIE_TOL
         vlo = np.max(-const[lo_set] / slope[lo_set], initial=-np.inf)
         vup = np.min(-const[hi_set] / slope[hi_set], initial=np.inf)
-        vup = min(vup, ctx.lf_cv)  # condition on first-stage acceptance
+        vup = min(vup, lf_cv)  # condition on first-stage acceptance
         # every non-basic slack is positive, so vlo < eta_j <= vup
         conditional.append((j, math.sqrt(sig2), vlo, vup))
     if conditional:
         at, sig, vlo, vup = np.array(conditional).T
         at = at.astype(int)
-        alpha_mod = (alpha - ctx.kappa) / (1.0 - ctx.kappa)
+        alpha_mod = (alpha - kappa) / (1.0 - kappa)
         q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
         reject[live[at]] = eta[at] > np.maximum(0.0, sig * q)
     return reject

@@ -20,9 +20,7 @@ from blockdid.estimators import CoefficientSet, aggregate, estimate
 from blockdid.inference import (
     GridSpec,
     _block_decisions,
-    _HybridContext,
-    _member_moments,
-    _prepare_contexts,
+    _critical_values,
     _target_basis,
     aggregated_att_target,
     aggregated_system,
@@ -48,6 +46,7 @@ from oracles import (
     cohort_loo,
     fit_twfe_untreated,
     initial_control_units,
+    member_block,
     sequential_imputation,
     treated_mask,
 )
@@ -369,21 +368,18 @@ def test_criterion_09_hybrid_oracle_and_size():
     fam = map_to_delta_space(sd(layout, bcells, 0.0), bmap)
     btarget = overall_att_target(layout, bcells)
     alpha = 0.05
-    moments = _member_moments(coeffs, fam.members[0], *_target_basis(coeffs, btarget))
-    ctx = _prepare_contexts([moments], kappa=alpha / 10, draws=10_000, seed=9)[0]
+    block = member_block(coeffs, fam.members[0], _target_basis(coeffs, btarget))
+    block.lf_cv = _critical_values(block, alpha / 10, 10_000, seed=9)
     chol = np.linalg.cholesky(sigma)
     A_keep = fam.members[0].A[:, bcells.value_positions]
-    assert len(moments.a0) == A_keep.shape[0]  # no rows were screened out
+    assert block.a0.shape[1] == A_keep.shape[0]  # no rows were screened out
     draws_rng = np.random.default_rng(777)
     rejections = 0
     reps = 1000
     for _ in range(reps):
         beta = chol @ draws_rng.standard_normal(6)
-        shifted = dataclasses.replace(moments, a0=moments.a0 + A_keep @ beta)
-        ctx_b = _HybridContext(
-            moments=shifted, vertices=ctx.vertices, lf_cv=ctx.lf_cv, kappa=ctx.kappa
-        )
-        rejections += _block_decisions([ctx_b], [0.0], alpha)[0, 0]
+        shifted = dataclasses.replace(block, a0=block.a0 + A_keep @ beta)
+        rejections += _block_decisions(shifted, [0.0], alpha, alpha / 10)[0, 0]
     rate = rejections / reps
     elapsed = time.perf_counter() - t0
     report(
@@ -416,7 +412,7 @@ def test_criterion_10_oscillating_benchmark(oscillating_run):
     params = (0.0, 0.5, 1.0)
     fams_c = {m: map_to_delta_space(rm_cohort(layout, cells, m), bm) for m in params}
     fams_g = {m: map_to_delta_space(rm_global(layout, cells, m), bm) for m in params}
-    grid = default_grid(coeffs, fams_g[1.0], target, n=201)
+    grid = default_grid(coeffs, fams_g[1.0], target)
 
     plugs_c = {m: plugin_identified_set(coeffs, fams_c[m], target) for m in params}
     plugs_g = {m: plugin_identified_set(coeffs, fams_g[m], target) for m in params}
@@ -441,7 +437,7 @@ def test_criterion_10_oscillating_benchmark(oscillating_run):
     alay, acells, acoe, amap = aggregated_system(agg)
     afam0 = map_to_delta_space(rm_cohort(alay, acells, 0.0), amap)
     atarget = aggregated_att_target(agg, acells)
-    agrid = default_grid(acoe, afam0, atarget, n=201)
+    agrid = default_grid(acoe, afam0, atarget)
     aset0 = confidence_set(acoe, afam0, atarget, alpha=0.05, grid=agrid,
                            seed=SEED_BENCH)
     covers_zero_agg = aset0.contains(3.0)

@@ -11,7 +11,7 @@ from blockdid.biasmap import (
     invert,
     write_biasmap_csv,
 )
-from blockdid.estimators import estimate
+from blockdid.estimators import CoefficientSet, estimate
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 
@@ -124,6 +124,26 @@ def test_invert_rejects_entries_in_later_calendar_blocks(staircase_layout):
     W[cells.position(4, 1), cells.position(4, 2)] = 0.5  # t=4 row, t=5 column
     with pytest.raises(ValueError, match="block-triangular"):
         invert(BiasMap(estimator="imputation", cells=cells, W=W))
+
+
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_a_mismatched_estimator_tag_is_refused(staircase_layout, estimator):
+    # a map or coefficients tagged for one estimator over the other's cell
+    # index (the csnyt index has structural zeros at s = 0) are refused,
+    # rather than built for the tag and read over the wrong cells
+    other = {"imputation": "csnyt", "csnyt": "imputation"}[estimator]
+    cells = build_cell_index(staircase_layout, 8, other)
+    builder = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}[estimator]
+    with pytest.raises(ValueError, match="cell index"):
+        builder(staircase_layout, cells)
+    with pytest.raises(ValueError, match="cell index"):
+        BiasMap(estimator, cells, np.eye(len(cells)))
+    positions = cells.value_positions[cells.post[cells.value_positions]]
+    with pytest.raises(ValueError, match="cell index"):
+        CoefficientSet(estimator, cells, positions, np.zeros(len(positions)))
+    CoefficientSet(other, cells, positions, np.zeros(len(positions)))
+    builder = {"imputation": build_w_csnyt, "csnyt": build_w_imputation}[estimator]
+    assert builder(staircase_layout, cells).estimator == other
 
 
 def test_invert_shares_the_frozen_map(staircase_layout):

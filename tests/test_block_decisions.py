@@ -4,9 +4,9 @@
 stage two grouped by (member, optimal vertex) with one inverse per distinct
 basis, and one truncated normal quantile call.  ``oracles.decisions`` is the
 stage two as it ran one member and one grid point at a time.  Their products
-round alike, so the decisions must agree exactly.  The sets must not depend
-on the block size or on the order of the members, and the work per set is
-counted against what the block design promises.
+round alike, so the decisions must agree exactly, at singular bases too.
+The sets must not depend on the block size or on the order of the members,
+and the work per set is counted against what the block design promises.
 """
 
 import dataclasses
@@ -16,26 +16,26 @@ import pytest
 
 import blockdid.inference as inference
 from blockdid.inference import (
+    _Block,
     _block_decisions,
-    _member_moments,
-    _prepare_contexts,
+    _critical_values,
     _target_basis,
 )
 from blockdid.restrictions import map_to_delta_space, rm_cohort
 from blockdid.simgen import gen_custom
 
 from conftest import random_spec
-from oracles import decisions
-from test_critical_values import KAPPA, design_systems
+from oracles import decisions, member_block, take
+from test_critical_values import KAPPA, design_chunks
 from test_inference import csnyt_boundary_system
 from test_member_sharing import BUILDERS, _systems, _wide_grid, shared_set
 from test_member_sharing import toy_system  # noqa: F401 (a fixture)
 
 
-def crossing_points(systems, n=61):
-    """Candidate values around where the systems' moments change sign."""
+def crossing_points(blocks, n=61):
+    """Candidate values around where the blocks' moments change sign."""
     cross = np.concatenate(
-        [m.a0[m.a1 != 0] / m.a1[m.a1 != 0] for m in systems] + [np.zeros(1)]
+        [b.a0[b.a1 != 0] / b.a1[b.a1 != 0] for b in blocks] + [np.zeros(1)]
     )
     lo, hi = np.quantile(cross, [0.1, 0.9])
     pad = 0.5 * (hi - lo) + 1.0
@@ -60,45 +60,40 @@ def test_block_decisions_match_the_per_point_oracle_on_random_designs(
 
     monkeypatch.setattr(inference, "_truncnorm_quantile", counted)
     rng = np.random.default_rng(2025)
-    blocks, rejected, accepted = 0, 0, 0
+    blocks, shared, rejected, accepted = 0, 0, 0, 0
     for d in range(36):
         kind = ("rm-global", "rm-cohort", "sd")[d % 3]
-        systems, _ = design_systems(rng, kind, ("imputation", "csnyt")[d // 3 % 2])
-        if not systems:
-            continue
-        contexts = _prepare_contexts(systems, KAPPA, 300, seed=d)
-        points = crossing_points(systems)
-        got = _block_decisions(contexts, points, 0.05)
-        want = np.array([decisions(ctx, points, 0.05) for ctx in contexts])
-        assert np.array_equal(got, want), (d, kind)
-        blocks += 1
-        rejected, accepted = rejected + got.sum(), accepted + (~got).sum()
-    assert blocks > 25 and rejected > 0 and accepted > 0
+        chunks, _ = design_chunks(rng, kind, ("imputation", "csnyt")[d // 3 % 2])
+        design = [block for chunk in chunks for block in chunk]
+        points = crossing_points(design)
+        for block in design:
+            block.lf_cv = _critical_values(block, KAPPA, 300, seed=d)
+            got = _block_decisions(block, points, 0.05, KAPPA)
+            want = [decisions(block, i, points, 0.05, KAPPA) for i in range(len(got))]
+            assert np.array_equal(got, want), (d, kind)
+            blocks += 1
+            shared += len(got) > 1
+            rejected, accepted = rejected + got.sum(), accepted + (~got).sum()
+    assert blocks > 25 and shared > 0 and rejected > 0 and accepted > 0
     assert len(calls) <= blocks  # one quantile call per block at most
     assert sum(values) > 1000  # stage two was reached
 
 
 def test_block_decisions_match_the_oracle_on_boundary_null_draws():
-    # one context per draw of the estimate at the boundary null, decided as
+    # one member per draw of the estimate at the boundary null, decided as
     # one block of 300 members
     coeffs, member, target, sigma = csnyt_boundary_system()
-    moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
-    (ctx,) = _prepare_contexts([moments], kappa=0.005, draws=4000, seed=9)
+    block = member_block(coeffs, member, _target_basis(coeffs, target))
+    block.lf_cv = _critical_values(block, 0.005, 4000, seed=9)
     rng = np.random.default_rng(123)
     root = np.linalg.cholesky(sigma)
     A = member.A[:, coeffs.cells.value_positions]
-    draws = [
-        dataclasses.replace(
-            ctx,
-            moments=dataclasses.replace(
-                moments, a0=moments.a0 + A @ (root @ rng.standard_normal(6))
-            ),
-        )
-        for _ in range(300)
-    ]
+    shifts = np.array([A @ (root @ rng.standard_normal(6)) for _ in range(300)])
+    draws = take(block, np.zeros(300, dtype=int))
+    draws.a0 = draws.a0 + shifts
     points = np.linspace(-1.0, 1.0, 21)
-    got = _block_decisions(draws, points, 0.05)
-    want = np.array([decisions(c, points, 0.05) for c in draws])
+    got = _block_decisions(draws, points, 0.05, 0.005)
+    want = [decisions(draws, i, points, 0.05, 0.005) for i in range(300)]
     assert np.array_equal(got, want)
     assert 0 < got.sum() < got.size
 
@@ -138,13 +133,14 @@ def test_sets_do_not_depend_on_block_size_or_member_order(monkeypatch, kind):
 
 
 def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
-    # one inverse per distinct (member, optimal vertex) pair, one quantile
-    # call and one stacked eigh per block, one nuisance system per distinct
-    # A[:, post] (the toy family's members drop no row and share it)
+    # one block per chunk of members (the toy family's members drop no row
+    # and share one A[:, post], so one nuisance system for the set), one
+    # stacked eigh and at most one quantile call per block, one inverse per
+    # distinct (member, optimal vertex) pair
     coeffs, layout, bm, target = toy_system
     fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
     seen = dict.fromkeys(
-        ["blocks", "pairs", "inverted", "eigh", "quantiles", "spans"], 0
+        ["blocks", "pairs", "factored", "inverted", "eigh", "quantiles", "spans"], 0
     )
 
     def count(module, name, key, size=lambda *args: 1):
@@ -156,28 +152,72 @@ def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    def pairs(contexts, points, alpha):
+    def pairs(block, points, alpha, kappa):
         """The distinct non-degenerate (member, optimal vertex) pairs of the
         points that stage one accepts, counted as the per-point loop met them."""
         found = 0
-        for ctx in contexts:
-            mom = ctx.moments
-            vals = ctx.vertices @ (mom.a0[:, None] - np.outer(mom.a1, points))
-            best = vals.argmax(axis=0)[vals.max(axis=0) <= ctx.lf_cv]
-            k1 = ctx.moments.X.shape[1] + 1
-            basic = ctx.vertices[np.unique(best)] > inference._VERTEX_TIE_TOL
+        for i, vertices in enumerate(block.vertices):
+            vals = vertices @ (block.a0[i][:, None] - np.outer(block.a1[i], points))
+            best = vals.argmax(axis=0)[vals.max(axis=0) <= block.lf_cv[i]]
+            k1 = block.X.shape[1] + 1
+            basic = vertices[np.unique(best)] > inference._VERTEX_TIE_TOL
             found += int((basic.sum(axis=1) == k1).sum())
         return found
 
     count(inference, "_block_decisions", "blocks")
     count(inference, "_block_decisions", "pairs", pairs)
+    count(np.linalg, "slogdet", "factored", len)
     count(np.linalg, "inv", "inverted", len)
     count(np.linalg, "eigh", "eigh")
     count(inference, "_truncnorm_quantile", "quantiles")
     count(inference, "_column_space", "spans")
     shared_set(coeffs, fam, target, _wide_grid(coeffs, target, n=41), seed=3)
     assert seen["blocks"] == -(-fam.member_count // inference._MEMBER_BLOCK)
-    assert seen["pairs"] > 0 and seen["inverted"] == seen["pairs"]
+    assert seen["pairs"] > 0
+    assert seen["factored"] == seen["inverted"] == seen["pairs"]  # none singular
     assert 0 < seen["quantiles"] <= seen["blocks"]
-    assert seen["eigh"] == seen["blocks"]
+    assert seen["eigh"] == seen["blocks"]  # every block has vertices
     assert seen["spans"] == 1
+
+
+def singular_basis_block():
+    """Two members whose moment rows 0 and 1 have equal [sd, X] rows.  The
+    first listed vertex has its support on those rows, so its basis is
+    singular; the second has the invertible basis of rows 2 and 3.  Member
+    0's optimum is the first vertex below theta0 = 0 and the second above,
+    member 1's the other way round."""
+    X = np.array([[0.0], [0.0], [1.0], [-1.0]])
+    vertices = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+    a1 = np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+    none = np.zeros((2, 0))
+    return _Block(
+        a0=np.zeros((2, 4)), a1=a1, sd=np.ones((2, 4)),
+        sigma=np.broadcast_to(np.eye(4), (2, 4, 4)).copy(), X=X,
+        vertices=np.stack([vertices, vertices]), det_a0=none, det_a1=none,
+        det_tol=none, lf_cv=np.array([3.0, 3.0]),
+    )
+
+
+def test_a_singular_basis_keeps_the_stage_one_acceptance(monkeypatch):
+    block = singular_basis_block()
+    basis = np.column_stack([block.sd[0], block.X])[:2]
+    assert np.linalg.slogdet(basis)[0] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(basis)
+    conditional = []
+    quantile = inference._truncnorm_quantile
+
+    def counted(p, lo, hi):
+        conditional.append(len(lo))
+        return quantile(p, lo, hi)
+
+    monkeypatch.setattr(inference, "_truncnorm_quantile", counted)
+    points = np.linspace(-3.9, 3.9, 27)  # no point at the tie theta0 = 0
+    got = _block_decisions(block, points, 0.05, KAPPA)
+    want = [decisions(block, i, points, 0.05, KAPPA) for i in range(2)]
+    assert np.array_equal(got, want)
+    inside = np.abs(points) <= 3.0  # eta* = |theta0| passes stage one
+    singular = np.array([points < 0, points > 0])  # the first vertex is optimal
+    assert not got[singular & inside].any()
+    assert got[:, ~inside].all()
+    assert conditional and conditional[0] == 2 * int((inside & (points > 0)).sum())

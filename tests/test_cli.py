@@ -538,7 +538,7 @@ def test_run_refuses_a_negative_seed_before_the_panel_loads(
     config = RunConfig(
         command, input=str(panel_csv), out=str(out), seed=-1, example="toy"
     )
-    with pytest.raises(ValueError, match="--seed") as info:
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer") as info:
         run(config)
     assert info.value.code == "INVALID_SEED"
     assert loads == []

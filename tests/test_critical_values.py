@@ -5,9 +5,9 @@ The oracle is the Monte Carlo stage as it ran one member at a time: the
 member's draws xi = Z root' (Z the seeded standard normals, root its own
 Gaussian root), its profiled statistic per draw (the max over its vertices
 of vertices @ xi', or the profiling LP per draw for a member without
-vertices), and the 1 - kappa quantile.  ``_prepare_contexts`` computes the
-statistic as stacked (vertices root) Z' products instead; only the rounding
-may differ.
+vertices), and the 1 - kappa quantile.  ``_critical_values`` computes the
+statistic of a whole block as stacked (vertices root) Z' products instead;
+only the rounding may differ.
 """
 
 import dataclasses
@@ -21,10 +21,12 @@ from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.estimators import aggregate
 from blockdid.inference import (
     _block_decisions,
+    _block_moments,
     _column_space,
+    _cone_rays,
+    _critical_values,
     _gaussian_root,
-    _member_moments,
-    _prepare_contexts,
+    _reduced_rows,
     _standard_normals,
     _target_basis,
     aggregated_att_target,
@@ -44,6 +46,7 @@ from blockdid.simgen import gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
+from oracles import take
 from test_plugin_oracle import _eta_star_lp
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
@@ -57,15 +60,16 @@ KAPPA, DRAWS = 0.005, 500
 BLOCK = 16
 
 
-def oracle_lf_cv(moments, vertices, kappa, draws, seed):
-    """The per-member product: max over the vertices of vertices @ xi', or
-    the profiling LP per draw for a member without vertices."""
-    root = _gaussian_root(moments.sigma)
+def oracle_lf_cv(block, i, kappa, draws, seed):
+    """The per-member product of member i of a block: max over its vertices
+    of vertices @ xi', or the profiling LP per draw for a member without
+    vertices."""
+    root = _gaussian_root(block.sigma[i])
     xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
-    if len(vertices):
-        eta = (vertices @ xi.T).max(axis=0)
+    if block.vertices.shape[1]:
+        eta = (block.vertices[i] @ xi.T).max(axis=0)
     else:
-        eta = np.array([_eta_star_lp(y, moments.X, moments.sd) for y in xi])
+        eta = np.array([_eta_star_lp(y, block.X, block.sd[i]) for y in xi])
     if np.all(eta == -np.inf):  # np.quantile would interpolate to nan
         return -np.inf
     return float(np.quantile(eta, 1.0 - kappa))
@@ -78,16 +82,43 @@ def assert_close(got, want):
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (got, want)
 
 
-def with_empty_cone(moments):
-    """The system with sd added to its nuisance loadings: sd'lam = 0 then
-    forces lam = 0, so the cone {lam >= 0 : X'lam = 0} is {0}."""
-    X = _column_space(np.column_stack([moments.X, moments.sd]))
-    return dataclasses.replace(moments, X=X)
+def with_empty_cone(block):
+    """The block with its first member's sd added to the nuisance loadings:
+    sd'lam = 0 then forces lam = 0 (every sd is positive), so the cone
+    {lam >= 0 : X'lam = 0} is {0} and no member has a vertex."""
+    X = _column_space(np.column_stack([block.X, block.sd[0]]))
+    rays = _cone_rays(X)
+    assert rays.shape == (0, len(X))
+    return dataclasses.replace(block, X=X, vertices=block.vertices[:, :0])
 
 
-def design_systems(rng, kind, estimator):
-    """Moment systems of up to ``BLOCK`` distinct members of every family
-    variant on one random design, in both frameworks; with what they cover."""
+def chunk_blocks(coeffs, family, basis, chunk):
+    """The blocks of the members ``chunk`` formed at once, as
+    ``confidence_set`` forms them; member by member, leaving out those that
+    cannot be tested, when the chunk cannot be formed whole."""
+    memo = {}
+
+    def form(members):
+        rows = family.member_rows(members)
+        A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
+        return _block_moments(coeffs, A, d, basis, memo)
+
+    try:
+        return form(chunk)
+    except inference.InferenceError:
+        blocks = []
+        for i in chunk:
+            try:
+                blocks += form([i])
+            except inference.InferenceError:
+                continue
+        return blocks
+
+
+def design_chunks(rng, kind, estimator):
+    """The blocks of one chunk of up to ``BLOCK`` distinct members of every
+    family variant on one random design, in both frameworks, a list per
+    chunk; with what they cover."""
     panel = gen_custom(random_spec(rng, **DESIGN[kind])).panel
     layout = build_layout(panel)
     with warnings.catch_warnings():
@@ -101,7 +132,7 @@ def design_systems(rng, kind, estimator):
         ("cohort", coeffs, layout, bm, overall_att_target(layout, coeffs.cells)),
         ("aggregated", acoe, alay, amap, aggregated_att_target(agg, acells)),
     ]
-    systems, covered = [], set()
+    chunks, covered = [], set()
     param = float(rng.choice([0.0, rng.uniform(0.1, 1.5)]))
     for framework, coe, lay, W, target in frameworks:
         try:
@@ -114,58 +145,74 @@ def design_systems(rng, kind, estimator):
         basis = _target_basis(coe, target)
         for fam in variants:
             fam = map_to_delta_space(fam, W)
-            for i in fam.distinct[:BLOCK]:
-                try:
-                    systems.append(_member_moments(coe, fam.member(i), *basis))
-                except inference.InferenceError:
-                    continue
+            blocks = chunk_blocks(coe, fam, basis, fam.distinct[:BLOCK])
+            if blocks:
+                chunks.append(blocks)
                 covered |= {framework, fam.normalized}
-    return systems, covered
+    return chunks, covered
+
+
+def members(blocks):
+    return sum(len(b.sd) for b in blocks)
+
+
+def every_nth_cone_empty(chunk, n):
+    """The chunk's blocks cut so that every nth member is a block of its own
+    with an empty cone (``with_empty_cone``), between runs of n - 1 members
+    that keep their vertices."""
+    out = []
+    for block in chunk:
+        for s in range(0, len(block.sd), n):
+            out.append(take(block, slice(s, s + n - 1)))
+            if s + n - 1 < len(block.sd):
+                out.append(with_empty_cone(take(block, [s + n - 1])))
+    return out
 
 
 def check_blocks(rng, designs, draws, empty_every=0):
-    """Compare ``_prepare_contexts`` on blocks of every design's systems with
-    the oracle; count what was covered.  With ``empty_every`` = n, every nth
-    system gets an empty cone (``with_empty_cone``), and such a member must
-    accept every point of a wide grid that its deterministic rows allow."""
-    seen = {"checked": 0, "empty": 0, "mixed shapes": 0, "covered": set()}
+    """Compare ``_critical_values`` on the blocks of every design's chunks
+    with the oracle; count what was covered.  With ``empty_every`` = n, every
+    nth member of a chunk is a block with an empty cone
+    (``every_nth_cone_empty``), and such a member must accept every point of
+    a wide grid that its deterministic rows allow."""
+    seen = dict.fromkeys(["checked", "empty", "shared", "deterministic", "mixed"], 0)
+    seen["covered"] = set()
     points = np.linspace(-100.0, 100.0, 41)
     d = 0
     while d < designs:
         kind = ("rm-global", "rm-cohort", "sd")[d % 3]
         estimator = ("imputation", "csnyt")[(d // 3) % 2]
-        systems, covered = design_systems(rng, kind, estimator)
-        if not systems:
+        chunks, covered = design_chunks(rng, kind, estimator)
+        if not chunks:
             continue
         if empty_every:
-            systems = [
-                with_empty_cone(m) if j % empty_every == empty_every - 1 else m
-                for j, m in enumerate(systems)
-            ]
+            chunks = [every_nth_cone_empty(chunk, empty_every) for chunk in chunks]
         d += 1
         seen["covered"] |= covered | {kind, estimator}
         seed = int(rng.integers(0, 1000))
-        for s in range(0, len(systems), BLOCK):
-            contexts = _prepare_contexts(systems[s:s + BLOCK], KAPPA, draws, seed)
-            for ctx in contexts:
-                want = oracle_lf_cv(ctx.moments, ctx.vertices, KAPPA, draws, seed)
-                assert_close(ctx.lf_cv, want)
-                seen["checked"] += 1
-                if len(ctx.vertices) == 0:
-                    assert ctx.lf_cv == -np.inf
-                    mom = ctx.moments
-                    det = mom.det_a0[:, None] - np.outer(mom.det_a1, points)
-                    allowed = ~(det > mom.det_tol[:, None]).any(axis=0)
-                    assert not _block_decisions([ctx], points, 0.05)[0, allowed].any()
-                    seen["empty"] += 1
-            shapes = {c.vertices.shape for c in contexts if len(c.vertices)}
-            seen["mixed shapes"] += len(shapes) > 1
+        for chunk in chunks:
+            for block in chunk:
+                block.lf_cv = _critical_values(block, KAPPA, draws, seed)
+                for i, cv in enumerate(block.lf_cv):
+                    assert_close(cv, oracle_lf_cv(block, i, KAPPA, draws, seed))
+                    seen["checked"] += 1
+                if block.vertices.shape[1] == 0:
+                    assert (block.lf_cv == -np.inf).all()
+                    det = block.det_a0[:, :, None] - block.det_a1[:, :, None] * points
+                    allowed = ~(det > block.det_tol[:, :, None]).any(axis=1)
+                    reject = _block_decisions(block, points, 0.05, KAPPA)
+                    assert not reject[allowed].any()
+                    seen["empty"] += len(block.sd)
+                seen["shared"] += len(block.sd) > 1
+                seen["deterministic"] += block.det_a0.shape[1] > 0
+            seen["mixed"] += len({b.vertices.shape[1] == 0 for b in chunk}) > 1
     return seen
 
 
 def test_block_critical_values_match_the_per_member_product():
     seen = check_blocks(np.random.default_rng(2024), 102, DRAWS)
-    assert seen["checked"] > 800 and seen["mixed shapes"] > 0
+    assert seen["checked"] > 800
+    assert seen["shared"] > 0 and seen["deterministic"] > 0
     assert seen["covered"] >= {
         "rm-global", "rm-cohort", "sd", "imputation", "csnyt",
         "cohort", "aggregated", True, False,
@@ -173,28 +220,33 @@ def test_block_critical_values_match_the_per_member_product():
 
 
 def test_blocks_mixing_members_with_an_empty_cone_match_the_per_member_product():
-    # one member in three has no dual vertex: its profiled statistic is -inf
-    # at every draw (the LP oracle is unbounded), so its critical value is
-    # -inf, with no nan quantile and no warning
+    # one member in three of every chunk is a block without a dual vertex:
+    # its profiled statistic is -inf at every draw (the LP oracle is
+    # unbounded), so its critical value is -inf, with no nan quantile and no
+    # warning, while the chunk's other blocks keep theirs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         seen = check_blocks(np.random.default_rng(99), 3, 40, empty_every=3)
     assert 0 < seen["empty"] < seen["checked"]
+    assert seen["mixed"] > 0
 
 
 def test_a_members_critical_value_does_not_depend_on_its_block():
     rng = np.random.default_rng(7)
-    compared = 0
+    compared, shared = 0, 0
     for estimator in ("imputation", "csnyt"):
-        systems = []
-        while len(systems) < BLOCK:  # rm-cohort members share one shape
-            systems += design_systems(rng, "rm-cohort", estimator)[0]
-        contexts = _prepare_contexts(systems[:BLOCK], KAPPA, DRAWS, seed=11)
-        for moments, ctx in zip(systems, contexts):
-            alone = _prepare_contexts([moments], KAPPA, DRAWS, seed=11)[0]
-            assert_close(ctx.lf_cv, alone.lf_cv)
-            compared += 1
-    assert compared == 2 * BLOCK
+        blocks = []
+        while members(blocks) < BLOCK:
+            chunks = design_chunks(rng, "rm-cohort", estimator)[0]
+            blocks += [block for chunk in chunks for block in chunk]
+        for block in blocks:
+            block.lf_cv = _critical_values(block, KAPPA, DRAWS, seed=11)
+            for i, cv in enumerate(block.lf_cv):
+                alone = _critical_values(take(block, [i]), KAPPA, DRAWS, seed=11)
+                assert_close(cv, alone[0])
+                compared += 1
+            shared += len(block.sd) > 1
+    assert compared >= 2 * BLOCK and shared > 0
 
 
 @pytest.mark.parametrize("chunk", [1, 37, 1000])
@@ -202,9 +254,11 @@ def test_chunked_product_matches_the_oracle(monkeypatch, chunk):
     # chunks smaller than one draw's column, ragged and whole
     monkeypatch.setattr(inference, "_MC_CHUNK_VALUES", chunk)
     rng = np.random.default_rng(5)
-    systems = []
-    while len(systems) < 4:
-        systems += design_systems(rng, "rm-global", "imputation")[0]
-    for ctx in _prepare_contexts(systems, KAPPA, 301, seed=3):
-        want = oracle_lf_cv(ctx.moments, ctx.vertices, KAPPA, 301, seed=3)
-        assert_close(ctx.lf_cv, want)
+    blocks = []
+    while members(blocks) < 4:
+        chunks = design_chunks(rng, "rm-global", "imputation")[0]
+        blocks += [block for chunk in chunks for block in chunk]
+    for block in blocks:
+        block.lf_cv = _critical_values(block, KAPPA, 301, seed=3)
+        for i, cv in enumerate(block.lf_cv):
+            assert_close(cv, oracle_lf_cv(block, i, KAPPA, 301, seed=3))

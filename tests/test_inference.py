@@ -15,12 +15,12 @@ from blockdid.inference import (
     InvalidDraws,
     InvalidGrid,
     _block_decisions,
+    _block_moments,
     _column_space,
-    _dual_vertices,
+    _cone_rays,
+    _critical_values,
     _gaussian_root,
-    _HybridContext,
-    _member_moments,
-    _prepare_contexts,
+    _reduced_rows,
     _standard_normals,
     _target_basis,
     _truncnorm_quantile,
@@ -49,6 +49,7 @@ from blockdid.simgen import DGPSpec, Violation, gen_custom, gen_toy
 from blockdid.vcov import BootstrapSpec, InvalidSeed, bootstrap_vcov
 
 from conftest import random_panel
+from oracles import member_block
 from test_panel import grid_csv
 from test_plugin_oracle import UnboundedProgram, _eta_star_lp, lp_union, member_bounds
 
@@ -276,8 +277,8 @@ def csnyt_boundary_system():
 def test_hybrid_size_at_boundary_null():
     coeffs, member, target, sigma = csnyt_boundary_system()
     alpha = 0.05
-    moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
-    ctx = _prepare_contexts([moments], kappa=alpha / 10, draws=4000, seed=9)[0]
+    block = member_block(coeffs, member, _target_basis(coeffs, target))
+    block.lf_cv = _critical_values(block, alpha / 10, 4000, seed=9)
     rng = np.random.default_rng(123)
     root = np.linalg.cholesky(sigma)
     rejections = 0
@@ -285,12 +286,9 @@ def test_hybrid_size_at_boundary_null():
     for _ in range(reps):
         beta = root @ rng.standard_normal(6)
         draw = dataclasses.replace(
-            moments, a0=moments.a0 + member.A[:, coeffs.cells.value_positions] @ beta
+            block, a0=block.a0 + member.A[:, coeffs.cells.value_positions] @ beta
         )
-        ctx_b = _HybridContext(
-            moments=draw, vertices=ctx.vertices, lf_cv=ctx.lf_cv, kappa=ctx.kappa
-        )
-        rejections += _block_decisions([ctx_b], [0.0], alpha)[0, 0]
+        rejections += _block_decisions(draw, [0.0], alpha, alpha / 10)[0, 0]
     assert rejections / reps <= alpha + 0.05
 
 
@@ -343,20 +341,21 @@ def test_hybrid_fallback_no_smaller_than_least_favorable():
                          d=np.concatenate([base.d, base.d]))
     target = overall_att_target(layout, cells)
     alpha = 0.05
-    moments = _member_moments(coeffs, doubled, *_target_basis(coeffs, target))
-    hybrid_ctx, = _prepare_contexts([moments], kappa=alpha / 10, draws=4000, seed=2)
-    lf_ctx = _prepare_contexts([moments], kappa=alpha, draws=4000, seed=2)[0]
-    assert hybrid_ctx.lf_cv >= lf_ctx.lf_cv
+    block = member_block(coeffs, doubled, _target_basis(coeffs, target))
+    (lf_cv,) = _critical_values(block, alpha, 4000, seed=2)
+    block.lf_cv = _critical_values(block, alpha / 10, 4000, seed=2)
+    assert block.lf_cv[0] >= lf_cv
+    (vertices,) = block.vertices
     for theta0 in np.linspace(-2, 2, 41):
-        hybrid_rejects = _block_decisions([hybrid_ctx], [theta0], alpha)[0, 0]
+        hybrid_rejects = _block_decisions(block, [theta0], alpha, alpha / 10)[0, 0]
         # pure least-favorable decision: first stage at level alpha only
-        y = moments.a0 - moments.a1 * theta0
-        lf_rejects = float((hybrid_ctx.vertices @ y).max()) > lf_ctx.lf_cv
+        y = block.a0[0] - block.a1[0] * theta0
+        lf_rejects = float((vertices @ y).max()) > lf_cv
         if hybrid_rejects:
             assert lf_rejects
     # and the doubled system really is degenerate at the optimum
-    y = moments.a0
-    vals = hybrid_ctx.vertices @ y
+    y = block.a0[0]
+    vals = vertices @ y
     top = np.sort(vals)[-2:]
     assert abs(top[0] - top[1]) < 1e-9
 
@@ -404,12 +403,12 @@ def test_lp_path_matches_vertex_path(boot_toy):
         map_to_delta_space(rm_global(layout, cells, 0.4), bm).members[:3]
     )
     for member in members:
-        moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
-        vertices = _dual_vertices(moments.sd, moments.X)
+        block = member_block(coeffs, member, _target_basis(coeffs, target))
+        (vertices,) = block.vertices
         assert len(vertices)
         for theta0 in np.linspace(-2.0, 6.0, 17):
-            y = moments.a0 - moments.a1 * theta0
-            eta_lp = _eta_star_lp(y, moments.X, moments.sd)
+            y = block.a0[0] - block.a1[0] * theta0
+            eta_lp = _eta_star_lp(y, block.X, block.sd[0])
             assert float((vertices @ y).max()) == pytest.approx(eta_lp, abs=1e-9), (
                 member.label, theta0,
             )
@@ -418,6 +417,13 @@ def test_lp_path_matches_vertex_path(boot_toy):
 # ---------------------------------------------------------------------------
 # dual-polytope vertices
 # ---------------------------------------------------------------------------
+
+
+def dual_vertices(sd_vec, X):
+    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0} as the package forms a
+    member's: the cone's rays scaled to sd'lam = 1."""
+    rays = _cone_rays(X)
+    return rays / (rays @ sd_vec)[:, None]
 
 
 def brute_force_vertices(sd_vec, X):
@@ -489,14 +495,14 @@ def test_dual_vertices_match_brute_force_on_random_systems():
             # the enumeration takes X of full column rank, as the moment
             # systems provide it: a basis of the nuisance loadings
             X = _column_space(X)
-        assert_same_vertices(_dual_vertices(sd_vec, X), brute_force_vertices(sd_vec, X))
+        assert_same_vertices(dual_vertices(sd_vec, X), brute_force_vertices(sd_vec, X))
 
 
 def test_dual_vertices_of_a_cone_reduced_to_zero_is_none():
     # lam1 + lam2 = 0 with lam >= 0 leaves only lam = 0: the nuisance can push
     # every moment down without bound, and the profiling LP reports -inf
     X = np.array([[1.0], [1.0]])
-    assert _dual_vertices(np.ones(2), X).shape == (0, 2)
+    assert dual_vertices(np.ones(2), X).shape == (0, 2)
     assert brute_force_vertices(np.ones(2), X) is None
     assert _eta_star_lp(np.array([0.3, -0.2]), X, np.ones(2)) == -np.inf
 
@@ -518,9 +524,9 @@ def test_dual_vertices_match_brute_force_on_design_members(estimator):
             sd(layout, coeffs.cells, 0.1),
         ):
             for member in map_to_delta_space(fam, bm).members:
-                mom = _member_moments(coeffs, member, *_target_basis(coeffs, target))
+                block = member_block(coeffs, member, _target_basis(coeffs, target))
                 assert_same_vertices(
-                    _dual_vertices(mom.sd, mom.X), brute_force_vertices(mom.sd, mom.X)
+                    block.vertices[0], brute_force_vertices(block.sd[0], block.X)
                 )
                 checked += 1
     assert checked > 20
@@ -542,28 +548,28 @@ def sd_cliff_systems():
     bm = invert(build_w_csnyt(layout, coeffs.cells))
     fam = map_to_delta_space(sd(layout, coeffs.cells, 0.05), bm)
     target = overall_att_target(layout, coeffs.cells)
-    cohort = _member_moments(coeffs, fam.members[0], *_target_basis(coeffs, target))
+    cohort = member_block(coeffs, fam.members[0], _target_basis(coeffs, target))
     agg = aggregate(coeffs, layout)
     agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
     agg_fam = map_to_delta_space(sd(agg_layout, agg_cells, 0.05), agg_map)
     agg_basis = _target_basis(agg_coeffs, aggregated_att_target(agg, agg_cells))
-    pooled = _member_moments(agg_coeffs, agg_fam.members[0], *agg_basis)
+    pooled = member_block(agg_coeffs, agg_fam.members[0], agg_basis)
     return {"cohort": cohort, "aggregated": pooled}
 
 
 @pytest.mark.parametrize("framework", ["cohort", "aggregated"])
 def test_sd_cliff_vertices_match_profiling_lp(sd_cliff_systems, framework):
-    mom = sd_cliff_systems[framework]
-    verts = _dual_vertices(mom.sd, mom.X)
+    block = sd_cliff_systems[framework]
+    (verts,), (sd_vec,) = block.vertices, block.sd
     assert len(verts)
     if framework == "cohort":
-        assert len(mom.sd) == 40 and mom.X.shape[1] == 19
+        assert len(sd_vec) == 40 and block.X.shape[1] == 19
     rng = np.random.default_rng(6)
-    root = np.linalg.cholesky(mom.sigma + 1e-12 * np.eye(len(mom.sd)))
+    root = np.linalg.cholesky(block.sigma[0] + 1e-12 * np.eye(len(sd_vec)))
     for _ in range(60):
-        noise = root @ rng.standard_normal(len(mom.sd))
-        y = mom.a0 - mom.a1 * rng.uniform(-4, 6) + noise
-        eta_lp = _eta_star_lp(y, mom.X, mom.sd)
+        noise = root @ rng.standard_normal(len(sd_vec))
+        y = block.a0[0] - block.a1[0] * rng.uniform(-4, 6) + noise
+        eta_lp = _eta_star_lp(y, block.X, sd_vec)
         assert float((verts @ y).max()) == pytest.approx(eta_lp, abs=1e-9)
 
 
@@ -605,22 +611,28 @@ def test_nuisance_basis_is_taken_again_after_rows_drop(rank_loss_system):
     for kind, members in (("rm-global", range(14, 40)), ("sd", [0])):
         fam = families[kind]
         for i in members:
-            mom = _member_moments(coeffs, fam.member(i), *basis)
-            assert mom.X.shape == (22, 11)  # a basis of the kept rows' loadings
-            verts = _dual_vertices(mom.sd, mom.X)
+            block = member_block(coeffs, fam.member(i), basis)
+            assert block.X.shape == (22, 11)  # a basis of the kept rows' loadings
+            (verts,) = block.vertices
             assert len(verts)
             if i not in (14, 0):
                 continue
-            root = _gaussian_root(mom.sigma)
+            root = _gaussian_root(block.sigma[0])
             for z in rng.standard_normal((200, root.shape[1])):
-                y = mom.a0 - mom.a1 * rng.uniform(-15.0, 20.0) + root @ z
-                eta_lp = _eta_star_lp(y, mom.X, mom.sd)
+                y = block.a0[0] - block.a1[0] * rng.uniform(-15.0, 20.0) + root @ z
+                eta_lp = _eta_star_lp(y, block.X, block.sd[0])
                 assert float((verts @ y).max()) == pytest.approx(eta_lp, abs=1e-9)
                 checked += 1
     assert checked == 400
     # rm-global members 0-13 drop no row and keep their 15 columns
-    kept = _member_moments(coeffs, families["rm-global"].member(0), *basis)
+    kept = member_block(coeffs, families["rm-global"].member(0), basis)
     assert kept.X.shape == (32, 15)
+    # formed as one chunk, members 0-15 fall into one block per kept-row set
+    fam = families["rm-global"]
+    rows = _reduced_rows(*fam.member_rows(range(16)), coeffs.cells, coeffs.positions)
+    blocks = _block_moments(coeffs, *rows, basis, {})
+    assert [(len(b.sd), b.X.shape) for b in blocks] == [(14, (32, 15)), (2, (22, 11))]
+    assert np.array_equal(blocks[0].a0[0], kept.a0[0])
 
     # the sets that profiling by LP, one program per point and draw, gives
     want = {
@@ -663,20 +675,12 @@ def test_nuisance_basis_invariance(boot_toy):
     alt_basis = Q[:, 1:] @ rot
     post, lbar, basis = _target_basis(coeffs, target)
     points = np.linspace(-1, 5, 9)
-    a, b = (
-        _block_decisions(
-            [
-                _prepare_contexts(
-                    [_member_moments(coeffs, fam.members[0], post, lbar, X_post)],
-                    kappa=0.005, draws=10_000, seed=3,
-                )[0]
-            ],
-            points,
-            0.05,
-        )[0]
-        for X_post in (basis, alt_basis)
-    )
-    assert np.array_equal(a, b)
+    decided = []
+    for X_post in (basis, alt_basis):
+        block = member_block(coeffs, fam.members[0], (post, lbar, X_post))
+        block.lf_cv = _critical_values(block, 0.005, 10_000, seed=3)
+        decided.append(_block_decisions(block, points, 0.05, 0.005)[0])
+    assert np.array_equal(*decided)
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +785,7 @@ def test_aggregated_single_cohort_coincides_with_cohort_framework():
     alay, acells, acoe, amap = aggregated_system(agg)
     afam = map_to_delta_space(sd(alay, acells, 0.1), amap)
     atarget = aggregated_att_target(agg, acells)
-    from blockdid.inference import aggregated_confidence_set
-
-    via_agg = aggregated_confidence_set(agg, afam, atarget, grid=grid, seed=8)
+    via_agg = confidence_set(acoe, afam, atarget, grid=grid, seed=8)
     assert direct.intervals == via_agg.intervals
     plug_a = plugin_identified_set(acoe, afam, atarget)
     plug_d = plugin_identified_set(coeffs, fam, target)

@@ -1,11 +1,12 @@
 """Family-level sharing in ``confidence_set`` against the unshared loop.
 
 The oracle below is the loop ``confidence_set`` ran before it shared work
-across a family: every member in family order, each with its own moment
-system, its own dual-vertex enumeration and its own Monte Carlo stage, and
-no member skipped.  ``confidence_set`` enumerates dual rays once per distinct
-nuisance system and tests only the family's distinct members (one at
-parameter 0); both are exact, so the sets must agree exactly.
+across a family: every member in family order, each a block of its own with
+its own dual-vertex enumeration and its own Monte Carlo stage, decided one
+point at a time, and no member skipped.  ``confidence_set`` enumerates dual
+rays once per distinct nuisance system and tests only the family's distinct
+members (one at parameter 0); both are exact, so the sets must agree
+exactly.
 """
 
 import warnings
@@ -20,9 +21,9 @@ from blockdid.estimators import aggregate
 from blockdid.inference import (
     GridSpec,
     InferenceError,
-    _dual_vertices,
-    _member_moments,
-    _prepare_contexts,
+    _block_moments,
+    _critical_values,
+    _reduced_rows,
     _target_basis,
     aggregated_att_target,
     aggregated_system,
@@ -42,7 +43,7 @@ from blockdid.simgen import gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
-from oracles import decisions
+from oracles import decisions, member_block
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
 W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}
@@ -62,9 +63,9 @@ def unshared_accepted(coeffs, family, target, grid, seed):
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
             break
-        moments = _member_moments(coeffs, member, *_target_basis(coeffs, target))
-        ctx, = _prepare_contexts([moments], kappa=ALPHA / 10, draws=DRAWS, seed=seed)
-        accepted[todo] = ~decisions(ctx, points[todo], ALPHA)
+        block = member_block(coeffs, member, _target_basis(coeffs, target))
+        block.lf_cv = _critical_values(block, ALPHA / 10, DRAWS, seed)
+        accepted[todo] = ~decisions(block, 0, points[todo], ALPHA, ALPHA / 10)
     return accepted
 
 
@@ -169,23 +170,24 @@ def toy_system(toy_panel):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record the X of every ray enumeration, and every context and the size
-    of every block of contexts that ``confidence_set`` prepares."""
-    seen = {"rays": [], "contexts": [], "blocks": []}
-    cone_rays, prepare = inference._cone_rays, inference._prepare_contexts
+    """Record the X of every ray enumeration, and every block, its members
+    as (block id, member) pairs and its size, as ``confidence_set`` prepares
+    their critical values."""
+    seen = {"rays": [], "members": [], "blocks": [], "sizes": []}
+    cone_rays, critical_values = inference._cone_rays, inference._critical_values
 
     def count_rays(X):
         seen["rays"].append((X.shape, X.tobytes()))
         return cone_rays(X)
 
-    def count_contexts(moments_list, *args, **kwargs):
-        contexts = prepare(moments_list, *args, **kwargs)
-        seen["contexts"].extend(contexts)
-        seen["blocks"].append(len(contexts))
-        return contexts
+    def count_blocks(block, *args):
+        seen["blocks"].append(block)
+        seen["members"].extend((id(block), i) for i in range(len(block.sd)))
+        seen["sizes"].append(len(block.sd))
+        return critical_values(block, *args)
 
     monkeypatch.setattr(inference, "_cone_rays", count_rays)
-    monkeypatch.setattr(inference, "_prepare_contexts", count_contexts)
+    monkeypatch.setattr(inference, "_critical_values", count_blocks)
     return seen
 
 
@@ -215,14 +217,19 @@ def test_one_enumeration_per_distinct_x_and_one_context_per_distinct_member(
     cset = shared_set(coeffs, fam, target, grid, seed=3)
     assert cset.is_empty
 
-    contexts = counted["contexts"]
-    assert len(contexts) == _distinct_members(fam)
+    tested = len(counted["members"])
+    assert tested == _distinct_members(fam)
     if mbar == 0.0:
-        assert len(contexts) == 1 < fam.member_count
+        assert tested == 1 < fam.member_count
     else:
-        assert len(contexts) == fam.member_count  # no two members are equal
-    assert all(len(ctx.vertices) for ctx in contexts)  # every member has vertices
-    xs = {(c.moments.X.shape, c.moments.X.tobytes()) for c in contexts}
+        assert tested == fam.member_count  # no two members are equal
+    # one block per chunk of members, every member with vertices
+    assert counted["sizes"] == [
+        len(fam.distinct[s:s + inference._MEMBER_BLOCK])
+        for s in range(0, len(fam.distinct), inference._MEMBER_BLOCK)
+    ]
+    assert all(b.vertices.shape[1] for b in counted["blocks"])
+    xs = {(b.X.shape, b.X.tobytes()) for b in counted["blocks"]}
     assert len(xs) == 1  # the members share one nuisance system
     assert counted["rays"] == list(xs)
 
@@ -240,20 +247,20 @@ def test_members_with_equal_rows_but_different_bounds_are_both_tested(
     assert (signs[0] == -signs[1]).all()
     grid = _far_grid(coeffs, target)
     want = runs(grid.points(), unshared_accepted(coeffs, pair, target, grid, 3))
-    counted["contexts"].clear()
+    counted["members"].clear(), counted["blocks"].clear()
 
     assert shared_set(coeffs, pair, target, grid, seed=3).intervals == want
-    tested = [ctx.moments for ctx in counted["contexts"]]
-    assert len(tested) == 2
-    assert not np.array_equal(tested[0].a0, tested[1].a0)
+    assert len(counted["members"]) == 2
+    tested = np.concatenate([b.a0 for b in counted["blocks"]])
+    assert not np.array_equal(tested[0], tested[1])
 
     # at parameter 0 their bounds coincide: one polyhedron, one test
     zero = replace(pair, parameter=0.0)
     assert np.array_equal(zero.member(0).A, zero.member(1).A)
     want = runs(grid.points(), unshared_accepted(coeffs, zero, target, grid, 3))
-    counted["contexts"].clear()
+    counted["members"].clear()
     assert shared_set(coeffs, zero, target, grid, seed=3).intervals == want
-    assert len(counted["contexts"]) == 1
+    assert len(counted["members"]) == 1
 
 
 def test_nuisance_systems_of_one_shape_get_their_own_rays(toy_system, counted):
@@ -263,17 +270,24 @@ def test_nuisance_systems_of_one_shape_get_their_own_rays(toy_system, counted):
     scale[0] = 2.0  # moves the column space of the nuisance loadings
     scaled = replace(first, A=first.A * scale[:, None])
     basis = _target_basis(coeffs, target)
-    systems = [_member_moments(coeffs, m, *basis) for m in (first, scaled, first)]
-    assert systems[0].X.shape == systems[1].X.shape
-    assert not np.array_equal(systems[0].X, systems[1].X)
-
-    shared = {}
-    got = [_dual_vertices(m.sd, m.X, shared) for m in systems]
-    assert len(shared) == 2  # one enumeration per X, the repeat reuses it
+    members = (first, scaled, first)
+    A, d = _reduced_rows(
+        np.stack([m.A for m in members]), np.stack([m.d for m in members]),
+        None, None, coeffs.cells, coeffs.positions,
+    )
+    memo = {}
+    blocks = _block_moments(coeffs, A, d, basis, memo)
+    assert [len(b.sd) for b in blocks] == [2, 1]  # first twice, then scaled
+    assert blocks[0].X.shape == blocks[1].X.shape
+    assert not np.array_equal(blocks[0].X, blocks[1].X)
+    assert len(memo) == 2  # one enumeration per X, the repeat reuses it
     assert len(set(counted["rays"])) == len(counted["rays"]) == 2
-    for m, vertices in zip(systems, got):
-        alone = _dual_vertices(m.sd, m.X)
-        assert len(vertices) and vertices.tobytes() == alone.tobytes()
+    _block_moments(coeffs, A, d, basis, memo)
+    assert len(counted["rays"]) == 2  # a later chunk reuses them too
+    for block, member in zip(blocks, (first, scaled)):
+        alone = member_block(coeffs, member, basis).vertices[0]
+        for vertices in block.vertices:
+            assert len(vertices) and vertices.tobytes() == alone.tobytes()
 
 
 def test_no_block_is_formed_after_every_point_is_accepted(
@@ -293,10 +307,10 @@ def test_no_block_is_formed_after_every_point_is_accepted(
         formed.extend(A)
         return block_moments(coeffs, A, *args)
 
-    def decisions(contexts, points, alpha):
+    def decisions(block, points, alpha, kappa):
         rows = []
-        for ctx in contexts:  # the nth member decided rejects while n < 20
-            decided.append(ctx)
+        for i in range(len(block.sd)):  # the nth member decided rejects while n < 20
+            decided.append((id(block), i))
             rows.append(np.full(len(points), len(decided) < accepting["member"]))
         return np.array(rows)
 
@@ -305,16 +319,17 @@ def test_no_block_is_formed_after_every_point_is_accepted(
     cset = shared_set(coeffs, fam, target, _far_grid(coeffs, target), seed=3)
     assert len(cset.intervals) == 1
     # a block is decided whole: the members decided are those formed
-    assert [id(c) for c in decided] == [id(c) for c in counted["contexts"]]
+    assert decided == counted["members"]
     assert len(decided) == 2 * block
-    assert counted["blocks"] == [block, block]
+    assert counted["sizes"] == [block, block]
     assert len(formed) == 2 * block
 
     # accepted by the last member of a block: the next block is not formed
-    formed.clear(), decided.clear(), counted["blocks"].clear()
+    formed.clear(), decided.clear(), counted["members"].clear()
+    counted["sizes"].clear()
     accepting["member"] = block
     shared_set(coeffs, fam, target, _far_grid(coeffs, target), seed=3)
-    assert len(decided) == block and counted["blocks"] == [block]
+    assert len(decided) == block and counted["sizes"] == [block]
     assert len(formed) == block
 
 
@@ -323,9 +338,9 @@ def _accepting_from(member):
     member decided, which accepts them all."""
     left = {"n": member}
 
-    def decisions(contexts, points, alpha):
+    def decisions(block, points, alpha, kappa):
         rows = []
-        for _ in contexts:
+        for _ in block.sd:
             left["n"] -= 1
             rows.append(np.full(len(points), left["n"] > 0))
         return np.array(rows)
@@ -371,29 +386,19 @@ def test_a_member_over_the_vertex_cap_is_refused_only_when_reached(
     fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
     grid = _far_grid(coeffs, target)
     basis = inference._target_basis(coeffs, target)
-    m, k = inference._member_moments(coeffs, fam.member(0), *basis).X.shape
+    m, k = member_block(coeffs, fam.member(0), basis).X.shape
     monkeypatch.setattr(inference, "_VERTEX_ENUM_CAP", 2 * m - k - 1)
     assert shared_set(coeffs, fam, target, grid, seed=3).is_empty  # all fit
 
     bad = _reduced(fam.member(3), coeffs)
     block_moments = inference._block_moments
 
-    def doubled(mom):
-        return replace(
-            mom,
-            a0=np.tile(mom.a0, 2),
-            a1=np.tile(mom.a1, 2),
-            X=np.vstack([mom.X, mom.X]),
-            sigma=np.block([[mom.sigma, mom.sigma], [mom.sigma, mom.sigma]]),
-            sd=np.tile(mom.sd, 2),
-        )
-
-    def double_member_3(coeffs, A, *args):
-        systems = block_moments(coeffs, A, *args)
-        return [
-            doubled(mom) if rows.tobytes() == bad else mom
-            for rows, mom in zip(A, systems)
-        ]
+    def double_member_3(coeffs, A, d, *args):
+        # a chunk with member 3 is formed with every member's rows doubled,
+        # so it fails whole; member 3 alone fails too
+        if any(rows.tobytes() == bad for rows in A):
+            A, d = np.concatenate([A, A], axis=1), np.concatenate([d, d], axis=1)
+        return block_moments(coeffs, A, d, *args)
 
     monkeypatch.setattr(inference, "_block_moments", double_member_3)
     monkeypatch.setattr(inference, "_block_decisions", _accepting_from(2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blockdid.restrictions as restrictions
 from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.restrictions import (
@@ -107,10 +108,11 @@ def test_rm_global_no_pre_differences_anywhere():
         rm_global(layout, cells, 1.0)
 
 
-def test_rm_cohort_member_cap(toy):
+def test_rm_cohort_member_cap(toy, monkeypatch):
     layout, cells = toy
+    monkeypatch.setattr(restrictions, "MEMBER_CAP", 10)
     with pytest.raises(MemberCountExceedsCap):
-        rm_cohort(layout, cells, 1.0, cap=10)
+        rm_cohort(layout, cells, 1.0)
 
 
 def test_sd_row_count_and_pre_requirement(toy):

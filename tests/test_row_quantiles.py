@@ -15,9 +15,10 @@ import pytest
 import blockdid.inference as inference
 from blockdid.biasmap import build_w_imputation, invert
 from blockdid.inference import (
+    _block_moments,
+    _critical_values,
     _first_stage_level,
-    _member_moments,
-    _prepare_contexts,
+    _reduced_rows,
     _row_quantiles,
     _target_basis,
     overall_att_target,
@@ -123,7 +124,7 @@ def test_tail_selection_partitions_far_fewer_values_than_the_row(monkeypatch):
     assert_bits(got, want)
 
 
-def test_prepare_contexts_never_calls_np_quantile(toy_panel, monkeypatch):
+def test_critical_values_never_call_np_quantile(toy_panel, monkeypatch):
     layout = build_layout(toy_panel)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # singleton strata
@@ -131,8 +132,10 @@ def test_prepare_contexts_never_calls_np_quantile(toy_panel, monkeypatch):
     bias_map = invert(build_w_imputation(layout, coeffs.cells))
     family = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.5), bias_map)
     basis = _target_basis(coeffs, overall_att_target(layout, coeffs.cells))
-    members = family.distinct[:16]
-    moments = [_member_moments(coeffs, family.member(i), *basis) for i in members]
+    rows = _reduced_rows(
+        *family.member_rows(family.distinct[:16]), coeffs.cells, coeffs.positions
+    )
+    (block,) = _block_moments(coeffs, *rows, basis, {})
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Monte Carlo stage called np.quantile")
@@ -147,10 +150,9 @@ def test_prepare_contexts_never_calls_np_quantile(toy_panel, monkeypatch):
     monkeypatch.setattr(np, "quantile", refuse)
     monkeypatch.setattr(np, "percentile", refuse)
     monkeypatch.setattr(inference, "_row_quantiles", spy)
-    contexts = _prepare_contexts(moments, kappa=1.0 - HYBRID_Q, draws=10_000, seed=9)
+    lf_cv = _critical_values(block, 1.0 - HYBRID_Q, 10_000, seed=9)
     monkeypatch.undo()
-    assert seen and sum(len(out) for _, _, out in seen) == len(contexts)
-    for eta, q, out in seen:
-        assert_bits(out, np.quantile(eta, q, axis=1))
-    got = sorted(c.lf_cv for c in contexts)
-    assert got == sorted(v for _, _, out in seen for v in out.tolist())
+    assert len(seen) == 1 and len(lf_cv) == 16
+    ((eta, q, out),) = seen
+    assert_bits(out, np.quantile(eta, q, axis=1))
+    assert_bits(lf_cv, out)

@@ -92,7 +92,7 @@ def test_replications_floor():
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None])
 def test_seed_must_be_a_nonnegative_integer(seed):
-    with pytest.raises(InvalidSeed, match="--seed") as info:
+    with pytest.raises(InvalidSeed, match="seed must be a nonnegative integer") as info:
         BootstrapSpec(10, seed)
     assert info.value.code == "INVALID_SEED"
     BootstrapSpec(10, np.int64(3))
