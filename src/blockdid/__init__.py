@@ -14,7 +14,6 @@ from .inference import (
     TargetFunctional,
     aggregated_att_target,
     aggregated_system,
-    by_period_sets,
     by_period_target,
     confidence_set,
     corrected_point,
@@ -70,7 +69,6 @@ __all__ = [
     "build_layout",
     "build_w_csnyt",
     "build_w_imputation",
-    "by_period_sets",
     "by_period_target",
     "confidence_set",
     "corrected_point",

@@ -5,6 +5,10 @@ Subcommands: ``validate``, ``estimate``, ``vcov``, ``biasmap``, ``sets``,
 plot data are CSV, and every output embeds the config hash and library
 version.  Failures exit nonzero after printing a machine-readable error
 record ``{"error": {"code": ..., "message": ...}}``.
+
+``sets``, ``compare`` and ``byperiod`` share one set pipeline: ``_systems``
+yields each framework's system from one bootstrap, ``_set_records`` turns
+one into set records, and ``byperiod`` runs it once per post period.
 """
 
 import argparse
@@ -15,7 +19,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .biasmap import build_w_csnyt, build_w_imputation, invert, write_biasmap_csv
@@ -25,11 +29,12 @@ from .inference import (
     InvalidGrid,
     InvalidTarget,
     _check_draws,
+    _corrected_weights,
     _first_stage_level,
+    _linear_se,
     _padded_grid,
     aggregated_att_target,
     aggregated_system,
-    by_period_sets,
     by_period_target,
     confidence_set,
     corrected_point,
@@ -241,29 +246,20 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    kw = {"command": args.command}
-    for field in (
-        "input", "out", "estimator", "family", "alpha", "bootstrap", "seed",
-        "framework", "target", "example", "noise_variance", "inverse", "kappa",
-        "draws",
-    ):
-        if hasattr(args, field.replace("-", "_")):
-            kw[field] = getattr(args, field.replace("-", "_"))
-    if getattr(args, "param", None) is not None:
-        kw["params"] = _parse_sweep(args.param)
-    if getattr(args, "grid", None):
-        kw["grid"] = _parse_grid(args.grid)
-    if getattr(args, "sizes", None):
-        kw["sizes"] = _parse_sizes(args.sizes)
+    """RunConfig of the fields the arguments carry, text flags parsed."""
+    given = vars(args)
+    kw = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
+    if given.get("param") is not None:
+        kw["params"] = _parse_sweep(given["param"])
+    if given.get("grid") is not None:
+        kw["grid"] = _parse_grid(given["grid"])
+    if given.get("sizes") is not None:
+        kw["sizes"] = _parse_sizes(given["sizes"])
     return RunConfig(**kw)
 
 
 def _w_builder(estimator):
     return build_w_imputation if estimator == "imputation" else build_w_csnyt
-
-
-def _family_builder(kind):
-    return {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}[kind]
 
 
 def _target(config, layout, cells, agg=None):
@@ -286,11 +282,11 @@ def _bootstrap(config, panel):
     )
 
 
-def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
+def _set_records(config, framework, layout, coeffs, bias_map, target):
     """One framework's set records, one per sensitivity parameter."""
-    build = _family_builder(config.family)
+    build = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}[config.family]
     families = {
-        p: map_to_delta_space(build(layout, cells, p), bias_map)
+        p: map_to_delta_space(build(layout, coeffs.cells, p), bias_map)
         for p in config.params
     }
     point = corrected_point(coeffs, config.family, bias_map, target)
@@ -326,26 +322,55 @@ def _set_records(config, framework, layout, cells, coeffs, bias_map, target):
     return records
 
 
-def _records(config, panel):
-    """Set records of every requested framework, all from one bootstrap."""
+def _systems(config, panel):
+    """(framework, layout, coefficients, bias map, aggregated series or None)
+    of every requested framework, cohort first, all from one bootstrap."""
     layout = build_layout(panel)
     cells = build_cell_index(layout, panel.n_periods, config.estimator)
-    target = _target(config, layout, cells)  # a period the panel lacks fails here
+    _target(config, layout, cells)  # a period the panel lacks fails here
     coeffs = _bootstrap(config, panel)
-    records = []
     if config.framework in ("cohort", "both"):
         bias_map = invert(_w_builder(config.estimator)(layout, cells))
-        records += _set_records(
-            config, "cohort", layout, cells, coeffs, bias_map, target
-        )
+        yield "cohort", layout, coeffs, bias_map, None
     if config.framework in ("aggregated", "both"):
         agg = aggregate(coeffs, layout)
-        agg_layout, agg_cells, agg_coeffs, agg_map = aggregated_system(agg)
-        target = _target(config, agg_layout, agg_cells, agg)
-        records += _set_records(
-            config, "aggregated", agg_layout, agg_cells, agg_coeffs, agg_map, target
-        )
+        agg_layout, _, agg_coeffs, agg_map = aggregated_system(agg)
+        yield "aggregated", agg_layout, agg_coeffs, agg_map, agg
+
+
+def _records(config, panel):
+    """Set records of every requested framework."""
+    records = []
+    for framework, layout, coeffs, bias_map, agg in _systems(config, panel):
+        target = _target(config, layout, coeffs.cells, agg)
+        records += _set_records(config, framework, layout, coeffs, bias_map, target)
     return records
+
+
+def _by_period(config, panel):
+    """The ``sets`` record of each post relative period s, with target
+    ``period:<s>``, and the standard error of its corrected point."""
+    ((framework, layout, coeffs, bias_map, _),) = _systems(config, panel)
+    cells = coeffs.cells
+    periods = {}
+    for s in sorted(set(cells.rel[cells.post].tolist())):
+        target = by_period_target(layout, cells, s)
+        (record,) = _set_records(config, framework, layout, coeffs, bias_map, target)
+        c_vec = _corrected_weights(
+            cells, coeffs.positions, config.family, bias_map, target
+        )
+        periods[str(s)] = {
+            "intervals": record["intervals"],
+            "corrected_point": record["corrected_point"],
+            "corrected_se": _linear_se(c_vec, coeffs.vcov),
+        }
+    return {
+        "framework": framework,
+        "family": config.family,
+        "parameter": config.params[0],
+        "alpha": config.alpha,
+        "periods": periods,
+    }
 
 
 def _write_json(path, payload, config):
@@ -368,6 +393,10 @@ def run(config: RunConfig) -> int:
     if config.command == "byperiod" and config.framework == "both":
         raise UnsupportedOption(
             "byperiod runs one framework at a time: choose cohort or aggregated"
+        )
+    if config.command == "byperiod" and config.target != "att":
+        raise UnsupportedOption(
+            "byperiod writes every post relative period: --target takes att only"
         )
     if config.command == "byperiod" and len(config.params) != 1:
         raise InvalidParam("byperiod takes a single --param value, not a sweep")
@@ -457,37 +486,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "byperiod":
-        layout = build_layout(panel)
-        coeffs = _bootstrap(config, panel)
-        if config.framework == "aggregated":
-            agg = aggregate(coeffs, layout)
-            layout, _, coeffs, bias_map = aggregated_system(agg)
-        else:
-            bias_map = invert(_w_builder(config.estimator)(layout, coeffs.cells))
-        cells = coeffs.cells
-        fam = map_to_delta_space(
-            _family_builder(config.family)(layout, cells, config.params[0]), bias_map
-        )
-        results = by_period_sets(
-            coeffs, fam, bias_map, layout, alpha=config.alpha,
-            grid=_config_grid(config),
-            kappa=config.kappa, draws=config.draws, seed=config.seed,
-        )
-        payload = {
-            "framework": config.framework,
-            "family": config.family,
-            "parameter": config.params[0],
-            "alpha": config.alpha,
-            "periods": {
-                str(s): {
-                    "intervals": [list(iv) for iv in r.confidence.intervals],
-                    "corrected_point": r.corrected,
-                    "corrected_se": r.corrected_se,
-                }
-                for s, r in results.items()
-            },
-        }
-        _write_json(config.out, payload, config)
+        _write_json(config.out, _by_period(config, panel), config)
         return 0
 
     if config.command == "compare":

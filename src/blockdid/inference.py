@@ -68,8 +68,6 @@ __all__ = [
     "confidence_set",
     "default_grid",
     "corrected_point",
-    "by_period_sets",
-    "ByPeriodResult",
     "aggregated_system",
     "aggregated_att_target",
 ]
@@ -887,7 +885,7 @@ def _member_blocks(coeffs, family, target, kappa, draws, seed):
 
 
 # ---------------------------------------------------------------------------
-# corrected points and by-period sets
+# corrected points
 # ---------------------------------------------------------------------------
 
 
@@ -943,45 +941,6 @@ def corrected_point(
         coeffs.cells, coeffs.positions, family_kind, bias_map, target
     )
     return float(c_vec @ coeffs.values)
-
-
-@dataclass(frozen=True)
-class ByPeriodResult:
-    rel_period: int
-    confidence: IntervalSet
-    corrected: float
-    corrected_se: float
-
-
-def by_period_sets(
-    coeffs: CoefficientSet,
-    family: RestrictionFamily,
-    bias_map: BiasMap,
-    layout: CohortLayout,
-    alpha: float = 0.05,
-    grid: GridSpec = None,
-    kappa: float = None,
-    draws: int = _DEFAULT_DRAWS,
-    seed: int = 0,
-) -> dict:
-    """Confidence set and zero-sensitivity corrected point per post period."""
-    cells = coeffs.cells
-    rels = np.unique(cells.rel[coeffs.positions[cells.post[coeffs.positions]]])
-    out = {}
-    for s in rels.tolist():
-        target = by_period_target(layout, cells, s)
-        cset = confidence_set(
-            coeffs, family, target, alpha=alpha, grid=grid, kappa=kappa,
-            draws=draws, seed=seed,
-        )
-        c_vec = _corrected_weights(
-            cells, coeffs.positions, family.family, bias_map, target
-        )
-        out[s] = ByPeriodResult(
-            rel_period=s, confidence=cset, corrected=float(c_vec @ coeffs.values),
-            corrected_se=_linear_se(c_vec, coeffs.vcov),
-        )
-    return out
 
 
 def _linear_se(c_vec, vcov):

@@ -14,7 +14,6 @@ estimation works off three objects built here:
 """
 
 import csv
-import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -163,7 +162,8 @@ def load_panel(source) -> PanelData:
     literal ``never``.  Row order is irrelevant; times may be any consecutive
     integer range and are shifted internally to 1..T.
 
-    ``source`` may be a path, a string of CSV text, or a readable text stream.
+    ``source`` is a path or a readable text stream; a ``str`` is always a
+    path, so CSV text goes in as ``io.StringIO(text)``.
 
     Rows are parsed ``_LOAD_BLOCK`` at a time, a column at a time, and coded
     as they are read: units, times and cohort labels by order of first
@@ -171,8 +171,6 @@ def load_panel(source) -> PanelData:
     """
     if hasattr(source, "read"):
         stream = source
-    elif isinstance(source, str) and "\n" in source:
-        stream = io.StringIO(source)
     else:
         stream = open(source, "r", encoding="utf-8", newline="")
 

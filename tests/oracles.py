@@ -26,12 +26,22 @@ of the stratum-period means instead; the acceptance suite checks it against
 all three.  ``treated_mask`` and the layout helpers ``initial_control_units``,
 ``not_yet_treated_units`` and ``adjustment_cohorts`` serve these paths and
 the tests' loop and group-mean oracles.
+
+``member_bounds`` is the linear program the closed-form plug-in set
+replaced: one member's target bounds with the pre-treatment coordinates
+pinned at their estimates, solved with HiGHS; ``lp_union`` merges them over
+a family.  ``_eta_star_lp`` is the profiling program the dual vertices
+replaced, the studentized max moment minimised over the nuisance, and
+``brute_force_vertices`` lists those vertices from every basis of
+``[sd, X]``.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
+from scipy import optimize as sciopt
 
 from blockdid.estimators import (
     CoefficientSet,
@@ -41,6 +51,9 @@ from blockdid.estimators import (
 )
 from blockdid.inference import (
     _VERTEX_TIE_TOL,
+    AllMembersInfeasible,
+    InferenceError,
+    IntervalSet,
     _block_moments,
     _reduced_rows,
     _truncnorm_quantile,
@@ -249,3 +262,120 @@ def cohort_loo(panel, cohort_time):
         alpha, xi = fit_two_way(outcome, mask)
         out[j] = (outcome[rows, j] - alpha[rows] - xi[j]).mean()
     return out
+
+
+_LP_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
+}
+
+
+def _eta_star_lp(y, X, sd):
+    """min eta s.t. y - X gamma <= eta * sd; -inf when the nuisance pushes
+    every moment down without bound."""
+    k = X.shape[1]
+    res = sciopt.linprog(
+        np.eye(1 + k)[0],
+        A_ub=np.column_stack([-sd, -X]),
+        b_ub=-y,
+        bounds=[(None, None)] * (1 + k),
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    if res.status == 3:
+        return -np.inf
+    if not res.success:
+        raise InferenceError(f"profiling program failed: {res.message}")
+    return float(res.x[0])
+
+
+class UnboundedProgram(InferenceError):
+    """A member leaves the target unbounded."""
+
+
+def member_bounds(coeffs, member, target):
+    """[min, max] of l'(beta_post - delta_post) over one member, or None."""
+    cells = coeffs.cells
+    positions = coeffs.positions
+    rows = (member.A[None], member.d[None], None, None)
+    (A,), (d,) = _reduced_rows(*rows, cells, positions)
+    A_eq, d_eq = member.A_eq, member.d_eq
+    if A_eq is not None:
+        A_eq = A_eq[:, positions]
+    n = len(positions)
+    pre = cells.pre[positions]
+    l_vec = target.weights[positions]
+
+    eq_rows = [np.eye(n)[pre]]
+    eq_rhs = [coeffs.values[pre]]
+    if A_eq is not None:
+        eq_rows.append(A_eq)
+        eq_rhs.append(d_eq)
+    A_eq_full = np.vstack(eq_rows)
+    b_eq_full = np.concatenate(eq_rhs)
+
+    l_beta = float(l_vec @ coeffs.values)
+    bounds = []
+    for sign in (1.0, -1.0):
+        res = sciopt.linprog(
+            sign * l_vec,
+            A_ub=A,
+            b_ub=d,
+            A_eq=A_eq_full,
+            b_eq=b_eq_full,
+            bounds=[(None, None)] * n,
+            method="highs",
+            options=_LP_OPTIONS,
+        )
+        if res.status == 2:
+            return None
+        if res.status == 3:
+            raise UnboundedProgram("the member does not constrain the target")
+        if not res.success:
+            raise InferenceError(f"linear program failed: {res.message}")
+        bounds.append(sign * res.fun)
+    min_ldelta, max_ldelta = bounds
+    return (l_beta - max_ldelta, l_beta - min_ldelta)
+
+
+def lp_union(coeffs, members, target):
+    """Union of the member intervals, merged into disjoint intervals."""
+    pairs = [
+        b for b in (member_bounds(coeffs, m, target) for m in members)
+        if b is not None
+    ]
+    if not pairs:
+        raise AllMembersInfeasible("no member is consistent with the estimates")
+    merged = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return IntervalSet(intervals=tuple(map(tuple, merged)), provenance="plugin")
+
+
+def brute_force_vertices(sd_vec, X):
+    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0} from every basis of
+    W = [sd, X]: each nonsingular p-row subset S with W_S'^-1 e1 >= 0 is a
+    vertex.  Feasible bases repeat a vertex when it is degenerate, so rows
+    are deduplicated after rounding."""
+    m = len(sd_vec)
+    W = np.column_stack([sd_vec, X])
+    p = W.shape[1]
+    if m < p or np.linalg.matrix_rank(W) < p:
+        return None
+    assert math.comb(m, p) <= 300_000, "system too large for the oracle"
+    combos = np.array(list(itertools.combinations(range(m), p)))
+    mats = np.transpose(W[combos, :], (0, 2, 1))
+    ok = np.abs(np.linalg.det(mats)) > 1e-12
+    if not ok.any():
+        return None
+    sols = np.linalg.solve(mats[ok], np.eye(p, 1)[None])[..., 0]
+    feas = (sols >= -1e-9).all(axis=1)
+    if not feas.any():
+        return None
+    verts = np.zeros((int(feas.sum()), m))
+    rows = np.arange(int(feas.sum()))[:, None]
+    verts[rows, combos[ok][feas]] = np.clip(sols[feas], 0.0, None)
+    return np.unique(np.round(verts, 12), axis=0)

@@ -7,6 +7,7 @@ fixtures to stay inside their runtime budgets.
 """
 
 import dataclasses
+import io
 import json
 import time
 
@@ -24,7 +25,6 @@ from blockdid.inference import (
     _target_basis,
     aggregated_att_target,
     aggregated_system,
-    by_period_sets,
     by_period_target,
     confidence_set,
     corrected_point,
@@ -111,7 +111,7 @@ def test_criterion_03_toy_golden_map():
     units = [(f"a{i}", "5") for i in range(n5)]
     units += [(f"b{i}", "7") for i in range(n7)]
     units += [(f"c{i}", "never") for i in range(ninf)]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "csnyt")
     bm = invert(build_w_csnyt(layout, cells))
     w7 = n7 / (n7 + ninf)
@@ -134,7 +134,7 @@ def test_criterion_03_toy_golden_map():
 def test_criterion_04_staircase_weights():
     units = [("e", "4")] + [(f"m{i}", "6") for i in range(3)]
     units += [("l", "8")] + [(f"n{i}", "never") for i in range(4)]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "imputation")
     bm = build_w_imputation(layout, cells)
     row = bm.W[cells.position(4, 5)]
@@ -275,7 +275,7 @@ def test_criterion_07_holdout_rescaling(random_panel_batch):
 
 def test_criterion_08_two_cohort_benchmark_illustration():
     units = [("g", "3"), ("b", "5"), ("n", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=6)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=6))))
     cells = build_cell_index(layout, 6, "imputation")
     values = np.zeros(12)
     values[cells.position(5, -3)] = -0.25
@@ -358,7 +358,7 @@ def test_criterion_09_hybrid_oracle_and_size():
 
     # boundary-null Monte Carlo: every moment mean exactly zero
     units = [("a", "4"), ("b", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=7)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=7))))
     bcells = build_cell_index(layout, 7, "csnyt")
     rng = np.random.default_rng(3)
     root = rng.normal(size=(6, 6)) * 0.3

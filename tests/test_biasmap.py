@@ -24,7 +24,7 @@ def staircase_layout():
     # one unit at t=4, three at t=6, one at t=8, four never-treated
     units = [("e", "4")] + [(f"m{i}", "6") for i in range(3)]
     units += [("l", "8")] + [(f"n{i}", "never") for i in range(4)]
-    return build_layout(load_panel(grid_csv(units, T=8)))
+    return build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
 
 
 def test_imputation_rows_carry_adjustment_weights(staircase_layout):
@@ -47,7 +47,8 @@ def test_imputation_rows_carry_adjustment_weights(staircase_layout):
 
 
 def test_single_cohort_map_is_identity():
-    layout = build_layout(load_panel(grid_csv([("a", "3"), ("n", "never")], T=5)))
+    text = grid_csv([("a", "3"), ("n", "never")], T=5)
+    layout = build_layout(load_panel(io.StringIO(text)))
     cells = build_cell_index(layout, 5, "imputation")
     assert np.array_equal(build_w_imputation(layout, cells).W, np.eye(5))
     cells2 = build_cell_index(layout, 5, "csnyt")
@@ -69,7 +70,7 @@ def test_csnyt_toy_sixteen_cell_golden(sizes):
     units = [(f"a{i}", "5") for i in range(n5)]
     units += [(f"b{i}", "7") for i in range(n7)]
     units += [(f"c{i}", "never") for i in range(ninf)]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "csnyt")
     bm = invert(build_w_csnyt(layout, cells))
     w7 = n7 / (n7 + ninf)
@@ -111,7 +112,7 @@ def test_inverse_wide_layout(estimator, builder):
     # T=40, twenty cohorts of unequal sizes: 800 cells
     units = [(f"g{t}_{i}", str(t)) for t in range(2, 41, 2) for i in range(t % 5 + 1)]
     units += [(f"n{i}", "never") for i in range(7)]
-    layout = build_layout(load_panel(grid_csv(units, T=40)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=40))))
     cells = build_cell_index(layout, 40, estimator)
     bm = invert(builder(layout, cells))
     resid = np.abs(bm.W @ bm.W_inverse - np.eye(len(cells))).sum(axis=1).max()
@@ -191,7 +192,8 @@ def test_biasmap_csv_writes_signed_zeros_and_non_finite_entries(staircase_layout
 
 
 def test_identity_map_inverts_to_identity():
-    layout = build_layout(load_panel(grid_csv([("a", "3"), ("n", "never")], T=4)))
+    text = grid_csv([("a", "3"), ("n", "never")], T=4)
+    layout = build_layout(load_panel(io.StringIO(text)))
     cells = build_cell_index(layout, 4, "imputation")
     bm = invert(build_w_imputation(layout, cells))
     assert np.array_equal(bm.W_inverse, np.eye(4))

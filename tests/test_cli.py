@@ -166,7 +166,48 @@ def test_byperiod_output(panel_csv, tmp_path):
     payload = json.loads(out.read_text())
     assert sorted(payload["periods"], key=int) == ["1", "2", "3", "4"]
     for rec in payload["periods"].values():
-        assert "corrected_point" in rec and "corrected_se" in rec
+        assert rec["intervals"]
+        assert np.isfinite(rec["corrected_point"])
+        assert rec["corrected_se"] > 0
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid=-6:6:61"]])
+@pytest.mark.parametrize("framework", ["cohort", "aggregated"])
+def test_byperiod_periods_are_the_period_target_sets_records(
+    panel_csv, tmp_path, framework, grid
+):
+    common = [
+        "--input", str(panel_csv), "--family", "rm-cohort", "--param", "0.5",
+        "--bootstrap", "30", "--seed", "4", "--draws", "500",
+        "--framework", framework, *grid,
+    ]
+    out = tmp_path / "bp.json"
+    assert run_cli("byperiod", *common, "--out", str(out)) == 0
+    periods = json.loads(out.read_text())["periods"]
+    assert sorted(periods, key=int) == ["1", "2", "3", "4"]
+    for s, rec in periods.items():
+        out = tmp_path / f"period{s}.json"
+        target = ["--target", f"period:{s}"]
+        assert run_cli("sets", *common, *target, "--out", str(out)) == 0
+        (want,) = json.loads(out.read_text())["results"]
+        assert rec["intervals"] == want["intervals"]
+        assert rec["corrected_point"] == want["corrected_point"]
+
+
+def test_run_refuses_a_byperiod_target(panel_csv, tmp_path, monkeypatch):
+    import blockdid.cli
+
+    loads = []
+    monkeypatch.setattr(blockdid.cli, "load_panel", lambda *a, **k: loads.append(a))
+    out = tmp_path / "bp.json"
+    config = RunConfig(
+        "byperiod", input=str(panel_csv), out=str(out), target="period:1"
+    )
+    with pytest.raises(blockdid.cli.UnsupportedOption) as info:
+        run(config)
+    assert info.value.code == "UNSUPPORTED_OPTION"
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sets_period_target(panel_csv, tmp_path):
@@ -440,6 +481,8 @@ def test_no_command_calls_linprog_on_a_vertex_path_design(
         (["byperiod", "--seed", "-3"], "INVALID_SEED"),
         (["compare", "--seed", "-1"], "INVALID_SEED"),
         (["byperiod", "--param", "0:1:0.5"], "INVALID_PARAM"),
+        (["sets", "--grid", ""], "INVALID_GRID"),
+        (["byperiod", "--target", "period:2"], "UNSUPPORTED_OPTION"),
     ],
 )
 def test_invalid_options_refused_before_the_panel_loads(
@@ -500,6 +543,7 @@ def test_malformed_text_options_get_stable_codes_before_any_bootstrap(
         (["--example", "toy", "--sizes", "4,4,4,4"], "INVALID_SIZES"),
         (["--example", "toy", "--seed", "-1"], "INVALID_SEED"),
         (["--example", "1", "--seed", "-2"], "INVALID_SEED"),
+        (["--example", "toy", "--sizes", ""], "INVALID_SIZES"),
     ],
 )
 def test_simulate_refuses_bad_noise_and_sizes_before_writing(

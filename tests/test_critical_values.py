@@ -46,8 +46,7 @@ from blockdid.simgen import gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
-from oracles import take
-from test_plugin_oracle import _eta_star_lp
+from oracles import _eta_star_lp, take
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
 W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}

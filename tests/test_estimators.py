@@ -220,7 +220,7 @@ def test_csnyt_hand_two_by_two():
         "t,1,5,2\nt,2,9,2\n"
         "n,1,1,never\nn,2,2,never\n"
     )
-    panel = load_panel(text)
+    panel = load_panel(io.StringIO(text))
     cs = estimate(panel, "csnyt")
     assert cs.value(2, 1) == pytest.approx(3.0)
 

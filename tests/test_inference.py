@@ -1,6 +1,5 @@
 import dataclasses
-import itertools
-import math
+import io
 import warnings
 
 import numpy as np
@@ -26,7 +25,6 @@ from blockdid.inference import (
     _truncnorm_quantile,
     aggregated_att_target,
     aggregated_system,
-    by_period_sets,
     by_period_target,
     confidence_set,
     corrected_point,
@@ -49,9 +47,15 @@ from blockdid.simgen import DGPSpec, Violation, gen_custom, gen_toy
 from blockdid.vcov import BootstrapSpec, InvalidSeed, bootstrap_vcov
 
 from conftest import random_panel
-from oracles import member_block
+from oracles import (
+    UnboundedProgram,
+    _eta_star_lp,
+    brute_force_vertices,
+    lp_union,
+    member_block,
+    member_bounds,
+)
 from test_panel import grid_csv
-from test_plugin_oracle import UnboundedProgram, _eta_star_lp, lp_union, member_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +66,7 @@ from test_plugin_oracle import UnboundedProgram, _eta_star_lp, lp_union, member_
 @pytest.fixture(scope="module")
 def two_cohort_system():
     units = [("g", "3"), ("b", "5"), ("n", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=6)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=6))))
     cells = build_cell_index(layout, 6, "imputation")
     values = np.zeros(12)
     values[cells.position(5, -3)] = -0.25
@@ -260,7 +264,7 @@ def test_far_null_rejected():
 def csnyt_boundary_system():
     """One-cohort system with every second-difference moment at its bound."""
     units = [("a", "4"), ("b", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=7)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=7))))
     cells = build_cell_index(layout, 7, "csnyt")
     rng = np.random.default_rng(3)
     root = rng.normal(size=(6, 6)) * 0.3
@@ -325,7 +329,7 @@ def test_hybrid_fallback_no_smaller_than_least_favorable():
     # duplicated moment rows force vertex ties, so the conditional stage
     # always defers to the first-stage decision
     units = [("a", "4"), ("b", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=7)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=7))))
     cells = build_cell_index(layout, 7, "imputation")
     rng = np.random.default_rng(8)
     values = np.zeros(7)
@@ -424,32 +428,6 @@ def dual_vertices(sd_vec, X):
     member's: the cone's rays scaled to sd'lam = 1."""
     rays = _cone_rays(X)
     return rays / (rays @ sd_vec)[:, None]
-
-
-def brute_force_vertices(sd_vec, X):
-    """Vertices of {lam >= 0 : sd'lam = 1, X'lam = 0} from every basis of
-    W = [sd, X]: each nonsingular p-row subset S with W_S'^-1 e1 >= 0 is a
-    vertex.  Feasible bases repeat a vertex when it is degenerate, so rows
-    are deduplicated after rounding."""
-    m = len(sd_vec)
-    W = np.column_stack([sd_vec, X])
-    p = W.shape[1]
-    if m < p or np.linalg.matrix_rank(W) < p:
-        return None
-    assert math.comb(m, p) <= 300_000, "system too large for the oracle"
-    combos = np.array(list(itertools.combinations(range(m), p)))
-    mats = np.transpose(W[combos, :], (0, 2, 1))
-    ok = np.abs(np.linalg.det(mats)) > 1e-12
-    if not ok.any():
-        return None
-    sols = np.linalg.solve(mats[ok], np.eye(p, 1)[None])[..., 0]
-    feas = (sols >= -1e-9).all(axis=1)
-    if not feas.any():
-        return None
-    verts = np.zeros((int(feas.sum()), m))
-    rows = np.arange(int(feas.sum()))[:, None]
-    verts[rows, combos[ok][feas]] = np.clip(sols[feas], 0.0, None)
-    return np.unique(np.round(verts, 12), axis=0)
 
 
 def assert_same_vertices(got, want):
@@ -741,19 +719,9 @@ def test_csnyt_sd_correction_depends_only_on_second_to_last_pre(toy_sim):
     )
 
 
-def test_by_period_sets_and_single_cohort_weights(boot_toy):
-    layout, coeffs, bm = boot_toy
+def test_by_period_target_single_cohort_weights(boot_toy):
+    layout, coeffs, _ = boot_toy
     cells = coeffs.cells
-    fam = map_to_delta_space(sd(layout, cells, 0.0), bm)
-    results = by_period_sets(
-        coeffs, fam, bm, layout, alpha=0.05, seed=6,
-        grid=GridSpec(-8.0, 12.0, 161),
-    )
-    assert sorted(results) == [1, 2, 3, 4]
-    for s, r in results.items():
-        assert r.confidence.provenance == "confidence"
-        assert np.isfinite(r.corrected)
-        assert r.corrected_se > 0
     # periods 3 and 4 exist only for the early cohort: indicator weights
     t = by_period_target(layout, cells, 4)
     support = np.flatnonzero(t.weights)
@@ -771,7 +739,7 @@ def test_aggregated_single_cohort_coincides_with_cohort_framework():
     for ln in lines[1:]:
         u, t, y, g = ln.split(",")
         noisy.append(f"{u},{t},{float(y) + rng.normal() * 0.5},{g}")
-    panel = load_panel("\n".join(noisy) + "\n")
+    panel = load_panel(io.StringIO("\n".join(noisy) + "\n"))
     layout = build_layout(panel)
     coeffs = bootstrap_vcov(panel, BootstrapSpec(60, 4, "imputation"))
     cells = coeffs.cells
@@ -960,7 +928,7 @@ def test_retagged_family_plugin_set_is_the_lp_union_of_its_members(boot_toy):
     # does not, and an rm-global table retagged rm-cohort bounds every
     # cohort by the shared benchmarks in its own column
     units = [("a", "2"), ("b", "4"), ("n", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=5)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=5))))
     cells = build_cell_index(layout, 5, "csnyt")
     with pytest.raises(CohortWithoutPreDifference):
         rm_cohort(layout, cells, 0.5)
@@ -1017,7 +985,7 @@ def test_plugin_refuses_normalization_violated_at_pinned_values(boot_toy):
 
 def test_structural_column_guard():
     units = [("a", "5"), ("b", "7"), ("c", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "csnyt")
     bad = Polyhedron(A=np.eye(16), d=np.zeros(16))  # touches structural cols
     values = np.zeros(14)

@@ -1,29 +1,20 @@
-"""The linear programs the package no longer solves, kept as oracles.
+"""The closed-form plug-in set against the linear programs it replaced.
 
-``member_bounds`` is the program the closed-form plug-in set replaced: for
-every member, pin the pre-treatment coordinates at their estimates, minimise
-and maximise the target over the member's constraints with HiGHS, and union
-the member intervals.  It reads every member's rows, while
-``plugin_identified_set`` reads only the family's tag, parameter, benchmark
-table, recorded bias map and normalization, so agreement checks the
-box/radius argument on every design below.
-
-``_eta_star_lp`` is the profiling program the dual vertices replaced: the
-studentized max moment minimised over the nuisance.  Other test modules
-check the vertex maximum against it.
+``oracles.member_bounds`` pins the pre-treatment coordinates at their
+estimates, minimises and maximises the target over one member's constraints
+with HiGHS, and ``oracles.lp_union`` unions the member intervals.  They read
+every member's rows, while ``plugin_identified_set`` reads only the family's
+tag, parameter, benchmark table, recorded bias map and normalization, so
+agreement checks the box/radius argument on every design below.
 """
 
 import numpy as np
 import pytest
-from scipy import optimize as sciopt
 
 from blockdid.biasmap import build_w_csnyt, build_w_imputation, invert
 from blockdid.estimators import aggregate, estimate
 from blockdid.inference import (
     AllMembersInfeasible,
-    InferenceError,
-    IntervalSet,
-    _reduced_rows,
     aggregated_att_target,
     aggregated_system,
     corrected_point,
@@ -43,104 +34,10 @@ from blockdid.restrictions import (
 from blockdid.simgen import gen_custom
 
 from conftest import random_spec
+from oracles import lp_union
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
 W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}
-
-
-# ---------------------------------------------------------------------------
-# the LP oracles
-# ---------------------------------------------------------------------------
-
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
-
-
-def _eta_star_lp(y, X, sd):
-    """min eta s.t. y - X gamma <= eta * sd; -inf when the nuisance pushes
-    every moment down without bound."""
-    k = X.shape[1]
-    res = sciopt.linprog(
-        np.eye(1 + k)[0],
-        A_ub=np.column_stack([-sd, -X]),
-        b_ub=-y,
-        bounds=[(None, None)] * (1 + k),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status == 3:
-        return -np.inf
-    if not res.success:
-        raise InferenceError(f"profiling program failed: {res.message}")
-    return float(res.x[0])
-
-
-class UnboundedProgram(InferenceError):
-    """A member leaves the target unbounded."""
-
-
-def member_bounds(coeffs, member, target):
-    """[min, max] of l'(beta_post - delta_post) over one member, or None."""
-    cells = coeffs.cells
-    positions = coeffs.positions
-    rows = (member.A[None], member.d[None], None, None)
-    (A,), (d,) = _reduced_rows(*rows, cells, positions)
-    A_eq, d_eq = member.A_eq, member.d_eq
-    if A_eq is not None:
-        A_eq = A_eq[:, positions]
-    n = len(positions)
-    pre = cells.pre[positions]
-    l_vec = target.weights[positions]
-
-    eq_rows = [np.eye(n)[pre]]
-    eq_rhs = [coeffs.values[pre]]
-    if A_eq is not None:
-        eq_rows.append(A_eq)
-        eq_rhs.append(d_eq)
-    A_eq_full = np.vstack(eq_rows)
-    b_eq_full = np.concatenate(eq_rhs)
-
-    l_beta = float(l_vec @ coeffs.values)
-    bounds = []
-    for sign in (1.0, -1.0):
-        res = sciopt.linprog(
-            sign * l_vec,
-            A_ub=A,
-            b_ub=d,
-            A_eq=A_eq_full,
-            b_eq=b_eq_full,
-            bounds=[(None, None)] * n,
-            method="highs",
-            options=_LP_OPTIONS,
-        )
-        if res.status == 2:
-            return None
-        if res.status == 3:
-            raise UnboundedProgram("the member does not constrain the target")
-        if not res.success:
-            raise InferenceError(f"linear program failed: {res.message}")
-        bounds.append(sign * res.fun)
-    min_ldelta, max_ldelta = bounds
-    return (l_beta - max_ldelta, l_beta - min_ldelta)
-
-
-def lp_union(coeffs, members, target):
-    """Union of the member intervals, merged into disjoint intervals."""
-    pairs = [
-        b for b in (member_bounds(coeffs, m, target) for m in members)
-        if b is not None
-    ]
-    if not pairs:
-        raise AllMembersInfeasible("no member is consistent with the estimates")
-    merged = []
-    for a, b in sorted(pairs):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return IntervalSet(intervals=tuple(map(tuple, merged)), provenance="plugin")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from test_panel import grid_csv
 @pytest.fixture(scope="module")
 def toy():
     units = [("a", "5"), ("b", "7"), ("c", "never"), ("d", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "imputation")
     return layout, cells
 
@@ -82,7 +84,7 @@ def test_rm_zero_forces_constant_path(toy):
 
 def test_member_count_scaling():
     units = [("a", "4"), ("b", "6"), ("n", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "imputation")
     # pre diffs: t_g - 2 -> 2 and 4
     assert rm_global(layout, cells, 1.0).member_count == 2 * (2 + 4)
@@ -91,7 +93,7 @@ def test_member_count_scaling():
 
 def test_rm_cohort_needs_pre_difference():
     units = [("a", "2"), ("b", "5"), ("n", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=6)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=6))))
     cells = build_cell_index(layout, 6, "imputation")
     with pytest.raises(CohortWithoutPreDifference):
         rm_cohort(layout, cells, 1.0)
@@ -102,7 +104,7 @@ def test_rm_cohort_needs_pre_difference():
 
 def test_rm_global_no_pre_differences_anywhere():
     units = [("a", "2"), ("n", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=4)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=4))))
     cells = build_cell_index(layout, 4, "imputation")
     with pytest.raises(NoPreDifferences):
         rm_global(layout, cells, 1.0)
@@ -121,7 +123,7 @@ def test_sd_row_count_and_pre_requirement(toy):
     n_post = sum(layout.n_periods - t_g + 1 for t_g in layout.times)
     assert fam.members[0].A.shape[0] == 2 * n_post
     units = [("a", "2"), ("n", "never")]
-    lay2 = build_layout(load_panel(grid_csv(units, T=4)))
+    lay2 = build_layout(load_panel(io.StringIO(grid_csv(units, T=4))))
     cells2 = build_cell_index(lay2, 4, "imputation")
     with pytest.raises(CohortWithoutTwoPrePeriods):
         sd(lay2, cells2, 0.5)
@@ -158,7 +160,8 @@ def test_normalization_rows(toy):
 
 
 def test_map_identity_when_single_cohort():
-    layout = build_layout(load_panel(grid_csv([("a", "4"), ("n", "never")], T=6)))
+    text = grid_csv([("a", "4"), ("n", "never")], T=6)
+    layout = build_layout(load_panel(io.StringIO(text)))
     cells = build_cell_index(layout, 6, "imputation")
     bm = invert(build_w_imputation(layout, cells))
     fam = rm_global(layout, cells, 0.7)
@@ -182,7 +185,7 @@ def test_map_preserves_union_structure(toy):
 
 def test_map_against_dense_inverse_toy_csnyt():
     units = [("a", "5"), ("b", "7"), ("c", "never"), ("d", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "csnyt")
     bm = invert(build_w_csnyt(layout, cells))
     fam = sd(layout, cells, 0.3)
@@ -296,7 +299,7 @@ def test_family_summary_shape(toy):
 
 def test_structural_columns_zeroed_for_csnyt():
     units = [("a", "5"), ("b", "7"), ("c", "never")]
-    layout = build_layout(load_panel(grid_csv(units, T=8)))
+    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=8))))
     cells = build_cell_index(layout, 8, "csnyt")
     for fam in (rm_global(layout, cells, 1.0), sd(layout, cells, 1.0)):
         for m in fam.members:
