@@ -42,8 +42,10 @@ from .inference import (
     overall_att_target,
     plugin_identified_set,
 )
-from .panel import build_cell_index, build_layout, load_panel
-from .restrictions import map_to_delta_space, rm_cohort, rm_global, sd
+from .panel import ESTIMATORS, build_cell_index, build_layout, load_panel
+from .restrictions import (
+    FAMILY_KINDS, UnknownFamily, map_to_delta_space, rm_cohort, rm_global, sd
+)
 from .simgen import gen_example1, gen_example2, gen_toy
 from .vcov import BootstrapSpec, InvalidSeed, _check_seed, bootstrap_vcov
 
@@ -57,6 +59,8 @@ __all__ = [
     "run",
     "main",
 ]
+
+FRAMEWORKS = ("cohort", "aggregated", "both")
 
 
 class UnsupportedOption(ValueError):
@@ -172,6 +176,11 @@ def _check_sizes(sizes, text=None):
     return sizes
 
 
+def _check_choice(flag, value, choices, error=UnsupportedOption):
+    if value not in choices:
+        raise error(f"{flag} takes one of {', '.join(choices)}; got {value!r}")
+
+
 def _target_period(text):
     """None for the ``att`` target, s for ``period:<s>``."""
     kind, _, s = text.partition(":")
@@ -195,9 +204,7 @@ def _build_parser():
         if needs_input:
             sp.add_argument("--input", required=True, help="panel CSV path")
         sp.add_argument("--out", help="output path")
-        sp.add_argument(
-            "--estimator", choices=["imputation", "csnyt"], default="imputation"
-        )
+        sp.add_argument("--estimator", choices=ESTIMATORS, default="imputation")
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("validate", help="check a panel file")
@@ -218,20 +225,15 @@ def _build_parser():
     for name in ("sets", "byperiod", "compare"):
         sp = sub.add_parser(name)
         common(sp)
-        sp.add_argument(
-            "--family", choices=["rm-global", "rm-cohort", "sd"], default="rm-cohort"
-        )
+        sp.add_argument("--family", choices=FAMILY_KINDS, default="rm-cohort")
         sp.add_argument("--param", default="0", help="value or lo:hi:step sweep")
         sp.add_argument("--alpha", type=float, default=0.05)
         sp.add_argument("--bootstrap", type=int, default=1000)
         sp.add_argument("--grid", help="lo:hi:n")
         sp.add_argument("--kappa", type=float)
         sp.add_argument("--draws", type=int, default=10_000)
-        sp.add_argument(
-            "--framework",
-            choices=["cohort", "aggregated", "both"],
-            default="cohort" if name != "compare" else "both",
-        )
+        default = "cohort" if name != "compare" else "both"
+        sp.add_argument("--framework", choices=FRAMEWORKS, default=default)
         sp.add_argument("--target", default="att", help="att or period:<s>")
 
     sp = sub.add_parser("simulate", help="write a simulated panel + truth sidecar")
@@ -401,7 +403,11 @@ def run(config: RunConfig) -> int:
     if config.command == "byperiod" and len(config.params) != 1:
         raise InvalidParam("byperiod takes a single --param value, not a sweep")
     # options that can be refused are refused before the panel loads
+    if config.command not in ("validate", "simulate"):
+        _check_choice("--estimator", config.estimator, ESTIMATORS)
     if config.command in ("sets", "byperiod", "compare"):
+        _check_choice("--family", config.family, FAMILY_KINDS, UnknownFamily)
+        _check_choice("--framework", config.framework, FRAMEWORKS)
         _first_stage_level(config.alpha, config.kappa)
         _check_draws(config.draws)
         _config_grid(config)

@@ -271,15 +271,17 @@ def aggregate(coeffs: CoefficientSet, layout: CohortLayout) -> AggregatedSeries:
 
 
 def write_coefficients_csv(coeffs: CoefficientSet, stream, time_labels=None):
-    """Emit ``estimator,cohort,rel_period,calendar_time,kind,value`` rows."""
+    """Emit ``estimator,cohort,rel_period,calendar_time,kind,value`` rows;
+    ``cohort`` and ``calendar_time`` are on the scale of ``time_labels``."""
     stream.write("estimator,cohort,rel_period,calendar_time,kind,value\n")
     cells, pos = coeffs.cells, coeffs.positions
+    labels = time_labels or range(1, cells.n_periods + 1)
     rows = zip(cells.cohort_time[pos].tolist(), cells.rel[pos].tolist(),
                cells.cal[pos].tolist(), cells.pre[pos].tolist(), coeffs.values.tolist())
     for t_g, s, t, pre, v in rows:
-        cal = time_labels[t - 1] if time_labels else t
         kind = "pre" if pre else "post"
-        stream.write(f"{coeffs.estimator},{t_g},{s},{cal},{kind},{v!r}\n")
+        cohort, cal = labels[t_g - 1], labels[t - 1]
+        stream.write(f"{coeffs.estimator},{cohort},{s},{cal},{kind},{v!r}\n")
 
 
 # rows per block and columns per tile of the covariance writer

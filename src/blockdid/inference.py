@@ -2,9 +2,9 @@
 
 Targets are linear functionals of the post-treatment effects.  The plug-in
 identified set pins the pre-treatment coefficients at their estimates.  As
-W's pre rows are the identity, every member of a built family is then a box
-on the post block-bias differences, so the set is the corrected point plus
-or minus a radius (``_plugin_box``) and no linear program is solved.
+W's pre rows are the identity, every member is then a box on the family's
+post difference rows, so one triangular solve on those rows gives the
+corrected point and a radius (``_plugin_box``); no LP is solved.
 
 Confidence sets invert a two-stage hybrid moment-inequality test over a grid
 of candidate values.  Writing the post effects as theta0 * lbar + X gamma
@@ -40,12 +40,7 @@ from scipy import special as scispecial
 from .biasmap import BiasMap
 from .estimators import AggregatedSeries, CoefficientSet, _check_pre_zero_sum
 from .panel import CellIndex, CohortLayout, build_cell_index
-from .restrictions import (
-    CohortWithoutTwoPrePeriods,
-    FAMILY_KINDS,
-    Polyhedron,
-    RestrictionFamily,
-)
+from .restrictions import Polyhedron, RestrictionFamily, _post_cells, path_rows
 from .vcov import _check_seed
 
 __all__ = [
@@ -276,28 +271,17 @@ def _require_full_coverage(cells: CellIndex, positions):
 def _plugin_box(coeffs: CoefficientSet, family: RestrictionFamily, target):
     """Centre weights c and radius r of the plug-in set c'betahat +/- r.
 
-    Cohort g's post block biases are its pinned reference value plus the
-    running sums of its post first differences (sd: plus the pinned slope
-    path and running sums of running sums of its second differences).  A
-    unit change in g's difference at post cell j thus moves the target by
-    U_gj, the tail sum from j on of u = W[post]'l[post] over g's post cells
-    (sd: the tail sum of those tail sums).  With each difference in
-    [-b_g, b_g], r = sum_g b_g sum_j |U_gj|.  b_g is ``parameter`` for sd;
-    for rm it is ``parameter`` times the largest absolute pinned benchmark
+    A unit change in cohort g's bounded difference at post cell j moves the
+    target by U_gj (``_pinned_path``), so with each difference in [-b_g,
+    b_g], r = sum_g b_g sum_j |U_gj|.  b_g is ``parameter`` for sd; for rm
+    it is ``parameter`` times the largest absolute pinned benchmark
     difference in cohort g's column of the benchmark table: the member of
     the union that contains all the others.
     """
     cells, positions, values = coeffs.cells, coeffs.positions, coeffs.values
-    bias_map = family.bias_map
-    centre = _corrected_weights(cells, positions, family.family, bias_map, target)
-    G, T = len(cells.times), cells.n_periods
-    post = cells.post.reshape(T, G)  # rows: calendar periods, columns: cohorts
-    loading = bias_map.W[cells.post].T @ target.weights[cells.post]
-    u = np.where(cells.post, loading, 0.0)  # pre block biases are pinned
-    tail = np.cumsum(u.reshape(T, G)[::-1], axis=0)[::-1]
+    centre, U = _pinned_path(cells, positions, family.family, family.bias_map, target)
     if family.family == "sd":
-        tail = np.cumsum((tail * post)[::-1], axis=0)[::-1]
-        bench = np.ones(G)
+        bench = np.ones(len(cells.times))
     else:
         block = np.zeros(len(cells))  # pinned pre block biases, 0 if structural
         block[positions] = values
@@ -305,7 +289,9 @@ def _plugin_box(coeffs: CoefficientSet, family: RestrictionFamily, target):
         cal = np.asarray(cells.times)[k] + s_star - 1
         diffs = block[cells.locate(k, cal)] - block[cells.locate(k, cal - 1)]
         bench = np.abs(diffs).max(axis=1)
-    return centre, family.parameter * float(bench @ (np.abs(tail) * post).sum(axis=0))
+    cohort = cells.cohort[_post_cells(cells)]
+    spread = np.bincount(cohort, np.abs(U), minlength=len(cells.times))
+    return centre, family.parameter * float(bench @ spread)
 
 
 def plugin_identified_set(
@@ -889,57 +875,42 @@ def _member_blocks(coeffs, family, target, kappa, draws, seed):
 # ---------------------------------------------------------------------------
 
 
+def _pinned_path(cells: CellIndex, positions, family_kind, bias_map, target):
+    """Centre weights c (corrected point = c' betahat) and the target's
+    loadings U on the bounded differences delta = R Delta, pre pinned.
+
+    R (``path_rows``) restricted to the post cells is unit lower-triangular,
+    so with u = W[post]'l[post] one solve U = R_post^-T u_post gives
+    theta = l'betahat - (u - R'U)'Delta_pre - U'delta: c is l less u - R'U
+    on the pre cells.
+    """
+    R = path_rows(cells, family_kind)
+    _require_full_coverage(cells, positions)
+    post = _post_cells(cells)
+    u = bias_map.W[cells.post].T @ target.weights[cells.post]
+    U = scilinalg.solve_triangular(
+        R[:, post], u[post], trans="T", lower=True, unit_diagonal=True
+    )
+    centre = target.weights - np.where(cells.pre, u - R.T @ U, 0.0)
+    return centre[positions], U
+
+
 def _corrected_weights(
     cells: CellIndex, positions, family_kind: str, bias_map: BiasMap, target
 ):
-    """Weight vector c with corrected point = c' betahat.
-
-    At sensitivity zero the post-treatment block-bias path is a linear
-    function of the pre-treatment coefficients: constant at the last pre
-    value for relative-magnitude families, the straight line through the
-    last two pre values for second differences.  The implied overall bias is
-    that path mapped through W, and the corrected point subtracts it from
-    the target, so the whole correction is one fixed linear map.  It is also
-    the centre of every plug-in set (``_plugin_box``).
-    """
-    if family_kind not in FAMILY_KINDS:
-        raise ValueError(f"unknown family kind {family_kind!r}")
-    _require_full_coverage(cells, positions)
-    column = np.full(len(cells), -1)  # coefficient index per cell, -1 if none
-    column[positions] = np.arange(len(positions))
-    D = np.zeros((len(cells), len(positions)))  # block path at sensitivity zero
-    pre = np.flatnonzero(cells.pre & ~cells.structural)
-    D[pre, column[pre]] = 1.0
-    rows = np.flatnonzero(cells.post)
-    g, t_g, rel = cells.cohort[rows], cells.cohort_time[rows], cells.rel[rows]
-    base = column[cells.locate(g, t_g - 1)]  # the reference cell, s = 0
-    has_base = base >= 0
-    if family_kind == "sd":
-        if np.any(t_g < 3):
-            raise CohortWithoutTwoPrePeriods(
-                "the sd correction needs two pre-treatment periods per cohort"
-            )
-        D[rows[has_base], base[has_base]] = 1.0 + rel[has_base]
-        D[rows, column[cells.locate(g, t_g - 2)]] -= rel  # s = -1
-    else:
-        D[rows[has_base], base[has_base]] = 1.0
-
-    M = (bias_map.W @ D)[positions, :]
-    post = cells.post[positions]
-    l_vec = target.weights[positions]
-    return l_vec - M[post].T @ l_vec[post]
+    """Weight vector c with corrected point = c' betahat: the target less the
+    overall bias of the block path with no bounded difference (constant
+    after the last pre value for rm, the line through the last two for sd).
+    It is one fixed map (``_pinned_path``) and centres every plug-in set."""
+    return _pinned_path(cells, positions, family_kind, bias_map, target)[0]
 
 
 def corrected_point(
-    coeffs: CoefficientSet,
-    family_kind: str,
-    bias_map: BiasMap,
-    target: TargetFunctional,
+    coeffs: CoefficientSet, family_kind: str, bias_map: BiasMap, target: TargetFunctional
 ) -> float:
     """Debiased point estimate at sensitivity zero (the plug-in point)."""
-    c_vec = _corrected_weights(
-        coeffs.cells, coeffs.positions, family_kind, bias_map, target
-    )
+    cells, positions = coeffs.cells, coeffs.positions
+    c_vec = _corrected_weights(cells, positions, family_kind, bias_map, target)
     return float(c_vec @ coeffs.values)
 
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NEVER = "never"
+ESTIMATORS = ("imputation", "csnyt")
 
 __all__ = [
     "NEVER",
+    "ESTIMATORS",
     "PanelError",
     "DuplicateCell",
     "UnbalancedPanel",
@@ -172,7 +174,8 @@ def load_panel(source) -> PanelData:
     if hasattr(source, "read"):
         stream = source
     else:
-        stream = open(source, "r", encoding="utf-8", newline="")
+        # utf-8-sig also reads the byte-order mark of spreadsheet exports
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
 
     units, times, labels = {}, {}, {}  # value -> code, by first appearance
     blocks = []  # per block: unit, time and label codes, and outcomes
@@ -413,7 +416,7 @@ class CellIndex:
     post: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.estimator not in ("imputation", "csnyt"):
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator tag {self.estimator!r}")
         times = tuple(int(t) for t in self.times)
         G, T = len(times), int(self.n_periods)

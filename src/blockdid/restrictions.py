@@ -51,10 +51,16 @@ __all__ = [
     "with_normalization",
     "map_to_delta_space",
     "family_summary",
+    "path_rows",
 ]
 
 MEMBER_CAP = 100_000
-FAMILY_KINDS = ("rm-global", "rm-cohort", "sd")
+# the difference each kind bounds: coefficients on a cohort's block bias at
+# lags 0, 1, ..., so a cohort needs one pre period per lag
+_DIFFERENCES = {
+    "rm-global": (1.0, -1.0), "rm-cohort": (1.0, -1.0), "sd": (1.0, -2.0, 1.0)
+}
+FAMILY_KINDS = tuple(_DIFFERENCES)
 
 
 class RestrictionError(ValueError):
@@ -112,17 +118,15 @@ class RestrictionFamily:
     """Finite union of polyhedra, each row stored once.
 
     ``family`` is one of ``FAMILY_KINDS``.  Every member bounds the rows
-    ``diffs``, in block space: the post first differences (rm) or second
-    differences (sd) of each cohort's block-bias path, in ``_post_cells``
-    order.  ``benchmarks`` is a (members, G, 3) table of (k, s*, sign) per
-    cohort: rm member i bounds cohort g's differences by ``parameter`` times
-    sign * (Delta(k, s*) - Delta(k, s* - 1)).  The sd family is one member
-    with no entries, bounding every difference by ``parameter``.
-    ``equalities`` holds the per-cohort zero-sum rows appended by
-    ``with_normalization``.  ``bias_map``, recorded by ``map_to_delta_space``,
-    puts the family in overall-bias space.  Members are formed only when
-    asked for (``member``, or a stack of them by ``member_rows``).  Feasible
-    set = union of members.
+    ``diffs`` (``path_rows``) in block space.  ``benchmarks`` is a (members,
+    G, 3) table of (k, s*, sign) per cohort: rm member i bounds cohort g's
+    differences by ``parameter`` times sign * (Delta(k, s*) - Delta(k, s* -
+    1)).  The sd family is one member with no entries, bounding every
+    difference by ``parameter``.  ``equalities`` holds the per-cohort
+    zero-sum rows appended by ``with_normalization``.  ``bias_map``, recorded
+    by ``map_to_delta_space``, puts the family in overall-bias space.
+    Members are formed only when asked for (``member``, or a stack of them
+    by ``member_rows``).  Feasible set = union of members.
     """
 
     family: str
@@ -134,11 +138,7 @@ class RestrictionFamily:
     bias_map: BiasMap = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in FAMILY_KINDS:
-            raise UnknownFamily(
-                f"unknown family {self.family!r}; expected one of "
-                f"{', '.join(FAMILY_KINDS)}"
-            )
+        _differences(self.family)
         if not len(self.benchmarks):
             raise RestrictionError("family must have at least one member")
         if self.diffs.shape[1] != len(self.cells):
@@ -244,16 +244,37 @@ def _member_rows(first, second, cells: CellIndex):
     return A
 
 
-def _family(kind, cells, parameter, coeffs, benchmarks):
-    """A family whose members share the post differences with coefficients
-    ``coeffs``, one member per row of ``benchmarks`` (a (k, s*, sign) per
-    cohort)."""
+def _differences(kind):
+    """The difference coefficients of family ``kind``."""
+    if kind not in _DIFFERENCES:
+        raise UnknownFamily(
+            f"unknown family {kind!r}; expected one of {', '.join(FAMILY_KINDS)}"
+        )
+    return _DIFFERENCES[kind]
+
+
+def path_rows(cells: CellIndex, kind):
+    """Rows R of the differences of each cohort's block-bias path that a
+    ``kind`` family bounds, one per post cell in ``_post_cells`` order: on
+    the post cells R is unit lower-triangular."""
+    coeffs = _differences(kind)
+    t_g = min(cells.times)
+    if t_g < len(coeffs):
+        raise CohortWithoutTwoPrePeriods(
+            f"cohort g{t_g} has fewer than two pre-treatment periods"
+        )
     post = _post_cells(cells)
+    return _difference_rows(cells, cells.cohort[post], cells.cal[post], coeffs)
+
+
+def _family(kind, cells, parameter, benchmarks):
+    """A ``kind`` family over its post difference rows (``path_rows``), one
+    member per row of ``benchmarks`` (a (k, s*, sign) per cohort)."""
     return RestrictionFamily(
         family=kind,
         parameter=parameter,
         cells=cells,
-        diffs=_difference_rows(cells, cells.cohort[post], cells.cal[post], coeffs),
+        diffs=path_rows(cells, kind),
         benchmarks=np.array(list(benchmarks), dtype=int),
     )
 
@@ -275,7 +296,7 @@ def rm_global(layout: CohortLayout, cells: CellIndex, mbar: float) -> Restrictio
         raise NoPreDifferences(
             "no cohort has two consecutive pre-treatment periods"
         )
-    return _family("rm-global", cells, mbar, (1.0, -1.0), choices)
+    return _family("rm-global", cells, mbar, choices)
 
 
 def rm_cohort(layout: CohortLayout, cells: CellIndex, mbar: float) -> RestrictionFamily:
@@ -301,18 +322,13 @@ def rm_cohort(layout: CohortLayout, cells: CellIndex, mbar: float) -> Restrictio
         for g, ss in enumerate(slots)
     ]
     choices = itertools.product(*choice_sets)
-    return _family("rm-cohort", cells, mbar, (1.0, -1.0), choices)
+    return _family("rm-cohort", cells, mbar, choices)
 
 
 def sd(layout: CohortLayout, cells: CellIndex, m: float) -> RestrictionFamily:
-    """Second-differences family: one polyhedron bounding slope changes by M."""
-    for g, t_g in enumerate(layout.times):
-        if t_g - 1 < 2:
-            raise CohortWithoutTwoPrePeriods(
-                f"cohort g{t_g} has fewer than two pre-treatment periods"
-            )
-    no_benchmarks = np.zeros((1, 0, 3), dtype=int)
-    return _family("sd", cells, m, (1.0, -2.0, 1.0), no_benchmarks)
+    """Second-differences family: one polyhedron bounding slope changes by M;
+    every cohort needs two pre-treatment periods."""
+    return _family("sd", cells, m, np.zeros((1, 0, 3), dtype=int))  # no benchmarks
 
 
 def with_normalization(

@@ -27,6 +27,14 @@ all three.  ``treated_mask`` and the layout helpers ``initial_control_units``,
 ``not_yet_treated_units`` and ``adjustment_cohorts`` serve these paths and
 the tests' loop and group-mean oracles.
 
+``corrected_weights_dense`` is the corrected-point weight vector as it was
+formed from a dense sensitivity-zero block path D (one column per
+coefficient, written out per family kind) and the product W @ D, and
+``plugin_box_tails`` the plug-in centre and radius with the target's
+loadings on the bounded differences taken as reversed cumulative sums over
+each cohort's post cells (twice for sd).  ``inference._pinned_path`` gets
+both from one triangular solve on the family's difference rows.
+
 ``member_bounds`` is the linear program the closed-form plug-in set
 replaced: one member's target bounds with the pre-treatment coordinates
 pinned at their estimates, solved with HiGHS; ``lp_union`` merges them over
@@ -59,6 +67,7 @@ from blockdid.inference import (
     _truncnorm_quantile,
 )
 from blockdid.panel import build_cell_index, build_layout
+from blockdid.restrictions import FAMILY_KINDS, CohortWithoutTwoPrePeriods
 
 
 def member_block(coeffs, member, basis):
@@ -287,6 +296,63 @@ def _eta_star_lp(y, X, sd):
     if not res.success:
         raise InferenceError(f"profiling program failed: {res.message}")
     return float(res.x[0])
+
+
+def corrected_weights_dense(cells, positions, family_kind, bias_map, target):
+    """Weights c with corrected point c' betahat: the target less the overall
+    bias W @ D of the block path D at sensitivity zero, constant at the last
+    pre value (rm) or the line through the last two (sd)."""
+    if family_kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {family_kind!r}")
+    column = np.full(len(cells), -1)  # coefficient index per cell, -1 if none
+    column[positions] = np.arange(len(positions))
+    D = np.zeros((len(cells), len(positions)))  # block path at sensitivity zero
+    pre = np.flatnonzero(cells.pre & ~cells.structural)
+    D[pre, column[pre]] = 1.0
+    rows = np.flatnonzero(cells.post)
+    g, t_g, rel = cells.cohort[rows], cells.cohort_time[rows], cells.rel[rows]
+    base = column[cells.locate(g, t_g - 1)]  # the reference cell, s = 0
+    has_base = base >= 0
+    if family_kind == "sd":
+        if np.any(t_g < 3):
+            raise CohortWithoutTwoPrePeriods(
+                "the sd correction needs two pre-treatment periods per cohort"
+            )
+        D[rows[has_base], base[has_base]] = 1.0 + rel[has_base]
+        D[rows, column[cells.locate(g, t_g - 2)]] -= rel  # s = -1
+    else:
+        D[rows[has_base], base[has_base]] = 1.0
+    M = (bias_map.W @ D)[positions, :]
+    post = cells.post[positions]
+    l_vec = target.weights[positions]
+    return l_vec - M[post].T @ l_vec[post]
+
+
+def plugin_box_tails(coeffs, family, target):
+    """Centre weights and radius of the plug-in set: a unit change in cohort
+    g's difference at post cell j moves the target by the tail sum from j on
+    of u = W[post]'l[post] over g's post cells (sd: the tail sum of those
+    tail sums), and the radius sums their absolute values times each
+    cohort's largest pinned benchmark difference (sd: 1) and the parameter."""
+    cells, positions, values = coeffs.cells, coeffs.positions, coeffs.values
+    bias_map = family.bias_map
+    centre = corrected_weights_dense(cells, positions, family.family, bias_map, target)
+    G, T = len(cells.times), cells.n_periods
+    post = cells.post.reshape(T, G)  # rows: calendar periods, columns: cohorts
+    loading = bias_map.W[cells.post].T @ target.weights[cells.post]
+    u = np.where(cells.post, loading, 0.0)  # pre block biases are pinned
+    tail = np.cumsum(u.reshape(T, G)[::-1], axis=0)[::-1]
+    if family.family == "sd":
+        tail = np.cumsum((tail * post)[::-1], axis=0)[::-1]
+        bench = np.ones(G)
+    else:
+        block = np.zeros(len(cells))  # pinned pre block biases, 0 if structural
+        block[positions] = values
+        k, s_star, _ = family.benchmarks.T  # each (G, members)
+        cal = np.asarray(cells.times)[k] + s_star - 1
+        diffs = block[cells.locate(k, cal)] - block[cells.locate(k, cal - 1)]
+        bench = np.abs(diffs).max(axis=1)
+    return centre, family.parameter * float(bench @ (np.abs(tail) * post).sum(axis=0))
 
 
 class UnboundedProgram(InferenceError):

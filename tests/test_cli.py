@@ -93,6 +93,29 @@ def test_estimate_csv_schema(panel_csv, tmp_path):
     assert kinds == {"pre", "post"}
 
 
+def test_estimate_csv_writes_cohorts_on_the_source_time_scale(tmp_path):
+    units = [("a", "2003"), ("b", "2005"), ("n", "never")]
+    years = tmp_path / "years.csv"
+    years.write_text("\n".join(["unit,time,outcome,cohort"] + [
+        f"{unit},{year},{i * 10 + year % 100},{label}"
+        for i, (unit, label) in enumerate(units)
+        for year in range(2001, 2007)
+    ]) + "\n")
+    panel = load_panel(str(years))
+    assert panel.time_labels == tuple(range(2001, 2007))
+    assert panel.adoption == (3, 5, None)
+    out = tmp_path / "coeffs.csv"
+    assert run_cli("estimate", "--input", str(years), "--out", str(out)) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert {r["cohort"] for r in rows} == {"2003", "2005"}
+    for r in rows:  # calendar time = cohort + rel_period - 1, in years
+        assert int(r["calendar_time"]) == int(r["cohort"]) + int(r["rel_period"]) - 1
+    first = next(r for r in rows if r["kind"] == "post")
+    assert (first["cohort"], first["rel_period"], first["calendar_time"]) == (
+        "2003", "1", "2003"
+    )
+
+
 def test_vcov_and_biasmap_outputs(panel_csv, tmp_path):
     vout = tmp_path / "vcov.csv"
     assert run_cli(
@@ -425,6 +448,35 @@ def test_byperiod_both_frameworks_rejected(panel_csv, tmp_path, capsys, monkeypa
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == "UNSUPPORTED_OPTION"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command, field, code",
+    [
+        (command, field, code)
+        for field, code, commands in [
+            ("family", "UNKNOWN_FAMILY", ("sets", "byperiod", "compare")),
+            ("framework", "UNSUPPORTED_OPTION", ("sets", "byperiod", "compare")),
+            ("estimator", "UNSUPPORTED_OPTION",
+             ("estimate", "vcov", "biasmap", "sets", "byperiod", "compare")),
+        ]
+        for command in commands
+    ],
+)
+def test_run_refuses_unknown_choices_before_the_panel_loads(
+    panel_csv, tmp_path, monkeypatch, command, field, code
+):
+    import blockdid.cli
+
+    loads = []
+    monkeypatch.setattr(blockdid.cli, "load_panel", lambda *a, **k: loads.append(a))
+    out = tmp_path / "refused.out"
+    config = RunConfig(command, input=str(panel_csv), out=str(out), **{field: "bogus"})
+    with pytest.raises(ValueError, match="bogus") as info:
+        run(config)
+    assert info.value.code == code
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_other_than_one_rejected(panel_csv, tmp_path):

@@ -63,6 +63,20 @@ def test_crlf_and_scientific_notation():
     assert panel.outcome[0, 0] == pytest.approx(0.15)
 
 
+@pytest.mark.parametrize("comment", ["", "# exported\n"])
+def test_a_byte_order_mark_is_read_past(tmp_path, comment):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark; the file
+    loads to the same panel as without it, header or comment line first."""
+    text = comment + grid_csv([("a", "3"), ("z", "never")], T=4)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_panel(str(plain)), load_panel(str(marked))
+    assert got.units == want.units == ("a", "z")
+    assert got.adoption == want.adoption and got.time_labels == want.time_labels
+    assert np.array_equal(got.outcome, want.outcome)
+
+
 def test_times_shifted_to_internal_range():
     lines = ["unit,time,outcome,cohort"]
     for name, label in [("x", "2004"), ("y", "never")]:

@@ -2,7 +2,9 @@
 
 ``data/toy_sets.json`` holds the output of ``blockdid simulate --example toy
 --seed 3`` followed by ``blockdid sets --param 0:1:0.5 --framework both
---grid=-8:9:171 --bootstrap 50 --draws 500``.  A run must give the same
+--grid=-8:9:171 --bootstrap 50 --draws 500``, and ``data/toy_sets_sd.json``
+that of the same run with ``--family sd --estimator csnyt``, recorded when
+the sd plug-in set still summed cumulative tails.  A run must give the same
 records apart from ``runtime_ms``: every field exactly, except that an
 interval endpoint may move by one grid step and the plug-in bounds and the
 corrected point by 1e-9 relative, the rounding another BLAS build may give.
@@ -10,8 +12,9 @@ The top-level ``config_hash`` covers the input's resolved path (one file
 gives one hash, however its path is spelled), and that path differs from
 one checkout or temporary directory to the next, so it is not compared.
 
-``python tests/test_sets_golden.py SETS.json`` compares a ``sets`` output
-with the pinned one and exits 1 when they differ.
+``python tests/test_sets_golden.py SETS.json [PINNED.json]`` compares a
+``sets`` output with a pinned one (``data/toy_sets.json`` by default) and
+exits 1 when they differ.
 """
 
 import json
@@ -25,6 +28,8 @@ SETS_ARGS = [
     "--param", "0:1:0.5", "--framework", "both", "--grid=-8:9:171",
     "--bootstrap", "50", "--draws", "500",
 ]
+PINNED_SD = PINNED.with_name("toy_sets_sd.json")
+SD_ARGS = ["--family", "sd", "--estimator", "csnyt"]
 
 
 def differences(got, want):
@@ -60,16 +65,27 @@ def differences(got, want):
     return found
 
 
-def test_sets_records_match_the_pinned_toy_records(tmp_path):
+def _toy_sets(tmp_path, *extra):
+    """The ``sets`` output of the pinned toy run with ``extra`` arguments."""
     from blockdid.cli import main
 
     toy, out = tmp_path / "toy.csv", tmp_path / "sets.json"
     assert main(["simulate", "--example", "toy", "--seed", "3", "--out", str(toy)]) == 0
+    args = ["sets", "--input", str(toy), *SETS_ARGS, *extra, "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # singleton strata of the toy panel
-        assert main(["sets", "--input", str(toy), *SETS_ARGS, "--out", str(out)]) == 0
-    got = json.loads(out.read_text())
+        assert main(args) == 0
+    return json.loads(out.read_text())
+
+
+def test_sets_records_match_the_pinned_toy_records(tmp_path):
+    got = _toy_sets(tmp_path)
     assert differences(got, json.loads(PINNED.read_text())) == []
+
+
+def test_sd_sets_records_match_the_pinned_toy_records(tmp_path):
+    got = _toy_sets(tmp_path, *SD_ARGS)
+    assert differences(got, json.loads(PINNED_SD.read_text())) == []
 
 
 def test_the_comparison_flags_what_its_tolerances_do_not_cover():
@@ -93,6 +109,7 @@ def test_the_comparison_flags_what_its_tolerances_do_not_cover():
 
 if __name__ == "__main__":
     got = json.loads(Path(sys.argv[1]).read_text())
-    problems = differences(got, json.loads(PINNED.read_text()))
+    pinned = Path(sys.argv[2]) if len(sys.argv) > 2 else PINNED
+    problems = differences(got, json.loads(pinned.read_text()))
     print("\n".join(problems) or "records match the pinned ones")
     sys.exit(1 if problems else 0)
