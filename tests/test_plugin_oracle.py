@@ -181,7 +181,7 @@ def test_plugin_box_matches_the_dense_path_and_tail_sums(kind):
     }
 
 
-def _system(units, T, estimator="imputation"):
+def _grid_system(units, T, estimator="imputation"):
     """(layout, coefficients, bias map, ATT target) of a grid panel."""
     panel = load_panel(io.StringIO(grid_csv(units, T)))
     layout = build_layout(panel)
@@ -191,7 +191,7 @@ def _system(units, T, estimator="imputation"):
 
 
 def test_corrected_point_refuses_an_unknown_family():
-    _, coeffs, bm, target = _system([("a", "4"), ("n", "never")], T=6)
+    _, coeffs, bm, target = _grid_system([("a", "4"), ("n", "never")], T=6)
     with pytest.raises(UnknownFamily) as err:
         corrected_point(coeffs, "bogus", bm, target)
     assert err.value.code == "UNKNOWN_FAMILY"
@@ -200,7 +200,7 @@ def test_corrected_point_refuses_an_unknown_family():
 @pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
 def test_sd_needs_two_pre_periods_in_the_family_and_the_correction(estimator):
     units = [("a", "2"), ("b", "4"), ("n", "never")]
-    layout, coeffs, bm, target = _system(units, T=6, estimator=estimator)
+    layout, coeffs, bm, target = _grid_system(units, T=6, estimator=estimator)
     with pytest.raises(CohortWithoutTwoPrePeriods) as built:
         sd(layout, coeffs.cells, 0.5)
     with pytest.raises(CohortWithoutTwoPrePeriods) as corrected:
