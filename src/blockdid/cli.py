@@ -284,14 +284,16 @@ def _bootstrap(config, panel):
     )
 
 
-def _set_records(config, framework, layout, coeffs, bias_map, target):
-    """One framework's set records, one per sensitivity parameter."""
+def _set_records(config, framework, layout, coeffs, bias_map, target, point=None):
+    """One framework's set records, one per sensitivity parameter.  ``point``
+    is the corrected point, computed here when not given."""
     build = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}[config.family]
     families = {
         p: map_to_delta_space(build(layout, coeffs.cells, p), bias_map)
         for p in config.params
     }
-    point = corrected_point(coeffs, config.family, bias_map, target)
+    if point is None:
+        point = corrected_point(coeffs, config.family, bias_map, target)
     plugs = {
         p: plugin_identified_set(coeffs, fam, target) for p, fam in families.items()
     }
@@ -351,19 +353,23 @@ def _records(config, panel):
 
 def _by_period(config, panel):
     """The ``sets`` record of each post relative period s, with target
-    ``period:<s>``, and the standard error of its corrected point."""
+    ``period:<s>``, and the standard error of its corrected point; the point
+    and its error come from one set of corrected weights."""
     ((framework, layout, coeffs, bias_map, _),) = _systems(config, panel)
     cells = coeffs.cells
     periods = {}
     for s in sorted(set(cells.rel[cells.post].tolist())):
         target = by_period_target(layout, cells, s)
-        (record,) = _set_records(config, framework, layout, coeffs, bias_map, target)
         c_vec = _corrected_weights(
             cells, coeffs.positions, config.family, bias_map, target
         )
+        point = float(c_vec @ coeffs.values)  # corrected_point's product
+        (record,) = _set_records(
+            config, framework, layout, coeffs, bias_map, target, point
+        )
         periods[str(s)] = {
             "intervals": record["intervals"],
-            "corrected_point": record["corrected_point"],
+            "corrected_point": point,
             "corrected_se": _linear_se(c_vec, coeffs.vcov),
         }
     return {

@@ -215,11 +215,19 @@ def _coefficient_operator(layout: CohortLayout, cells: CellIndex) -> np.ndarray:
     return E
 
 
-def estimate(panel: PanelData, estimator: str) -> CoefficientSet:
-    """Full stacked coefficient vector (pre block biases and post effects)."""
+def _linear_system(panel: PanelData, estimator: str):
+    """The panel's cohort layout, cell index and coefficient operator."""
     layout = build_layout(panel)
     cells = build_cell_index(layout, panel.n_periods, estimator)
-    E = _coefficient_operator(layout, cells)
+    return layout, cells, _coefficient_operator(layout, cells)
+
+
+def estimate(panel: PanelData, estimator: str, *, system=None) -> CoefficientSet:
+    """Full stacked coefficient vector (pre block biases and post effects).
+
+    ``system`` is the panel's ``_linear_system``, for a caller that has
+    built it already."""
+    layout, cells, E = system or _linear_system(panel, estimator)
     strata = _stratum_units(layout)
     means = _strata_means(
         panel.outcome[np.concatenate(strata)], [len(u) for u in strata]

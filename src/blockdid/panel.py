@@ -11,10 +11,17 @@ estimation works off three objects built here:
   read-only per-position arrays (cohort, relative and calendar period, pre,
   post and structural-zero masks) that later layers read instead of walking
   cells; cell (t_g, s) of cohort g sits at position (t_g + s - 2) * G + g.
+
+:func:`load_panel` parses a block of plain CSV lines (ASCII, without quotes,
+NUL, comment lines or bare carriage returns, short text fields) with one
+``np.loadtxt`` call, which is how the files ``simulate`` writes are read.
+From the first block that is not plain, the rest of the file goes through
+the csv reader; both give the same panel bit for bit, and the same errors.
 """
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +162,13 @@ class PanelData:
 
 # CSV rows parsed together, which bounds the parse's transient memory
 _LOAD_BLOCK = 1024
+# Width of the unit and cohort text fields of a one-call parse; a field that
+# fills it may have been cut short, and its block goes to the csv reader
+_TEXT_WIDTH = 32
+_PLAIN_ROW = np.dtype([
+    ("unit", f"U{_TEXT_WIDTH}"), ("time", np.int64), ("outcome", np.float64),
+    ("cohort", f"U{_TEXT_WIDTH}"),
+])
 
 
 def load_panel(source) -> PanelData:
@@ -167,9 +181,13 @@ def load_panel(source) -> PanelData:
     ``source`` is a path or a readable text stream; a ``str`` is always a
     path, so CSV text goes in as ``io.StringIO(text)``.
 
-    Rows are parsed ``_LOAD_BLOCK`` at a time, a column at a time, and coded
+    After the header, lines are parsed ``_LOAD_BLOCK`` at a time and coded
     as they are read: units, times and cohort labels by order of first
-    appearance.  The balance checks count rows per unit-period cell.
+    appearance.  A plain block (``_plain_block``) is parsed by one
+    ``np.loadtxt`` call; from the first block that is not plain, the rest of
+    the file goes through the csv reader, a column at a time
+    (``_parse_block``), with the same results.  The balance checks count
+    rows per unit-period cell.
     """
     if hasattr(source, "read"):
         stream = source
@@ -180,6 +198,7 @@ def load_panel(source) -> PanelData:
     units, times, labels = {}, {}, {}  # value -> code, by first appearance
     blocks = []  # per block: unit, time and label codes, and outcomes
     try:
+        # the reader takes the header row only; it reads no line past it
         reader = csv.reader(line for line in stream if not line.startswith("#"))
         header = next(reader, None)
         required = {"unit", "time", "outcome", "cohort"}
@@ -189,15 +208,11 @@ def load_panel(source) -> PanelData:
             )
         at = {name: i for i, name in enumerate(header)}  # a repeated name's last
         fields = [at[name] for name in ("unit", "time", "outcome", "cohort")]
-        line = 2  # data rows are numbered without the blank ones
-        while chunk := list(itertools.islice(reader, _LOAD_BLOCK)):
-            block = [row for row in chunk if row]
-            unit, t, y, g = _parse_block(block, header, fields, line)
-            blocks.append((
-                _codes(unit, units), _codes(t, times), _codes(g, labels),
-                np.array(y, dtype=float),
-            ))
-            line += len(block)
+        for unit, t, y, g in _parsed_blocks(stream, reader, header, fields):
+            blocks.append(
+                (_codes(unit, units), _codes(t, times), _codes(g, labels),
+                 np.asarray(y, dtype=float))
+            )
     finally:
         if stream is not source:
             stream.close()
@@ -257,6 +272,86 @@ def _codes(values, index):
     return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
 
+def _parsed_blocks(stream, reader, header, fields):
+    """Units, times, outcomes and cohort labels (None for never) of the data
+    lines of ``stream``, whose header row ``reader`` has read, a block at a
+    time.  Plain blocks take one ``np.loadtxt`` call each; from the first
+    block that is not plain, the csv reader takes the rest of the lines."""
+    line = 2  # data rows are numbered without the blank ones
+    while chunk := list(itertools.islice(stream, _LOAD_BLOCK)):
+        parsed = _plain_block(chunk, fields)
+        if parsed is None:
+            lines = itertools.chain(chunk, stream)
+            reader = csv.reader(s for s in lines if not s.startswith("#"))
+            break
+        yield parsed
+        line += len(parsed[2])
+    # a plain block is _LOAD_BLOCK reader rows, so these blocks start where
+    # the csv reader's would have, had it read the whole file
+    while chunk := list(itertools.islice(reader, _LOAD_BLOCK)):
+        block = [row for row in chunk if row]
+        yield _parse_block(block, header, fields, line)
+        line += len(block)
+
+
+def _plain_block(lines, fields):
+    """Units, times, outcomes and cohort labels of a block of CSV lines, by
+    one ``np.loadtxt`` call, or None if the block is not plain.
+
+    A plain block is ASCII (``np.loadtxt`` misreads some non-ASCII digits),
+    has no quote (it opens a csv field) and no NUL (numpy text drops a
+    trailing one), no comment line, no carriage return outside a CRLF ending
+    and no line as long as the csv reader's field limit.  Each non-blank line
+    must parse as a row, and no unit or cohort field may fill
+    ``_TEXT_WIDTH``.  Then every field reads as the csv reader and
+    ``str.strip``, ``int`` and ``float`` read it.
+    """
+    text, limit = "".join(lines), csv.field_size_limit()
+    if (
+        not text.isascii()
+        or '"' in text
+        or "\0" in text
+        or text.count("\r") != text.count("\r\n")
+        or text.startswith("#")
+        or "\n#" in text
+        or (len(text) >= limit and max(map(len, lines)) >= limit)
+    ):
+        return None
+    n = len(lines) - lines.count("\n") - lines.count("\r\n")  # rows
+    if not n:
+        return [], [], np.empty(0), []
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads an integer via a float ("1.0") with only
+            # this warning, where int() refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                lines, dtype=_PLAIN_ROW, delimiter=",", comments=None,
+                usecols=fields, ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    unit, label = rows["unit"].tolist(), rows["cohort"].tolist()
+    if len(rows) != n or max(map(len, unit + label)) >= _TEXT_WIDTH:
+        return None
+    try:
+        label = _adoption_labels(label)
+    except ValueError:
+        return None
+    return (
+        list(map(str.strip, unit)), rows["time"].tolist(), rows["outcome"].copy(),
+        label,
+    )
+
+
+def _adoption_labels(label):
+    """Cohort fields as adoption periods, None for never, stripped; a field
+    that is neither raises ``ValueError``."""
+    label = list(map(str.strip, label))
+    values = {s: None if s == NEVER else int(s) for s in set(label)}
+    return list(map(values.__getitem__, label))
+
+
 def _parse_block(block, header, fields, line):
     """Units, times, outcomes and cohort labels (None for never) of a block
     of CSV rows, a column at a time.  A block with a bad field is parsed
@@ -267,11 +362,9 @@ def _parse_block(block, header, fields, line):
             raise IndexError("a row lacks a required field")
         columns = list(zip(*block)) or [()] * len(header)
         unit, t, y, label = (columns[f] for f in fields)
-        label = list(map(str.strip, label))
-        values = {s: None if s == NEVER else int(s) for s in set(label)}
         return (
             list(map(str.strip, unit)), list(map(int, t)), list(map(float, y)),
-            list(map(values.__getitem__, label)),
+            _adoption_labels(label),
         )
     except (ValueError, IndexError):
         pass

@@ -18,12 +18,12 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from .estimators import (
     CoefficientSet,
-    _coefficient_operator,
+    _linear_system,
     _strata_means,
     _stratum_units,
     estimate,
 )
-from .panel import PanelData, build_cell_index, build_layout
+from .panel import PanelData
 
 __all__ = ["InvalidBootstrap", "InvalidSeed", "BootstrapSpec", "bootstrap_vcov"]
 
@@ -62,7 +62,7 @@ class BootstrapSpec:
         _check_seed(self.seed)
 
 
-def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec) -> np.ndarray:
+def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec, system=None) -> np.ndarray:
     """Stacked coefficient draws, one row per replicate.
 
     Replicate b resamples rows from its own substream
@@ -72,8 +72,9 @@ def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec) -> np.ndarray:
     and leaves the same generator state as one call per stratum.  The draws
     index the outcome rows sorted by stratum, gathered and summed in chunks
     of replicates (``_BOOT_CHUNK_VALUES`` values at most, or one replicate).
+    ``system`` is the panel's ``_linear_system``, built here when not given.
     """
-    layout = build_layout(panel)
+    layout, _, E = system or _linear_system(panel, spec.estimator)
     groups = _stratum_units(layout)
     sizes = np.array([len(g) for g in groups])
     edges = np.concatenate([[0], np.cumsum(sizes)])  # first row per stratum, end
@@ -93,8 +94,6 @@ def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec) -> np.ndarray:
         means[lo : lo + len(rows)] = _strata_means(
             outcome[rows].reshape(-1, panel.n_periods), np.tile(sizes, len(rows))
         ).reshape(len(rows), len(groups), -1)
-    cells = build_cell_index(layout, panel.n_periods, spec.estimator)
-    E = _coefficient_operator(layout, cells)
     return means.reshape(spec.replications, -1) @ E.T
 
 
@@ -102,9 +101,11 @@ def bootstrap_vcov(panel: PanelData, spec: BootstrapSpec) -> CoefficientSet:
     """Point estimates from the original sample plus a bootstrap covariance.
 
     Replicate b draws from a dedicated random substream keyed by (seed, b),
-    so its draw depends only on the seed and its index.
+    so its draw depends only on the seed and its index.  The point estimate
+    and the draws share one layout, cell index and coefficient operator.
     """
-    layout = build_layout(panel)
+    system = _linear_system(panel, spec.estimator)
+    layout = system[0]
     singletons = [f"g{t}" for t, n in zip(layout.times, layout.sizes) if n < 2]
     if layout.never_size < 2:
         singletons.append("never")
@@ -115,8 +116,9 @@ def bootstrap_vcov(panel: PanelData, spec: BootstrapSpec) -> CoefficientSet:
             stacklevel=2,
         )
 
-    point = estimate(panel, spec.estimator)
-    stacked = _bootstrap_draws(panel, spec)
+    point = estimate(panel, spec.estimator, system=system)
+    stacked = _bootstrap_draws(panel, spec, system)
+    del system  # the operator (5 MB at 800 cells) is not held through the covariance
     centered = stacked - stacked.mean(axis=0, keepdims=True)
     vcov = centered.T @ centered / (spec.replications - 1)
     vcov = (vcov + vcov.T) / 2.0

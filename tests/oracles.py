@@ -42,8 +42,14 @@ a family.  ``_eta_star_lp`` is the profiling program the dual vertices
 replaced, the studentized max moment minimised over the nuisance, and
 ``brute_force_vertices`` lists those vertices from every basis of
 ``[sd, X]``.
+
+``load_panel_csv`` is the panel loader as it read every file: through the
+csv reader, ``block`` rows at a time, a column at a time, with a block that
+has a bad field parsed again row by row.  ``panel.load_panel`` parses a
+plain block with one ``np.loadtxt`` call instead.
 """
 
+import csv
 import dataclasses
 import itertools
 import math
@@ -66,7 +72,19 @@ from blockdid.inference import (
     _reduced_rows,
     _truncnorm_quantile,
 )
-from blockdid.panel import build_cell_index, build_layout
+from blockdid.panel import (
+    NEVER,
+    BadAdoptionTime,
+    DuplicateCell,
+    InconsistentCohortLabel,
+    MissingField,
+    NonIntegerTime,
+    PanelData,
+    PanelError,
+    UnbalancedPanel,
+    build_cell_index,
+    build_layout,
+)
 from blockdid.restrictions import FAMILY_KINDS, CohortWithoutTwoPrePeriods
 
 
@@ -445,3 +463,142 @@ def brute_force_vertices(sd_vec, X):
     rows = np.arange(int(feas.sum()))[:, None]
     verts[rows, combos[ok][feas]] = np.clip(sols[feas], 0.0, None)
     return np.unique(np.round(verts, 12), axis=0)
+
+
+def load_panel_csv(source, block=1024):
+    """The panel of a CSV path or text stream, read by the csv reader."""
+    if hasattr(source, "read"):
+        stream = source
+    else:
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
+
+    units, times, labels = {}, {}, {}  # value -> code, by first appearance
+    blocks = []
+    try:
+        reader = csv.reader(line for line in stream if not line.startswith("#"))
+        header = next(reader, None)
+        required = {"unit", "time", "outcome", "cohort"}
+        if header is None or not required.issubset(header):
+            raise PanelError(
+                f"CSV header must contain {sorted(required)}, got {header}"
+            )
+        at = {name: i for i, name in enumerate(header)}
+        fields = [at[name] for name in ("unit", "time", "outcome", "cohort")]
+        line = 2
+        while chunk := list(itertools.islice(reader, block)):
+            rows = [row for row in chunk if row]
+            unit, t, y, g = _csv_block(rows, header, fields, line)
+            blocks.append((
+                _csv_codes(unit, units), _csv_codes(t, times),
+                _csv_codes(g, labels), np.array(y, dtype=float),
+            ))
+            line += len(rows)
+    finally:
+        if stream is not source:
+            stream.close()
+
+    if not units:
+        raise PanelError("empty panel file")
+    u, t, g, y = (np.concatenate(column) for column in zip(*blocks))
+    units, labels = list(units), list(labels)
+    first = np.unique(u, return_index=True)[1]
+    bad = np.flatnonzero(g != g[first][u])
+    if len(bad):
+        r = bad[0]
+        raise InconsistentCohortLabel(
+            f"unit {units[u[r]]!r} labeled both {labels[g[first[u[r]]]]!r} "
+            f"and {labels[g[r]]!r}"
+        )
+
+    ordered = sorted(times)
+    lo, hi = ordered[0], ordered[-1]
+    if ordered != list(range(lo, hi + 1)):
+        raise UnbalancedPanel(f"periods {ordered} are not a consecutive range")
+    T = hi - lo + 1
+    offset = lo - 1
+    col = np.array([time - lo for time in times])[t]
+
+    N = len(units)
+    cell = u * T + col
+    counts = np.bincount(cell, minlength=N * T)
+    if counts.max() > 1:
+        order = np.argsort(cell, kind="stable")
+        r = order[1:][cell[order[1:]] == cell[order[:-1]]].min()
+        raise DuplicateCell(
+            f"duplicate observation for ({units[u[r]]!r}, {int(col[r]) + lo})"
+        )
+    if not counts.all():
+        i, j = divmod(int(np.flatnonzero(counts == 0)[0]), T)
+        raise UnbalancedPanel(f"missing cell ({units[i]!r}, {j + 1 + offset})")
+    outcome = np.empty((N, T))
+    outcome[u, col] = y
+
+    adoption = map(labels.__getitem__, g[first].tolist())
+    shifted = tuple(None if v is None else v - offset for v in adoption)
+    return PanelData(
+        units=tuple(units),
+        n_periods=T,
+        outcome=outcome,
+        adoption=shifted,
+        time_labels=tuple(range(lo, hi + 1)),
+    )
+
+
+def _csv_codes(values, index):
+    for v in dict.fromkeys(values):
+        index.setdefault(v, len(index))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _csv_block(block, header, fields, line):
+    """A block's columns, or the first bad field's error by ``_csv_row``."""
+    try:
+        if block and min(map(len, block)) <= max(fields):
+            raise IndexError("a row lacks a required field")
+        columns = list(zip(*block)) or [()] * len(header)
+        unit, t, y, label = (columns[f] for f in fields)
+        label = list(map(str.strip, label))
+        values = {s: None if s == NEVER else int(s) for s in set(label)}
+        return (
+            list(map(str.strip, unit)), list(map(int, t)), list(map(float, y)),
+            list(map(values.__getitem__, label)),
+        )
+    except (ValueError, IndexError):
+        pass
+    rows = [
+        _csv_row(dict(zip(header, row + [None] * (len(header) - len(row)))), n)
+        for n, row in enumerate(block, start=line)
+    ]
+    return tuple(list(column) for column in zip(*rows))
+
+
+def _csv_row(row, lineno):
+    def field(name):
+        if row[name] is None:
+            raise MissingField(f"line {lineno}: no {name!r} field")
+        return row[name].strip()
+
+    unit = field("unit")
+    text = field("time")
+    try:
+        t = int(text)
+    except ValueError:
+        raise NonIntegerTime(
+            f"line {lineno}: time {row['time']!r} is not an integer"
+        ) from None
+    text = field("outcome")
+    try:
+        y = float(text)
+    except ValueError:
+        raise PanelError(
+            f"line {lineno}: outcome {row['outcome']!r} is not a number"
+        ) from None
+    label = field("cohort")
+    if label == NEVER:
+        return unit, t, y, None
+    try:
+        return unit, t, y, int(label)
+    except ValueError:
+        raise BadAdoptionTime(
+            f"line {lineno}: cohort {label!r} is neither an integer nor {NEVER!r}"
+        ) from None

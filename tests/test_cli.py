@@ -217,6 +217,27 @@ def test_byperiod_periods_are_the_period_target_sets_records(
         assert rec["corrected_point"] == want["corrected_point"]
 
 
+def test_byperiod_solves_each_periods_corrected_weights_once(
+    panel_csv, tmp_path, monkeypatch
+):
+    """The corrected point and its standard error share one solve."""
+    import blockdid.cli
+
+    solves = []
+    weights = blockdid.cli._corrected_weights
+    monkeypatch.setattr(
+        blockdid.cli, "_corrected_weights",
+        lambda *a: solves.append(a[-1]) or weights(*a),
+    )
+    monkeypatch.setattr(blockdid.cli, "corrected_point", None)  # not called
+    out = tmp_path / "bp.json"
+    assert run_cli(
+        "byperiod", "--input", str(panel_csv), "--family", "sd", "--param", "0",
+        "--bootstrap", "20", "--draws", "200", "--out", str(out),
+    ) == 0
+    assert len(solves) == len(json.loads(out.read_text())["periods"]) == 4
+
+
 def test_run_refuses_a_byperiod_target(panel_csv, tmp_path, monkeypatch):
     import blockdid.cli
 

@@ -260,3 +260,228 @@ def test_pre_period_counts():
         n_pre = int((cells.pre & (cells.cohort == g)).sum())
         assert n_pre == t_g - 1
         assert n_pre >= 1
+
+
+# --- the one-call parse against the csv reader -----------------------------
+
+_ODD_NAMES = (
+    " u{} ", "Zürich {}", "x" * 30 + "{}", "unit" * 8 + "{}", "a,b{}", 'say "hi" {}',
+    "two\nlines {}", "\tpad{}", "u{}\0", "#u{}",
+)
+# the number forms include non-ASCII digits and letters, which np.loadtxt
+# misreads, and white space that str.strip takes off
+_ODD_TIMES = ("+{}", " {} ", "{}.0", "{}_0", "{}x", "", "\u0661{}", "\u01fe{}", "\x1c{}")
+_ODD_OUTCOMES = (
+    "1_0", "Infinity", "nan", "+3", "1.0", " 2.5 ", "1e400", "-0", "", "abc",
+    "\x1c1", "1e5\x1f", "\u01fe1", "\u0663.5", "2\u2003",
+)
+_ODD_LABELS = ("later", "Never", " never ", "1_0", "+{}", "{}.0")
+
+
+def _field(text):
+    """A CSV field, quoted when the csv reader needs it to be."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def fuzz_csv(rng):
+    """A random panel CSV text: a unit-by-period grid, written plainly or
+    with the odds and ends of real exports at a random rate."""
+    odd = 0.0 if rng.random() < 0.4 else rng.choice((0.01, 0.05, 0.2, 0.5))
+    n, T = rng.randint(1, 6), rng.randint(1, 6)
+    lo = rng.choice((1, 1, 1, 2001, -2, 2**63 - 3))
+    units = []
+    for i in range(n):
+        form = rng.choice(_ODD_NAMES) if rng.random() < 2 * odd else "u{}"
+        label = "never" if i == 0 or T < 2 else str(lo + rng.randint(1, T - 1))
+        if rng.random() < odd / 2:
+            label = rng.choice(_ODD_LABELS).format(lo + 1)
+        units.append((form.format(i), label))
+    columns = ["unit", "time", "outcome", "cohort"]
+    if rng.random() < odd:
+        rng.shuffle(columns)
+    if rng.random() < odd:
+        columns.insert(rng.randint(0, 4), "extra")
+    if rng.random() < odd:
+        columns.append(rng.choice(columns))  # the later column is the one read
+
+    rows = []
+    for name, label in units:
+        for t in range(lo, lo + T):
+            time = str(t)
+            if rng.random() < odd / 4:
+                time = rng.choice(_ODD_TIMES).format(t)
+            outcome = repr(rng.gauss(0.0, 10.0 ** rng.randint(-3, 3)))
+            if rng.random() < odd / 4:
+                outcome = rng.choice(_ODD_OUTCOMES)
+            row = {"unit": name, "time": time, "outcome": outcome,
+                   "cohort": label, "extra": "x"}
+            rows.append([row[c] for c in columns])
+    if rng.random() < odd:
+        rng.shuffle(rows)
+    if rows and rng.random() < odd:
+        rows.append(list(rng.choice(rows)))  # a duplicate cell
+    if rows and rng.random() < odd:
+        rows.pop(rng.randrange(len(rows)))  # a missing cell
+
+    lines = [",".join(columns)]
+    for row in rows:
+        r = rng.random()
+        if r < odd / 8:
+            row = row[: rng.randint(1, len(row) - 1)]  # a short row
+        elif r < odd / 4:
+            row = row + ["more"]  # a ragged row
+        if rng.random() < odd / 4:
+            lines.append(rng.choice(("", "  ", "# note", "\t", "#" + ",".join(row))))
+        quote = rng.random() < odd / 4
+        lines.append(",".join(
+            '"' + f.replace('"', '""') + '"' if quote else _field(f) for f in row
+        ))
+    eol = rng.choice(("\n", "\n", "\n", "\r\n", "\r\n", "\r"))
+    text = "".join(
+        line + (rng.choice(("\n", "\r\n", "\r")) if rng.random() < odd / 8 else eol)
+        for line in lines
+    )
+    if rng.random() < odd:
+        text = text.rstrip("\r\n")
+    if rng.random() < 0.2:
+        text = "# exported\n" * rng.randint(1, 2) + text
+    if rng.random() < 0.2:
+        text = "\ufeff" + text
+    return text
+
+
+def _result(load, source):
+    """A loaded panel, bit for bit, or the loader's exception."""
+    try:
+        p = load(source)
+    except Exception as err:  # any exception must match the reference's
+        return "error", type(err), getattr(err, "code", None), str(err)
+    outcome = p.outcome
+    return (
+        "panel", p.units, p.n_periods, p.adoption, p.time_labels,
+        tuple(map(type, p.adoption)), outcome.dtype, outcome.shape,
+        outcome.tobytes(),
+    )
+
+
+def _results(texts, tmp_path, monkeypatch):
+    """Per text, the panel or error of ``load_panel`` and of the csv-reader
+    loader, each text read at a block size of its own, from a stream or a
+    file."""
+    import random
+
+    from blockdid import panel as panel_module
+    from oracles import load_panel_csv
+
+    rng = random.Random(0)
+    results = []
+    for n, text in enumerate(texts):
+        block = rng.choice((2, 3, 5, 1024))
+        monkeypatch.setattr(panel_module, "_LOAD_BLOCK", block)
+        if rng.random() < 0.5:
+            path = tmp_path / f"{n}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            sources = str(path), str(path)
+        else:
+            sources = io.StringIO(text), io.StringIO(text)
+        results.append((
+            _result(load_panel, sources[0]),
+            _result(lambda s: load_panel_csv(s, block), sources[1]),
+        ))
+    return results
+
+
+def _spy_on_plain_blocks(monkeypatch):
+    """A list that records, per block, whether it parsed plain."""
+    from blockdid import panel as panel_module
+
+    plain, take = [], panel_module._plain_block
+
+    def spy(*args):
+        parsed = take(*args)
+        plain.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(panel_module, "_plain_block", spy)
+    return plain
+
+
+def _fuzz_texts(count, seed=20):
+    import random
+
+    rng = random.Random(seed)
+    return [fuzz_csv(rng) for _ in range(count)]
+
+
+def test_loader_matches_the_csv_reader_bit_for_bit(tmp_path, monkeypatch):
+    """Thousands of seeded texts load to the same panel, or fail with the
+    same exception class, code and message, as through the csv reader alone;
+    both the one-call parse and the csv reader see many blocks."""
+    plain = _spy_on_plain_blocks(monkeypatch)
+    results = _results(_fuzz_texts(3000), tmp_path, monkeypatch)
+    assert [n for n, (got, want) in enumerate(results) if got != want] == []
+    assert sum(got[0] == "panel" for got, _ in results) > 900
+    assert plain.count(True) > 3000 and plain.count(False) > 500
+
+
+def test_the_width_check_is_what_keeps_long_names_whole(tmp_path, monkeypatch):
+    """Mutation check: with the text-width check dropped, ``np.loadtxt`` cuts
+    long unit names short and the comparison above fails."""
+    from blockdid import panel as panel_module
+
+    monkeypatch.setattr(panel_module, "_TEXT_WIDTH", 10**9)
+    results = _results(_fuzz_texts(600), tmp_path, monkeypatch)
+    assert any(got != want for got, want in results)
+
+
+def test_an_integer_read_via_a_float_goes_to_the_csv_reader(monkeypatch):
+    """Older numpy reads time "1.0" as 1 and only warns; the block goes to
+    the csv reader, which refuses the time as ``int`` does."""
+    import warnings
+
+    real = np.loadtxt
+
+    def loadtxt_with_the_old_warning(lines, **kwargs):
+        warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+        return real([line.replace(",1.0,", ",1,") for line in lines], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_the_old_warning)
+    text = make_csv(["a,1.0,0.5,never", "a,2,0.5,never"])
+    with pytest.raises(NonIntegerTime, match="^line 2: time '1.0'"):
+        load_panel(io.StringIO(text))
+
+
+@pytest.mark.parametrize("late", [
+    "{0},{1},{2},{3}", '"{0}",{1},{2},{3}', "# note\n{0},{1},{2},{3}",
+    "{0},{1},{2},{3}\r", "{0},{1},{2},{3}\r{0}x,{1},{2},{3}", " {0} ,{1},{2},{3}",
+    "{0},{1},\u0663.5,{3}", "{0},{1},1_0,{3}", "{0},{1},{2}", "{0},{1}.0,{2},{3}",
+])
+def test_a_large_file_switches_to_the_csv_reader_where_it_stops_being_plain(
+    tmp_path, late
+):
+    """At the default block size, a file whose row 1,500 is rewritten, after
+    plain blocks, loads as through the csv reader alone, errors and their
+    line numbers included."""
+    from oracles import load_panel_csv
+
+    units = [(f"u{i}", "never" if i % 3 else "3") for i in range(400)]
+    lines = grid_csv(units, T=5).splitlines(keepends=True)
+    lines[1500] = late.format(*lines[1500].rstrip("\n").split(",")) + "\n"
+    path = tmp_path / "panel.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert _result(load_panel, str(path)) == _result(load_panel_csv, str(path))
+
+
+def test_a_simulated_panel_takes_the_one_call_parse(tmp_path, monkeypatch):
+    """The CSV ``simulate`` writes parses plain, every block."""
+    from blockdid import panel as panel_module
+    from blockdid.cli import RunConfig, run
+
+    path = tmp_path / "toy.csv"
+    run(RunConfig("simulate", example="toy", seed=3, out=str(path)))
+    monkeypatch.setattr(panel_module, "_LOAD_BLOCK", 16)
+    plain = _spy_on_plain_blocks(monkeypatch)
+    load_panel(str(path))
+    assert len(plain) > 2 and all(plain)

@@ -3,8 +3,9 @@
 ``data/toy_sets.json`` holds the output of ``blockdid simulate --example toy
 --seed 3`` followed by ``blockdid sets --param 0:1:0.5 --framework both
 --grid=-8:9:171 --bootstrap 50 --draws 500``, and ``data/toy_sets_sd.json``
-that of the same run with ``--family sd --estimator csnyt``, recorded when
-the sd plug-in set still summed cumulative tails.  A run must give the same
+that of the same run with ``--family sd --estimator csnyt --grid=-8:12:201``,
+a grid of the same 0.1 step whose ends no sd set reaches (on -8:9:171 two
+sets end at its top).  A run must give the same
 records apart from ``runtime_ms``: every field exactly, except that an
 interval endpoint may move by one grid step and the plug-in bounds and the
 corrected point by 1e-9 relative, the rounding another BLAS build may give.
@@ -24,12 +25,10 @@ import warnings
 from pathlib import Path
 
 PINNED = Path(__file__).parent / "data" / "toy_sets.json"
-SETS_ARGS = [
-    "--param", "0:1:0.5", "--framework", "both", "--grid=-8:9:171",
-    "--bootstrap", "50", "--draws", "500",
-]
+RUN_ARGS = ["--param", "0:1:0.5", "--framework", "both", "--bootstrap", "50", "--draws", "500"]
+SETS_ARGS = [*RUN_ARGS, "--grid=-8:9:171"]
 PINNED_SD = PINNED.with_name("toy_sets_sd.json")
-SD_ARGS = ["--family", "sd", "--estimator", "csnyt"]
+SD_ARGS = [*RUN_ARGS, "--family", "sd", "--estimator", "csnyt", "--grid=-8:12:201"]
 
 
 def differences(got, want):
@@ -65,13 +64,13 @@ def differences(got, want):
     return found
 
 
-def _toy_sets(tmp_path, *extra):
-    """The ``sets`` output of the pinned toy run with ``extra`` arguments."""
+def _toy_sets(tmp_path, sets_args):
+    """The ``sets`` output of the toy panel with ``sets_args``."""
     from blockdid.cli import main
 
     toy, out = tmp_path / "toy.csv", tmp_path / "sets.json"
     assert main(["simulate", "--example", "toy", "--seed", "3", "--out", str(toy)]) == 0
-    args = ["sets", "--input", str(toy), *SETS_ARGS, *extra, "--out", str(out)]
+    args = ["sets", "--input", str(toy), *sets_args, "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # singleton strata of the toy panel
         assert main(args) == 0
@@ -79,12 +78,12 @@ def _toy_sets(tmp_path, *extra):
 
 
 def test_sets_records_match_the_pinned_toy_records(tmp_path):
-    got = _toy_sets(tmp_path)
+    got = _toy_sets(tmp_path, SETS_ARGS)
     assert differences(got, json.loads(PINNED.read_text())) == []
 
 
 def test_sd_sets_records_match_the_pinned_toy_records(tmp_path):
-    got = _toy_sets(tmp_path, *SD_ARGS)
+    got = _toy_sets(tmp_path, SD_ARGS)
     assert differences(got, json.loads(PINNED_SD.read_text())) == []
 
 

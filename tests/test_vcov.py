@@ -237,25 +237,23 @@ def test_each_replicate_makes_one_integers_call_per_run(monkeypatch):
     assert _same_bits(draws, bootstrap_draws(panel, spec))
 
 
-def test_draw_memory_does_not_grow_with_the_replicate_count(monkeypatch):
+def test_draw_memory_does_not_grow_with_the_replicate_count():
     # the gather works a chunk at a time: past the means and the draws, both
     # one row per replicate, the peak is the same at B = 50 and B = 400
     import tracemalloc
-
-    import blockdid.vcov as vcov
 
     panel = gen_custom(WIDE_SPEC).panel
     width = len(_strata_sizes(panel)) * panel.n_periods
     # the operator is built once, whatever B; a one-row stand-in keeps its
     # megabytes out of the peak
-    monkeypatch.setattr(vcov, "_coefficient_operator", lambda *a: np.ones((1, width)))
+    system = (build_layout(panel), None, np.ones((1, width)))
 
     def working_bytes(B):
         spec = BootstrapSpec(B, 1, "imputation")
-        _bootstrap_draws(panel, spec)
+        _bootstrap_draws(panel, spec, system)
         tracemalloc.start()
         try:
-            draws = _bootstrap_draws(panel, spec)
+            draws = _bootstrap_draws(panel, spec, system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,3 +261,23 @@ def test_draw_memory_does_not_grow_with_the_replicate_count(monkeypatch):
 
     small, large = working_bytes(50), working_bytes(400)
     assert large <= small + 64 * 1024, (small, large)
+
+
+def test_the_point_and_the_draws_share_one_layout_cell_index_and_operator(
+    monkeypatch,
+):
+    import blockdid.estimators as estimators
+
+    panel = gen_custom(WIDE_SPEC).panel
+    spec = BootstrapSpec(20, 1, "csnyt")
+    want = bootstrap_vcov(panel, spec)
+    calls = dict.fromkeys(("build_layout", "build_cell_index", "_coefficient_operator"), 0)
+    for name in calls:
+        def spy(*args, _build=getattr(estimators, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(estimators, name, spy)
+    got = bootstrap_vcov(panel, spec)
+    assert calls == dict.fromkeys(calls, 1)
+    assert _same_bits(got.values, want.values) and _same_bits(got.vcov, want.vcov)
