@@ -80,6 +80,8 @@ _MEMBER_BLOCK = 16
 _MC_CHUNK_VALUES = 1 << 15
 # every _QUANTILE_STRIDE-th draw is the sample that sets a row's tail threshold
 _QUANTILE_STRIDE = 16
+# the screen's rounding margin, relative to the size of the statistic's terms
+_SCREEN_MARGIN = 1e-9
 # values of one stacked stage-one statistic, or of the bases gathered for
 # the points of stage two (8 MiB)
 _STACK_VALUES = 1 << 20
@@ -332,7 +334,8 @@ class _Block:
     rounding floor are deterministic, the same rows for every member: those
     not involving the nuisance move to ``det_*`` and are checked exactly, the
     rest drop (conservatively).  ``vertices[i]`` are member i's dual vertices
-    and ``lf_cv`` the least-favorable critical values (``_critical_values``).
+    and ``lf_cv`` the least-favorable critical values (``_critical_values``),
+    -inf for a member screened out against the open grid points.
     """
 
     a0: np.ndarray  # (n, m)
@@ -513,21 +516,73 @@ def _standard_normals(seed, draws, dim):
     return z
 
 
-def _critical_values(block, kappa, draws, seed):
+@functools.lru_cache(maxsize=4)
+def _norm_order(seed, draws, dim):
+    """Indices of the draws // 2 + 1 ``_standard_normals`` of largest norm,
+    by descending norm, and those norms negated: all that ``_screen`` reads."""
+    z = _standard_normals(seed, draws, dim)
+    neg = -np.sqrt(np.einsum("ij,ij->i", z, z))  # no squared copy of z
+    order = np.argsort(neg, kind="stable")[:draws // 2 + 1].astype(np.int32)
+    return order, neg[order]
+
+
+def _critical_values(block, kappa, draws, seed, points=()):
     """Least-favorable critical values of a block's members, the 1 - kappa
     quantiles over seeded normals Z of the max over vertices of P Z',
     P = vertices @ root.  The roots come from one stacked ``eigh``, and the
     members' P, stacked vertex-major (row j*n + i is member i's vertex j),
     make one chunked product (``_stacked_maxima``); each row's quantile is
     then read from its upper tail (``_row_quantiles``), exactly as
-    ``np.quantile`` gives it.  Members without vertices get -inf."""
+    ``np.quantile`` gives it.  -inf, and no product, goes to members without
+    vertices and to those ``_screen`` shows to reject all open ``points``."""
     n, nv, m = block.vertices.shape
+    out = np.full(n, -np.inf)
     if nv == 0:
-        return np.full(n, -np.inf)
+        return out
     products = block.vertices @ _gaussian_root(block.sigma)
-    stacked = products.transpose(1, 0, 2).reshape(-1, m)
-    eta = _stacked_maxima(stacked, n, _standard_normals(seed, draws, m))
-    return _row_quantiles(eta, 1.0 - kappa)
+    z = _standard_normals(seed, draws, m)
+    keep = _screen(block, products, points, kappa, z, seed) if len(points) else range(n)
+    if len(keep):
+        stacked = products[keep].transpose(1, 0, 2).reshape(-1, m)
+        out[keep] = _row_quantiles(_stacked_maxima(stacked, len(keep), z), 1.0 - kappa)
+    return out
+
+
+def _screen(block, products, points, kappa, z, seed):
+    """Indices of the members that may accept one of ``points`` at stage one.
+
+    A critical value is at most its draws' order statistic hi
+    (``_quantile_ranks``), so a member rejects every point if fewer than
+    draws - hi draws reach c, its least eta* at the points its deterministic
+    rows leave, less a rounding margin.  As P_j z <= max_j |P_j| |z|, sorted
+    norms (``_norm_order``) bound how many can.  When that leaves at most
+    half the draws, they are counted exactly, largest norm first and a chunk
+    gathered by index at a time, up to draws - hi; past half, counting would
+    cost about what the member's Monte Carlo does, and the member is kept."""
+    n, nv, m = products.shape
+    need = len(z) - _quantile_ranks(len(z), 1.0 - kappa)[2]
+    V, a0, a1 = block.vertices, block.a0[:, :, None], block.a1[:, :, None]
+    b, slope = V @ a0, V @ a1  # eta* = max_j b_j - slope_j theta
+    size = (V @ (abs(a0) + abs(a1) * abs(points).max())).max(axis=(1, 2))  # of terms
+    step = max(1, _STACK_VALUES // (nv * len(points)))
+    at = [slice(i, i + step) for i in range(0, n, step)]
+    eta = np.concatenate([(b[a] - slope[a] * points).max(axis=1) for a in at])
+    c = np.where(_deterministic_rejections(block, points), np.inf, eta).min(axis=1)
+    c -= _SCREEN_MARGIN * (1.0 + size)  # far above their rounding, and P's (|P_j| <= 1)
+    order, neg = _norm_order(seed, len(z), m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = c / np.linalg.norm(products, axis=2).max(axis=1)
+    reach = np.searchsorted(neg, -bound, side="right")  # |z| >= bound; nan: half + 1
+    half, count, s = len(z) // 2, np.zeros(n, dtype=int), 0
+    live = np.flatnonzero((need <= reach) & (reach <= half))
+    while len(live):
+        rows = products[live].transpose(1, 0, 2).reshape(-1, m)
+        step = max(1, min(_MC_CHUNK_VALUES // len(rows), s + need))  # doubling
+        top = (rows @ z[order[s:s + step]].T).reshape(nv, len(live), -1).max(axis=0)
+        count[live] += (top >= c[live, None]).sum(axis=1)
+        s += step
+        live = live[(count[live] < need) & (reach[live] > s)]
+    return np.flatnonzero((count >= need) | (reach > half))
 
 
 def _row_quantiles(eta, q):
@@ -538,10 +593,7 @@ def _row_quantiles(eta, q):
     values not below it are partitioned, or the whole row when they are
     fewer than n - lo.  A row with a NaN gives NaN, as in numpy."""
     n = eta.shape[1]
-    v = (n - 1) * q  # numpy's virtual index, for 0 <= q <= 1
-    lo = math.floor(v)
-    lo, hi = (-1, -1) if v >= n - 1 else (lo, lo + 1)  # numpy's clamp past the end
-    gamma, lo, hi = v - lo, lo % n, hi % n
+    gamma, lo, hi = _quantile_ranks(n, q)
     sample = eta[:, ::_QUANTILE_STRIDE]
     # on average stride * (m - k) >= 2 (n - lo) + 128 values are not below
     # the k-th value of the m sampled draws
@@ -559,6 +611,14 @@ def _row_quantiles(eta, q):
     out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
     np.copyto(out, last, where=np.isnan(last))
     return out
+
+
+def _quantile_ranks(n, q):
+    """Weight gamma and ranks lo <= hi of numpy's linear quantile q of n values."""
+    v = (n - 1) * q  # numpy's virtual index, for 0 <= q <= 1
+    lo = math.floor(v)
+    lo, hi = (-1, -1) if v >= n - 1 else (lo, lo + 1)  # numpy's clamp past the end
+    return v - lo, lo % n, hi % n
 
 
 def _stacked_maxima(stacked, n, z):
@@ -644,8 +704,7 @@ def _block_decisions(block, points, alpha, kappa):
     optimum) keeps the stage-one acceptance, which never over-rejects.
     """
     points = np.asarray(points, dtype=float)
-    det = block.det_a0[:, :, None] - block.det_a1[:, :, None] * points
-    reject = (det > block.det_tol[:, :, None]).any(axis=1)
+    reject = _deterministic_rejections(block, points)
     n, nv = block.vertices.shape[:2]
     if nv == 0:  # eta* is -inf at every point
         return reject
@@ -659,6 +718,12 @@ def _block_decisions(block, points, alpha, kappa):
         q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
         reject[i, p] = eta > np.maximum(0.0, sig * q)
     return reject
+
+
+def _deterministic_rejections(block, points):
+    """(members, points) rejections by the deterministic rows."""
+    det = block.det_a0[:, :, None] - block.det_a1[:, :, None] * points
+    return (det > block.det_tol[:, :, None]).any(axis=1)
 
 
 def _stage_two(block, at, points, reject):
@@ -814,7 +879,9 @@ def confidence_set(
     not depend on the order of visits; an empty set is a legal outcome.  The
     family's distinct members (one at parameter 0) are formed, prepared and
     decided ``_MEMBER_BLOCK`` at a time, and no block is formed once every
-    point is accepted.
+    point is accepted.  A member whose critical value is sure to lie below
+    its stage-one statistic at every point still open when it is formed
+    (``_screen``) rejects them all at stage one, with no Monte Carlo draws.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
@@ -825,7 +892,9 @@ def confidence_set(
     points = grid.points()
     accepted = np.zeros(len(points), dtype=bool)
     todo = np.arange(len(points))
-    for block in _member_blocks(coeffs, family, target, kappa, draws, seed):
+    for block in _member_blocks(
+        coeffs, family, target, kappa, draws, seed, lambda: points[todo]
+    ):
         reject = _block_decisions(block, points[todo], alpha, kappa)
         accepted[todo] = ~reject.all(axis=0)
         todo = np.flatnonzero(~accepted)
@@ -845,19 +914,20 @@ def confidence_set(
     )
 
 
-def _member_blocks(coeffs, family, target, kappa, draws, seed):
+def _member_blocks(coeffs, family, target, kappa, draws, seed, open_points):
     """Blocks of the family's distinct members with their critical values,
-    formed ``_MEMBER_BLOCK`` members at a time in family order, as consumed.
-    A chunk that cannot be prepared whole is prepared member by member, so
-    that a member's error surfaces only when that member is reached."""
+    formed ``_MEMBER_BLOCK`` members at a time in family order, as consumed,
+    and screened against the points then open (``open_points()``).  A chunk
+    that cannot be prepared whole is prepared member by member, so that a
+    member's error surfaces only when that member is reached."""
     basis = _target_basis(coeffs, target)
     memo = {}
 
     def prepare(chunk):
         rows = _reduced_rows(*family.member_rows(chunk), coeffs.cells, coeffs.positions)
-        blocks = _block_moments(coeffs, *rows, basis, memo)
+        blocks, points = _block_moments(coeffs, *rows, basis, memo), open_points()
         for block in blocks:
-            block.lf_cv = _critical_values(block, kappa, draws, seed)
+            block.lf_cv = _critical_values(block, kappa, draws, seed, points)
         return blocks
 
     members = family.distinct

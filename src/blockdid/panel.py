@@ -41,6 +41,7 @@ __all__ = [
     "InconsistentCohortLabel",
     "NoNeverTreated",
     "MissingField",
+    "MalformedCsv",
     "PanelData",
     "CohortLayout",
     "Cell",
@@ -87,6 +88,13 @@ class NoNeverTreated(PanelError):
 
 class MissingField(PanelError):
     code = "MISSING_FIELD"
+
+
+class MalformedCsv(PanelError):
+    """The csv reader refused the text, e.g. a bare carriage return in a
+    text stream or a field past ``csv.field_size_limit()``."""
+
+    code = "MALFORMED_CSV"
 
 
 @dataclass(frozen=True)
@@ -213,6 +221,8 @@ def load_panel(source) -> PanelData:
                 (_codes(unit, units), _codes(t, times), _codes(g, labels),
                  np.asarray(y, dtype=float))
             )
+    except csv.Error as exc:
+        raise MalformedCsv(f"CSV cannot be read: {exc}") from exc
     finally:
         if stream is not source:
             stream.close()
@@ -232,7 +242,7 @@ def load_panel(source) -> PanelData:
 
     ordered = sorted(times)
     lo, hi = ordered[0], ordered[-1]
-    if ordered != list(range(lo, hi + 1)):
+    if hi - lo + 1 != len(ordered):  # the times are distinct
         raise UnbalancedPanel(f"periods {ordered} are not a consecutive range")
     T = hi - lo + 1
     offset = lo - 1  # internal period = label - offset

@@ -46,7 +46,9 @@ replaced, the studentized max moment minimised over the nuisance, and
 ``load_panel_csv`` is the panel loader as it read every file: through the
 csv reader, ``block`` rows at a time, a column at a time, with a block that
 has a bad field parsed again row by row.  ``panel.load_panel`` parses a
-plain block with one ``np.loadtxt`` call instead.
+plain block with one ``np.loadtxt`` call instead.  Both test that the
+periods are consecutive by their count, and give ``MalformedCsv`` for a text
+the csv reader refuses.
 """
 
 import csv
@@ -77,6 +79,7 @@ from blockdid.panel import (
     BadAdoptionTime,
     DuplicateCell,
     InconsistentCohortLabel,
+    MalformedCsv,
     MissingField,
     NonIntegerTime,
     PanelData,
@@ -493,6 +496,8 @@ def load_panel_csv(source, block=1024):
                 _csv_codes(g, labels), np.array(y, dtype=float),
             ))
             line += len(rows)
+    except csv.Error as exc:
+        raise MalformedCsv(f"CSV cannot be read: {exc}") from exc
     finally:
         if stream is not source:
             stream.close()
@@ -512,7 +517,7 @@ def load_panel_csv(source, block=1024):
 
     ordered = sorted(times)
     lo, hi = ordered[0], ordered[-1]
-    if ordered != list(range(lo, hi + 1)):
+    if hi - lo + 1 != len(ordered):
         raise UnbalancedPanel(f"periods {ordered} are not a consecutive range")
     T = hi - lo + 1
     offset = lo - 1

@@ -77,6 +77,17 @@ def test_validate_short_row_exits_with_code(tmp_path, capsys):
     assert err == {"code": "MISSING_FIELD", "message": "line 3: no 'outcome' field"}
 
 
+def test_validate_unreadable_csv_exits_with_code(tmp_path, capsys):
+    # a field past csv.field_size_limit(), in a column the panel does not read
+    bad = tmp_path / "long_field.csv"
+    note = "x" * (csv.field_size_limit() + 1)
+    bad.write_text(f"unit,time,outcome,cohort,note\na,1,0.5,never,{note}\n")
+    assert run_cli("validate", "--input", str(bad)) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "MALFORMED_CSV"
+    assert "field larger than field limit" in err["message"]
+
+
 def test_estimate_csv_schema(panel_csv, tmp_path):
     out = tmp_path / "coeffs.csv"
     assert run_cli(

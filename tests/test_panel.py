@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -8,6 +9,7 @@ from blockdid.panel import (
     BadAdoptionTime,
     DuplicateCell,
     InconsistentCohortLabel,
+    MalformedCsv,
     MissingField,
     NoNeverTreated,
     NonFiniteOutcome,
@@ -100,6 +102,41 @@ def test_missing_cell():
     text = text.replace("b,2,12,never\n", "")
     with pytest.raises(UnbalancedPanel):
         load_panel(io.StringIO(text))
+
+
+@pytest.mark.parametrize("stray", [
+    10**9,  # the range 1..10**9 would be a billion ints
+    "\u06619223372036854775805",  # int() reads 19223372036854775805, past ssize_t
+])
+def test_periods_that_are_not_consecutive_fail_at_once(stray):
+    low = 9223372036854775805 if isinstance(stray, str) else 1
+    rows = [f"a,{t},1.0,never" for t in range(low, low + 10)] + [f"b,{stray},1.0,never"]
+    with pytest.raises(UnbalancedPanel, match="not a consecutive range") as err:
+        load_panel(io.StringIO(make_csv(rows)))
+    assert err.value.code == "UNBALANCED_PANEL"
+
+
+def test_a_bare_carriage_return_stream_fails_with_a_panel_code():
+    # a text stream splits lines at LF only, so the csv reader sees a
+    # carriage return inside an unquoted field
+    text = grid_csv([("a", "2"), ("b", "never")], T=3, line_sep="\r")
+    with pytest.raises(MalformedCsv, match="new-line character seen") as err:
+        load_panel(io.StringIO(text))
+    assert err.value.code == "MALFORMED_CSV"
+
+
+def test_a_field_past_the_csv_size_limit_fails_with_a_panel_code(tmp_path):
+    # even in a column the panel does not read
+    long = "x" * (csv.field_size_limit() + 1)
+    text = grid_csv([("a", "2"), ("b", "never")], T=3)
+    lines = text.splitlines()
+    lines[0] += ",note"
+    lines[1:] = [row + "," + (long if n == 2 else "") for n, row in enumerate(lines[1:])]
+    path = tmp_path / "wide_field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedCsv, match="field larger than field limit") as err:
+        load_panel(str(path))
+    assert err.value.code == "MALFORMED_CSV"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

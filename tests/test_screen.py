@@ -1,0 +1,192 @@
+"""The stage-one screen of ``_critical_values`` against the unscreened path.
+
+Given the grid points still open, ``_screen`` keeps only the members that
+may accept one of them at stage one; the others get -inf, and so reject
+every open point at stage one, with no Monte Carlo product.  A member is
+screened out only when fewer than draws - hi of its draws reach c, its
+smallest stage-one statistic at the open points (hi the upper order
+statistic of the quantile).  So its unscreened critical value must lie below
+c, the kept members' critical values must not change, and neither may any
+set.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import blockdid.inference as inference
+from blockdid.biasmap import build_w_imputation, invert
+from blockdid.inference import _critical_values, confidence_set, overall_att_target
+from blockdid.panel import build_layout
+from blockdid.restrictions import map_to_delta_space, rm_cohort
+from blockdid.simgen import DGPSpec, Violation, gen_custom
+from blockdid.vcov import BootstrapSpec, bootstrap_vcov
+
+from conftest import random_spec
+from test_block_decisions import DESIGN, crossing_points
+from test_critical_values import KAPPA, assert_close, design_chunks
+from test_member_sharing import BUILDERS, _systems, _wide_grid, shared_set
+
+
+def smallest_statistic(block, points):
+    """c: each member's smallest eta* at the points its deterministic rows
+    do not reject (+inf if they reject all), one member at a time."""
+    out = []
+    for i, vertices in enumerate(block.vertices):
+        y = block.a0[i][:, None] - np.outer(block.a1[i], points)
+        eta = (vertices @ y).max(axis=0)
+        det = block.det_a0[i][:, None] - np.outer(block.det_a1[i], points)
+        rejected = (det > block.det_tol[i][:, None]).any(axis=0)
+        out.append(np.where(rejected, np.inf, eta).min())
+    return np.array(out)
+
+
+def screened_designs(draws, designs=16):
+    """Blocks with vertices from random rm-global and rm-cohort designs, each
+    with a seed and, in turn, three sets of open points: points around its
+    moments' sign changes, their upper half (as when the lower ones were
+    accepted), and their outer quarters."""
+    rng = np.random.default_rng(draws)
+    for d in range(designs):
+        kind = ("rm-global", "rm-cohort")[d % 2]
+        chunks, _ = design_chunks(rng, kind, ("imputation", "csnyt")[d // 2 % 2])
+        for block in (b for chunk in chunks for b in chunk):
+            if block.vertices.shape[1]:
+                points = crossing_points([block], n=41)
+                tails = np.r_[points[:10], points[-10:]]
+                for open_points in (points, points[20:], tails):
+                    yield block, open_points, d
+
+
+def screen_violations(block, points, draws, seed):
+    """Screened-out members whose unscreened critical value is not below
+    their c, the screened-out and kept counts, and the critical values of
+    the kept members, screened and unscreened."""
+    screened = _critical_values(block, KAPPA, draws, seed, points)
+    full = _critical_values(block, KAPPA, draws, seed)
+    out = screened == -np.inf
+    c = smallest_statistic(block, points)
+    bad = int((full[out] >= c[out]).sum())
+    return bad, int(out.sum()), int((~out).sum()), screened[~out], full[~out]
+
+
+@pytest.mark.parametrize("draws", [301, 500])
+def test_screened_out_members_reject_every_open_point_and_kept_ones_keep_their_values(
+    draws,
+):
+    screened, kept = 0, 0
+    for block, points, seed in screened_designs(draws):
+        bad, out, left, got, want = screen_violations(block, points, draws, seed)
+        assert bad == 0, seed
+        for g, w in zip(got, want):
+            assert_close(g, w)
+        screened, kept = screened + out, kept + left
+    assert screened > 20 and kept > 20
+
+
+def test_without_its_rounding_margin_and_with_half_the_norm_bound_the_screen_fails(
+    monkeypatch,
+):
+    """Mutation check: the soundness check above sees an unsound screen."""
+    norm_order = inference._norm_order
+
+    def half_the_bound(seed, draws, dim):
+        order, neg = norm_order(seed, draws, dim)
+        return order, neg / 2.0
+
+    monkeypatch.setattr(inference, "_SCREEN_MARGIN", 0.0)
+    monkeypatch.setattr(inference, "_norm_order", half_the_bound)
+    bad = sum(
+        screen_violations(block, points, draws, seed)[0]
+        for draws in (301, 500)
+        for block, points, seed in screened_designs(draws)
+    )
+    assert bad > 0
+
+
+def keep_every_member(block, products, *args):
+    return np.arange(len(products))
+
+
+@pytest.mark.parametrize("kind", ["rm-global", "rm-cohort"])
+def test_sets_equal_those_without_the_screen_at_any_block_size(monkeypatch, kind):
+    rng = np.random.default_rng({"rm-global": 51, "rm-cohort": 52}[kind])
+    screen = inference._screen
+    out = []
+
+    def counted(block, products, *args):
+        keep = screen(block, products, *args)
+        out.append(len(products) - len(keep))
+        return keep
+
+    checked, i = 0, 0
+    while checked < 3 and i < 20:
+        i += 1
+        panel = gen_custom(random_spec(rng, **DESIGN[kind])).panel
+        seed = int(rng.integers(0, 1000))
+        estimator = ("imputation", "csnyt")[i % 2]
+        for _, coeffs, layout, bm, target in _systems(panel, estimator, seed)[:1]:
+            block = BUILDERS[kind](layout, coeffs.cells, float(rng.uniform(0.2, 1.2)))
+            fam = map_to_delta_space(block, bm)
+            if fam.member_count <= inference._MEMBER_BLOCK:
+                continue
+            grid = _wide_grid(coeffs, target)
+            for size in (1, inference._MEMBER_BLOCK, fam.member_count):
+                monkeypatch.setattr(inference, "_MEMBER_BLOCK", size)
+                monkeypatch.setattr(inference, "_screen", counted)
+                got = shared_set(coeffs, fam, target, grid, seed)
+                monkeypatch.setattr(inference, "_screen", keep_every_member)
+                want = shared_set(coeffs, fam, target, grid, seed)
+                assert got.intervals == want.intervals, (kind, i, size)
+            monkeypatch.undo()
+            checked += 1
+    assert checked == 3
+    assert sum(out) > 0
+
+
+def test_the_screen_cuts_the_monte_carlo_rows_on_a_c12_shaped_family(monkeypatch):
+    # three cohorts adopting at 4, 6 and 7 of T = 7 under linear trends and
+    # little noise, as in the criterion-12 design: 320 rm-cohort members
+    panel = gen_custom(DGPSpec(
+        T=7, cohorts=((4, 12), (6, 20), (7, 40)), never_size=60, noise_sd=0.1,
+        violations=tuple(Violation("linear", a) for a in (0.03, 0.02, -0.015)),
+        effect=-0.05, seed=12,
+    )).panel
+    layout = build_layout(panel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        coeffs = bootstrap_vcov(panel, BootstrapSpec(100, 12, "imputation"))
+    bias_map = invert(build_w_imputation(layout, coeffs.cells))
+    fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.5), bias_map)
+    assert fam.member_count == 320
+    seen = {"members": 0, "vertex_rows": 0, "rows": 0, "kept": 0}
+    critical_values, stacked_maxima, screen = (
+        inference._critical_values, inference._stacked_maxima, inference._screen
+    )
+
+    def count_members(block, *args):
+        seen["members"] += len(block.sd)
+        seen["vertex_rows"] += len(block.sd) * block.vertices.shape[1]
+        return critical_values(block, *args)
+
+    def count_rows(stacked, n, z):
+        seen["rows"] += len(stacked)
+        return stacked_maxima(stacked, n, z)
+
+    def count_kept(*args):
+        keep = screen(*args)
+        seen["kept"] += len(keep)
+        return keep
+
+    monkeypatch.setattr(inference, "_critical_values", count_members)
+    monkeypatch.setattr(inference, "_stacked_maxima", count_rows)
+    monkeypatch.setattr(inference, "_screen", count_kept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the grid boundary
+        cset = confidence_set(
+            coeffs, fam, overall_att_target(layout, coeffs.cells), draws=1000, seed=12
+        )
+    assert not cset.is_empty
+    assert 0 < seen["kept"] < seen["members"]
+    assert 0 < seen["rows"] < seen["vertex_rows"]  # members x vertices
