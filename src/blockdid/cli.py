@@ -124,13 +124,15 @@ def _noise_variance(config):
 
 
 def _parse_sweep(text):
-    """``lo:hi:step`` inclusive sweep, or a single value; values must be
-    finite, nonnegative and ascending.  No value exceeds ``hi``, and the last
-    one is ``hi`` itself when ``step`` divides ``hi - lo`` up to rounding."""
+    """``lo:hi:step`` inclusive sweep, or a single value; the values and the
+    step must be finite, the values nonnegative and ascending and their count
+    finite.  No value exceeds ``hi``, and the last one is ``hi`` itself when
+    ``step`` divides ``hi - lo`` up to rounding."""
     try:
         values = [float(x) for x in text.split(":")]
         lo, hi, step = values if ":" in text else (values[0], values[0], 1.0)
-        ok = 0 <= lo <= hi < float("inf") and step > 0
+        ok = 0 <= lo <= hi < float("inf") and 0 < step < float("inf")
+        ok = ok and (hi - lo) / step < float("inf")
     except ValueError:
         ok = False
     if not ok:

@@ -21,11 +21,11 @@ by the members with one X (none when that cone is {0}: the statistic is then
 ``_MEMBER_BLOCK`` at a time and fall into blocks (``_Block``), one per shared
 nuisance system: on a built family, one block per chunk.  The block is the
 unit of work and stays stacked from its moments to its decisions: one
-stacked ``eigh`` and one Monte Carlo product for its critical values, and
-one stage-two pass on its slices with one truncated normal quantile call.
-Each member's critical value is read from the upper tail of its draws
-(``_row_quantiles``): only the values not below a threshold set on a strided
-sample are partitioned.
+stage-one pass, one stacked ``eigh`` and one Monte Carlo product for the
+critical values of the members ``_screen`` keeps, and one stage-two pass
+with one truncated normal quantile call.  Each member's critical value is
+read from the upper tail of its draws (``_row_quantiles``): only the values
+not below a threshold set on a strided sample are partitioned.
 """
 
 import functools
@@ -80,7 +80,7 @@ _MEMBER_BLOCK = 16
 _MC_CHUNK_VALUES = 1 << 15
 # every _QUANTILE_STRIDE-th draw is the sample that sets a row's tail threshold
 _QUANTILE_STRIDE = 16
-# the screen's rounding margin, relative to the size of the statistic's terms
+# the screen's rounding margin, relative to 1 + |c| (``_screen``)
 _SCREEN_MARGIN = 1e-9
 # values of one stacked stage-one statistic, or of the bases gathered for
 # the points of stage two (8 MiB)
@@ -333,9 +333,7 @@ class _Block:
     nuisance.  Rows whose variance sits below the covariance matrix's
     rounding floor are deterministic, the same rows for every member: those
     not involving the nuisance move to ``det_*`` and are checked exactly, the
-    rest drop (conservatively).  ``vertices[i]`` are member i's dual vertices
-    and ``lf_cv`` the least-favorable critical values (``_critical_values``),
-    -inf for a member screened out against the open grid points.
+    rest drop (conservatively).  ``vertices[i]`` are member i's dual vertices.
     """
 
     a0: np.ndarray  # (n, m)
@@ -347,7 +345,6 @@ class _Block:
     det_a0: np.ndarray  # (n, j)
     det_a1: np.ndarray  # (n, j)
     det_tol: np.ndarray  # (n, j)
-    lf_cv: np.ndarray = None  # (n,)
 
 
 def _column_space(X):
@@ -526,7 +523,7 @@ def _norm_order(seed, draws, dim):
     return order, neg[order]
 
 
-def _critical_values(block, kappa, draws, seed, points=()):
+def _critical_values(block, kappa, draws, seed, c=None):
     """Least-favorable critical values of a block's members, the 1 - kappa
     quantiles over seeded normals Z of the max over vertices of P Z',
     P = vertices @ root.  The roots come from one stacked ``eigh``, and the
@@ -534,41 +531,38 @@ def _critical_values(block, kappa, draws, seed, points=()):
     make one chunked product (``_stacked_maxima``); each row's quantile is
     then read from its upper tail (``_row_quantiles``), exactly as
     ``np.quantile`` gives it.  -inf, and no product, goes to members without
-    vertices and to those ``_screen`` shows to reject all open ``points``."""
+    vertices and, given each member's least stage-one statistic ``c``, to
+    those whose critical value ``_screen`` shows to lie below it."""
     n, nv, m = block.vertices.shape
     out = np.full(n, -np.inf)
     if nv == 0:
         return out
     products = block.vertices @ _gaussian_root(block.sigma)
     z = _standard_normals(seed, draws, m)
-    keep = _screen(block, products, points, kappa, z, seed) if len(points) else range(n)
+    keep = range(n) if c is None else _screen(products, c, kappa, z, seed)
     if len(keep):
         stacked = products[keep].transpose(1, 0, 2).reshape(-1, m)
         out[keep] = _row_quantiles(_stacked_maxima(stacked, len(keep), z), 1.0 - kappa)
     return out
 
 
-def _screen(block, products, points, kappa, z, seed):
-    """Indices of the members that may accept one of ``points`` at stage one.
+def _screen(products, c, kappa, z, seed):
+    """Indices of the members, P = ``products``, whose critical value may
+    reach c, their least eta* at the points their deterministic rows leave
+    (+inf when they leave none); the others reject every point at stage one.
 
     A critical value is at most its draws' order statistic hi
-    (``_quantile_ranks``), so a member rejects every point if fewer than
-    draws - hi draws reach c, its least eta* at the points its deterministic
-    rows leave, less a rounding margin.  As P_j z <= max_j |P_j| |z|, sorted
+    (``_quantile_ranks``), so it lies below c if fewer than draws - hi draws
+    reach c, less a rounding margin.  As P_j z <= max_j |P_j| |z|, sorted
     norms (``_norm_order``) bound how many can.  When that leaves at most
     half the draws, they are counted exactly, largest norm first and a chunk
     gathered by index at a time, up to draws - hi; past half, counting would
     cost about what the member's Monte Carlo does, and the member is kept."""
     n, nv, m = products.shape
     need = len(z) - _quantile_ranks(len(z), 1.0 - kappa)[2]
-    V, a0, a1 = block.vertices, block.a0[:, :, None], block.a1[:, :, None]
-    b, slope = V @ a0, V @ a1  # eta* = max_j b_j - slope_j theta
-    size = (V @ (abs(a0) + abs(a1) * abs(points).max())).max(axis=(1, 2))  # of terms
-    step = max(1, _STACK_VALUES // (nv * len(points)))
-    at = [slice(i, i + step) for i in range(0, n, step)]
-    eta = np.concatenate([(b[a] - slope[a] * points).max(axis=1) for a in at])
-    c = np.where(_deterministic_rejections(block, points), np.inf, eta).min(axis=1)
-    c -= _SCREEN_MARGIN * (1.0 + size)  # far above their rounding, and P's (|P_j| <= 1)
+    # c - margin (1 + |c|), far above the rounding of P z (|P_j| <= 1) and of
+    # the quantile; +inf stays +inf
+    c = c * (1.0 - _SCREEN_MARGIN * np.sign(c)) - _SCREEN_MARGIN
     order, neg = _norm_order(seed, len(z), m)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = c / np.linalg.norm(products, axis=2).max(axis=1)
@@ -691,13 +685,17 @@ def _log_gauss_mass(a, b):
     return np.real(out)
 
 
-def _block_decisions(block, points, alpha, kappa):
-    """(members, points) hybrid rejection decisions of a block; one
-    truncated normal quantile call serves them.
+def _block_decisions(block, points, alpha, kappa, draws, seed):
+    """(members, points) hybrid rejection decisions of a block, from one
+    stage-one pass; one truncated normal quantile call serves them.
 
-    Stage one rejects when eta* exceeds the least-favorable critical value.
-    Stage two conditions on the basis of the optimal dual vertex lam: the
-    basis stays optimal while every non-basic moment keeps its primal slack,
+    Stage one forms eta* = max_v v'y at every point, stacked in chunks of
+    ``_STACK_VALUES`` values, and keeps its optimal vertex.  Each member's
+    least eta* at the points its deterministic rows leave screens its
+    least-favorable critical value (``_critical_values``), and stage one
+    rejects when eta* exceeds that value.  Stage two (``_stage_two``)
+    conditions on the basis of the optimal dual vertex lam: the basis stays
+    optimal while every non-basic moment keeps its primal slack,
     y_j <= [sd_j, X_j] W_B^-1 y_B, which is linear in the statistic along
     y(S) = z + c S and so cuts out [vlo, vup].  A degenerate optimum (support
     not of size 1+k, or a non-basic moment with zero slack, i.e. a tied
@@ -708,11 +706,19 @@ def _block_decisions(block, points, alpha, kappa):
     n, nv = block.vertices.shape[:2]
     if nv == 0:  # eta* is -inf at every point
         return reject
+    eta, best = np.empty(reject.shape), np.empty(reject.shape, dtype=int)
     step = max(1, _STACK_VALUES // (nv * max(len(points), 1)))
-    parts = [
-        _stage_two(block, slice(s, s + step), points, reject) for s in range(0, n, step)
-    ]
-    i, p, eta, sig, vlo, vup = (np.concatenate(v) for v in zip(*parts))
+    for s in range(0, n, step):
+        at = slice(s, s + step)
+        y = block.a0[at, :, None] - block.a1[at, :, None] * points
+        vals = block.vertices[at] @ y
+        eta[at], best[at] = vals.max(axis=1), vals.argmax(axis=1)
+    del y, vals  # the last chunk is not held through the Monte Carlo
+    c = np.where(reject, np.inf, eta).min(axis=1, initial=np.inf)
+    lf = _critical_values(block, kappa, draws, seed, c)[:, None]
+    g, p = np.nonzero(~reject & (eta <= lf))
+    reject |= eta > lf
+    i, p, eta, sig, vlo, vup = _stage_two(block, points, g, p, eta, best, lf, reject)
     if len(i):
         alpha_mod = (alpha - kappa) / (1.0 - kappa)
         q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
@@ -726,27 +732,20 @@ def _deterministic_rejections(block, points):
     return (det > block.det_tol[:, :, None]).any(axis=1)
 
 
-def _stage_two(block, at, points, reject):
-    """Stage one of the block's members ``at`` (a slice), stacked, and stage
-    two up to its quantile; rejections are added to ``reject``.  All but z
-    depends on the (member, optimal vertex) pair alone, so points are grouped
-    by pair, each distinct basis is inverted once, and slack, vlo and vup are
-    arrays.  A basis that LU finds singular (``slogdet``'s sign 0, the
-    factorization on which ``inv`` would fail) keeps its points' stage-one
-    acceptance.  Returns the (member, point, eta, sigma, vlo, vup) of the
-    points left to the quantile."""
-    V, sd, sigma = block.vertices[at], block.sd[at], block.sigma[at]
-    lf = block.lf_cv[at, None]
-    Y = block.a0[at, :, None] - block.a1[at, :, None] * points  # (n, m, points)
-    vals = V @ Y
-    eta = vals.max(axis=1)
-    live = ~reject[at]
-    reject[at] |= eta > lf
-    g, p = np.nonzero(live & (eta <= lf))
-
+def _stage_two(block, points, g, p, eta, best, lf, reject):
+    """Stage two, up to its quantile, of the (member ``g``, point ``p``)
+    pairs that stage one accepts, given the block's (members, points) eta*,
+    optimal vertices ``best`` and critical values ``lf``; rejections are
+    added to ``reject``.  All but z depends on the (member, optimal vertex)
+    pair alone, so points are grouped by pair, each distinct basis is
+    inverted once, and slack, vlo and vup are arrays.  A basis that LU finds
+    singular (``slogdet``'s sign 0, the factorization on which ``inv`` would
+    fail) keeps its points' stage-one acceptance.  Returns the (member,
+    point, eta, sigma, vlo, vup) of the points left to the quantile."""
+    V, sd = block.vertices, block.sd
     # the conditional points' (member, vertex) pairs whose basis has 1+k rows
     (nv, m), k1 = V.shape[1:], block.X.shape[1] + 1
-    pairs, of = np.unique(g * nv + vals.argmax(axis=1)[g, p], return_inverse=True)
+    pairs, of = np.unique(g * nv + best[g, p], return_inverse=True)
     pg, pv = np.divmod(pairs, nv)
     basic = V[pg, pv] > _VERTEX_TIE_TOL
     ok = np.flatnonzero(basic.sum(axis=1) == k1)  # else a degenerate vertex
@@ -772,8 +771,8 @@ def _stage_two(block, at, points, reject):
 
     lam = V[pg[ok], pv[ok]]
     ls, c = np.empty_like(lam), np.empty_like(lam)
-    for j, s in enumerate(sigma):  # lam' Sigma and Sigma lam of j's pairs
-        mine = pg[ok] == j
+    for j in np.unique(pg[ok]):  # lam' Sigma and Sigma lam of j's pairs
+        mine, s = pg[ok] == j, block.sigma[j]
         ls[mine] = np.matmul(lam[mine][:, None, :], s)[:, 0]
         c[mine] = np.matmul(s, lam[mine][:, :, None])[:, :, 0]
     sig2 = np.matmul(ls[:, None, :], lam[:, :, None])[:, 0, 0]
@@ -784,10 +783,10 @@ def _stage_two(block, at, points, reject):
     slot = np.full(len(pairs), -1)
     slot[ok] = np.arange(len(ok))
     g, p, q = (v[slot[of] >= 0] for v in (g, p, slot[of]))
-    y, e = Y[g, :, p], eta[g, p]
+    y, e = block.a0[g] - block.a1[g] * points[p, None], eta[g, p]
     tied = (slack(y, q) <= _VERTEX_TIE_TOL * (1.0 + np.abs(e))[:, None]).any(axis=1)
     sure = ~tied & flat[q]
-    reject[at.start + g[sure], p[sure]] = e[sure] > 0
+    reject[g[sure], p[sure]] = e[sure] > 0
     g, p, q, y, e = (v[~tied & ~flat[q]] for v in (g, p, q, y, e))
     const = slack(y - c[q] * e[:, None], q)
     lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
@@ -797,7 +796,7 @@ def _stage_two(block, at, points, reject):
     vup = np.where(hi_set[q], ratio, np.inf).min(axis=1, initial=np.inf)
     # every non-basic slack is positive, so vlo < eta <= vup; vup is capped
     # by the critical value, conditioning on first-stage acceptance
-    return at.start + g, p, e, np.sqrt(sig2[q]), vlo, np.minimum(vup, lf[g, 0])
+    return g, p, e, np.sqrt(sig2[q]), vlo, np.minimum(vup, lf[g, 0])
 
 
 def _first_stage_level(alpha, kappa):
@@ -830,16 +829,18 @@ def hybrid_test(
     """Reject H0: theta = theta0 under one member's restrictions.
 
     Returns True when the hybrid test rejects.  ``kappa`` defaults to
-    alpha / 10; ``draws`` sizes the least-favorable Monte Carlo stage.
+    alpha / 10; ``draws`` sizes the least-favorable Monte Carlo stage.  A
+    non-finite ``theta0`` is refused with ``InvalidGrid``.
     """
+    if not math.isfinite(theta0):
+        raise InvalidGrid(f"theta0 must be finite, got {theta0}")
     kappa = _first_stage_level(alpha, kappa)
     _check_draws(draws)
     _check_seed(seed)
     rows = (member.A[None], member.d[None], member.A_eq, member.d_eq)
     A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
     (block,) = _block_moments(coeffs, A, d, _target_basis(coeffs, target), {})
-    block.lf_cv = _critical_values(block, kappa, draws, seed)
-    return bool(_block_decisions(block, [theta0], alpha, kappa)[0, 0])
+    return bool(_block_decisions(block, [theta0], alpha, kappa, draws, seed)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -877,11 +878,11 @@ def confidence_set(
 
     A value enters the set as soon as one member accepts it, so the set does
     not depend on the order of visits; an empty set is a legal outcome.  The
-    family's distinct members (one at parameter 0) are formed, prepared and
-    decided ``_MEMBER_BLOCK`` at a time, and no block is formed once every
-    point is accepted.  A member whose critical value is sure to lie below
-    its stage-one statistic at every point still open when it is formed
-    (``_screen``) rejects them all at stage one, with no Monte Carlo draws.
+    family's distinct members (one at parameter 0) are formed
+    ``_MEMBER_BLOCK`` at a time, and no block is formed once every point is
+    accepted.  Each block is decided on the points still open, where a member
+    whose critical value is sure to lie below its stage-one statistic at all
+    of them (``_screen``) rejects them at stage one, with no Monte Carlo draws.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)
@@ -892,10 +893,8 @@ def confidence_set(
     points = grid.points()
     accepted = np.zeros(len(points), dtype=bool)
     todo = np.arange(len(points))
-    for block in _member_blocks(
-        coeffs, family, target, kappa, draws, seed, lambda: points[todo]
-    ):
-        reject = _block_decisions(block, points[todo], alpha, kappa)
+    for block in _member_blocks(coeffs, family, target):
+        reject = _block_decisions(block, points[todo], alpha, kappa, draws, seed)
         accepted[todo] = ~reject.all(axis=0)
         todo = np.flatnonzero(~accepted)
         if len(todo) == 0:
@@ -914,21 +913,17 @@ def confidence_set(
     )
 
 
-def _member_blocks(coeffs, family, target, kappa, draws, seed, open_points):
-    """Blocks of the family's distinct members with their critical values,
-    formed ``_MEMBER_BLOCK`` members at a time in family order, as consumed,
-    and screened against the points then open (``open_points()``).  A chunk
-    that cannot be prepared whole is prepared member by member, so that a
-    member's error surfaces only when that member is reached."""
+def _member_blocks(coeffs, family, target):
+    """Blocks of the family's distinct members, formed ``_MEMBER_BLOCK``
+    members at a time in family order, as consumed.  A chunk that cannot be
+    prepared whole is prepared member by member, so that a member's error
+    surfaces only when that member is reached."""
     basis = _target_basis(coeffs, target)
     memo = {}
 
     def prepare(chunk):
         rows = _reduced_rows(*family.member_rows(chunk), coeffs.cells, coeffs.positions)
-        blocks, points = _block_moments(coeffs, *rows, basis, memo), open_points()
-        for block in blocks:
-            block.lf_cv = _critical_values(block, kappa, draws, seed, points)
-        return blocks
+        return _block_moments(coeffs, *rows, basis, memo)
 
     members = family.distinct
     for start in range(0, len(members), _MEMBER_BLOCK):

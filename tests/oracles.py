@@ -110,11 +110,11 @@ def take(block, members):
     return dataclasses.replace(block, **stacked)
 
 
-def decisions(block, i, points, alpha, kappa):
-    """Hybrid rejection decision of member i of a block at every value in
-    ``points``."""
+def decisions(block, i, lf_cv, points, alpha, kappa):
+    """Hybrid rejection decision of member i of a block, with critical value
+    ``lf_cv``, at every value in ``points``."""
     a0, a1, sd, sigma = block.a0[i], block.a1[i], block.sd[i], block.sigma[i]
-    vertices, lf_cv = block.vertices[i], block.lf_cv[i]
+    vertices = block.vertices[i]
     points = np.asarray(points, dtype=float)
     reject = (
         block.det_a0[i][:, None] - np.outer(block.det_a1[i], points)

@@ -21,7 +21,6 @@ from blockdid.estimators import CoefficientSet, aggregate, estimate
 from blockdid.inference import (
     GridSpec,
     _block_decisions,
-    _critical_values,
     _target_basis,
     aggregated_att_target,
     aggregated_system,
@@ -369,7 +368,6 @@ def test_criterion_09_hybrid_oracle_and_size():
     btarget = overall_att_target(layout, bcells)
     alpha = 0.05
     block = member_block(coeffs, fam.members[0], _target_basis(coeffs, btarget))
-    block.lf_cv = _critical_values(block, alpha / 10, 10_000, seed=9)
     chol = np.linalg.cholesky(sigma)
     A_keep = fam.members[0].A[:, bcells.value_positions]
     assert block.a0.shape[1] == A_keep.shape[0]  # no rows were screened out
@@ -379,7 +377,9 @@ def test_criterion_09_hybrid_oracle_and_size():
     for _ in range(reps):
         beta = chol @ draws_rng.standard_normal(6)
         shifted = dataclasses.replace(block, a0=block.a0 + A_keep @ beta)
-        rejections += _block_decisions(shifted, [0.0], alpha, alpha / 10)[0, 0]
+        rejections += _block_decisions(
+            shifted, [0.0], alpha, alpha / 10, 10_000, 9
+        )[0, 0]
     rate = rejections / reps
     elapsed = time.perf_counter() - t0
     report(

@@ -67,9 +67,12 @@ def test_block_decisions_match_the_per_point_oracle_on_random_designs(
         design = [block for chunk in chunks for block in chunk]
         points = crossing_points(design)
         for block in design:
-            block.lf_cv = _critical_values(block, KAPPA, 300, seed=d)
-            got = _block_decisions(block, points, 0.05, KAPPA)
-            want = [decisions(block, i, points, 0.05, KAPPA) for i in range(len(got))]
+            # the oracle takes the unscreened values, so this checks the screen too
+            lf_cv = _critical_values(block, KAPPA, 300, seed=d)
+            got = _block_decisions(block, points, 0.05, KAPPA, 300, d)
+            want = [
+                decisions(block, i, cv, points, 0.05, KAPPA) for i, cv in enumerate(lf_cv)
+            ]
             assert np.array_equal(got, want), (d, kind)
             blocks += 1
             shared += len(got) > 1
@@ -84,7 +87,7 @@ def test_block_decisions_match_the_oracle_on_boundary_null_draws():
     # one block of 300 members
     coeffs, member, target, sigma = csnyt_boundary_system()
     block = member_block(coeffs, member, _target_basis(coeffs, target))
-    block.lf_cv = _critical_values(block, 0.005, 4000, seed=9)
+    (lf_cv,) = _critical_values(block, 0.005, 4000, seed=9)
     rng = np.random.default_rng(123)
     root = np.linalg.cholesky(sigma)
     A = member.A[:, coeffs.cells.value_positions]
@@ -92,8 +95,8 @@ def test_block_decisions_match_the_oracle_on_boundary_null_draws():
     draws = take(block, np.zeros(300, dtype=int))
     draws.a0 = draws.a0 + shifts
     points = np.linspace(-1.0, 1.0, 21)
-    got = _block_decisions(draws, points, 0.05, 0.005)
-    want = [decisions(draws, i, points, 0.05, 0.005) for i in range(300)]
+    got = _block_decisions(draws, points, 0.05, 0.005, 4000, 9)
+    want = [decisions(draws, i, lf_cv, points, 0.05, 0.005) for i in range(300)]
     assert np.array_equal(got, want)
     assert 0 < got.sum() < got.size
 
@@ -135,13 +138,16 @@ def test_sets_do_not_depend_on_block_size_or_member_order(monkeypatch, kind):
 def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
     # one block per chunk of members (the toy family's members drop no row
     # and share one A[:, post], so one nuisance system for the set), one
-    # stacked eigh and at most one quantile call per block, one inverse per
-    # distinct (member, optimal vertex) pair
+    # deterministic check, one stage two, one stacked eigh and at most one
+    # quantile call per block, one inverse per distinct (member, optimal
+    # vertex) pair
     coeffs, layout, bm, target = toy_system
     fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
-    seen = dict.fromkeys(
-        ["blocks", "pairs", "factored", "inverted", "eigh", "quantiles", "spans"], 0
-    )
+    seen = dict.fromkeys([
+        "blocks", "deterministic", "stage two", "pairs", "factored", "inverted",
+        "eigh", "quantiles", "spans",
+    ], 0)
+    open_points = []  # of each block decided, in turn
 
     def count(module, name, key, size=lambda *args: 1):
         original = getattr(module, name)
@@ -152,20 +158,30 @@ def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    def pairs(block, points, alpha, kappa):
-        """The distinct non-degenerate (member, optimal vertex) pairs of the
-        points that stage one accepts, counted as the per-point loop met them."""
-        found = 0
+    critical_values = inference._critical_values
+
+    def with_pairs(block, *args):
+        """The block's critical values; counts the distinct non-degenerate
+        (member, optimal vertex) pairs of the open points that stage one
+        accepts, as the per-point loop met them."""
+        lf_cv = critical_values(block, *args)
         for i, vertices in enumerate(block.vertices):
-            vals = vertices @ (block.a0[i][:, None] - np.outer(block.a1[i], points))
-            best = vals.argmax(axis=0)[vals.max(axis=0) <= block.lf_cv[i]]
+            y = block.a0[i][:, None] - np.outer(block.a1[i], open_points[-1])
+            vals = vertices @ y
+            best = vals.argmax(axis=0)[vals.max(axis=0) <= lf_cv[i]]
             k1 = block.X.shape[1] + 1
             basic = vertices[np.unique(best)] > inference._VERTEX_TIE_TOL
-            found += int((basic.sum(axis=1) == k1).sum())
-        return found
+            seen["pairs"] += int((basic.sum(axis=1) == k1).sum())
+        return lf_cv
 
-    count(inference, "_block_decisions", "blocks")
-    count(inference, "_block_decisions", "pairs", pairs)
+    def decided(block, points, *args):
+        open_points.append(points)
+        return 1
+
+    count(inference, "_block_decisions", "blocks", decided)
+    count(inference, "_deterministic_rejections", "deterministic")
+    count(inference, "_stage_two", "stage two")
+    monkeypatch.setattr(inference, "_critical_values", with_pairs)
     count(np.linalg, "slogdet", "factored", len)
     count(np.linalg, "inv", "inverted", len)
     count(np.linalg, "eigh", "eigh")
@@ -173,6 +189,7 @@ def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
     count(inference, "_column_space", "spans")
     shared_set(coeffs, fam, target, _wide_grid(coeffs, target, n=41), seed=3)
     assert seen["blocks"] == -(-fam.member_count // inference._MEMBER_BLOCK)
+    assert seen["deterministic"] == seen["stage two"] == seen["blocks"]
     assert seen["pairs"] > 0
     assert seen["factored"] == seen["inverted"] == seen["pairs"]  # none singular
     assert 0 < seen["quantiles"] <= seen["blocks"]
@@ -194,7 +211,7 @@ def singular_basis_block():
         a0=np.zeros((2, 4)), a1=a1, sd=np.ones((2, 4)),
         sigma=np.broadcast_to(np.eye(4), (2, 4, 4)).copy(), X=X,
         vertices=np.stack([vertices, vertices]), det_a0=none, det_a1=none,
-        det_tol=none, lf_cv=np.array([3.0, 3.0]),
+        det_tol=none,
     )
 
 
@@ -212,9 +229,11 @@ def test_a_singular_basis_keeps_the_stage_one_acceptance(monkeypatch):
         return quantile(p, lo, hi)
 
     monkeypatch.setattr(inference, "_truncnorm_quantile", counted)
+    # both members' critical value is 3.0
+    monkeypatch.setattr(inference, "_critical_values", lambda *args: np.full(2, 3.0))
     points = np.linspace(-3.9, 3.9, 27)  # no point at the tie theta0 = 0
-    got = _block_decisions(block, points, 0.05, KAPPA)
-    want = [decisions(block, i, points, 0.05, KAPPA) for i in range(2)]
+    got = _block_decisions(block, points, 0.05, KAPPA, 300, 0)
+    want = [decisions(block, i, 3.0, points, 0.05, KAPPA) for i in range(2)]
     assert np.array_equal(got, want)
     inside = np.abs(points) <= 3.0  # eta* = |theta0| passes stage one
     singular = np.array([points < 0, points > 0])  # the first vertex is optimal

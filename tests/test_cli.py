@@ -596,6 +596,8 @@ def test_invalid_options_refused_before_the_panel_loads(
         (["sets", "--param", "1:0:0.5"], "INVALID_PARAM"),
         (["sets", "--param", "-0.5"], "INVALID_PARAM"),
         (["compare", "--param", "0:1"], "INVALID_PARAM"),
+        (["sets", "--param", "0:1e300:1e-300"], "INVALID_PARAM"),  # uncountable
+        (["sets", "--param", "0:1:inf"], "INVALID_PARAM"),  # was the sweep (nan,)
     ],
 )
 def test_malformed_text_options_get_stable_codes_before_any_bootstrap(

@@ -191,15 +191,15 @@ def check_blocks(rng, designs, draws, empty_every=0):
         seed = int(rng.integers(0, 1000))
         for chunk in chunks:
             for block in chunk:
-                block.lf_cv = _critical_values(block, KAPPA, draws, seed)
-                for i, cv in enumerate(block.lf_cv):
+                lf_cv = _critical_values(block, KAPPA, draws, seed)
+                for i, cv in enumerate(lf_cv):
                     assert_close(cv, oracle_lf_cv(block, i, KAPPA, draws, seed))
                     seen["checked"] += 1
                 if block.vertices.shape[1] == 0:
-                    assert (block.lf_cv == -np.inf).all()
+                    assert (lf_cv == -np.inf).all()
                     det = block.det_a0[:, :, None] - block.det_a1[:, :, None] * points
                     allowed = ~(det > block.det_tol[:, :, None]).any(axis=1)
-                    reject = _block_decisions(block, points, 0.05, KAPPA)
+                    reject = _block_decisions(block, points, 0.05, KAPPA, draws, seed)
                     assert not reject[allowed].any()
                     seen["empty"] += len(block.sd)
                 seen["shared"] += len(block.sd) > 1
@@ -239,8 +239,8 @@ def test_a_members_critical_value_does_not_depend_on_its_block():
             chunks = design_chunks(rng, "rm-cohort", estimator)[0]
             blocks += [block for chunk in chunks for block in chunk]
         for block in blocks:
-            block.lf_cv = _critical_values(block, KAPPA, DRAWS, seed=11)
-            for i, cv in enumerate(block.lf_cv):
+            lf_cv = _critical_values(block, KAPPA, DRAWS, seed=11)
+            for i, cv in enumerate(lf_cv):
                 alone = _critical_values(take(block, [i]), KAPPA, DRAWS, seed=11)
                 assert_close(cv, alone[0])
                 compared += 1
@@ -258,6 +258,6 @@ def test_chunked_product_matches_the_oracle(monkeypatch, chunk):
         chunks = design_chunks(rng, "rm-global", "imputation")[0]
         blocks += [block for chunk in chunks for block in chunk]
     for block in blocks:
-        block.lf_cv = _critical_values(block, KAPPA, 301, seed=3)
-        for i, cv in enumerate(block.lf_cv):
+        lf_cv = _critical_values(block, KAPPA, 301, seed=3)
+        for i, cv in enumerate(lf_cv):
             assert_close(cv, oracle_lf_cv(block, i, KAPPA, 301, seed=3))

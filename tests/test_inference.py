@@ -282,7 +282,6 @@ def test_hybrid_size_at_boundary_null():
     coeffs, member, target, sigma = csnyt_boundary_system()
     alpha = 0.05
     block = member_block(coeffs, member, _target_basis(coeffs, target))
-    block.lf_cv = _critical_values(block, alpha / 10, 4000, seed=9)
     rng = np.random.default_rng(123)
     root = np.linalg.cholesky(sigma)
     rejections = 0
@@ -292,7 +291,7 @@ def test_hybrid_size_at_boundary_null():
         draw = dataclasses.replace(
             block, a0=block.a0 + member.A[:, coeffs.cells.value_positions] @ beta
         )
-        rejections += _block_decisions(draw, [0.0], alpha, alpha / 10)[0, 0]
+        rejections += _block_decisions(draw, [0.0], alpha, alpha / 10, 4000, 9)[0, 0]
     assert rejections / reps <= alpha + 0.05
 
 
@@ -347,11 +346,13 @@ def test_hybrid_fallback_no_smaller_than_least_favorable():
     alpha = 0.05
     block = member_block(coeffs, doubled, _target_basis(coeffs, target))
     (lf_cv,) = _critical_values(block, alpha, 4000, seed=2)
-    block.lf_cv = _critical_values(block, alpha / 10, 4000, seed=2)
-    assert block.lf_cv[0] >= lf_cv
+    (hybrid_cv,) = _critical_values(block, alpha / 10, 4000, seed=2)
+    assert hybrid_cv >= lf_cv
     (vertices,) = block.vertices
     for theta0 in np.linspace(-2, 2, 41):
-        hybrid_rejects = _block_decisions(block, [theta0], alpha, alpha / 10)[0, 0]
+        hybrid_rejects = _block_decisions(
+            block, [theta0], alpha, alpha / 10, 4000, 2
+        )[0, 0]
         # pure least-favorable decision: first stage at level alpha only
         y = block.a0[0] - block.a1[0] * theta0
         lf_rejects = float((vertices @ y).max()) > lf_cv
@@ -656,8 +657,7 @@ def test_nuisance_basis_invariance(boot_toy):
     decided = []
     for X_post in (basis, alt_basis):
         block = member_block(coeffs, fam.members[0], (post, lbar, X_post))
-        block.lf_cv = _critical_values(block, 0.005, 10_000, seed=3)
-        decided.append(_block_decisions(block, points, 0.05, 0.005)[0])
+        decided.append(_block_decisions(block, points, 0.05, 0.005, 10_000, 3)[0])
     assert np.array_equal(*decided)
 
 
@@ -827,6 +827,24 @@ def test_monte_carlo_seed_must_be_a_nonnegative_integer(
         else:
             hybrid_test(coeffs, fam.members[0], target, 0.0, draws=200, seed=seed)
     assert info.value.code == "INVALID_SEED"
+    assert formed == []  # refused before any moment is formed
+
+
+@pytest.mark.parametrize("theta0", [float("nan"), float("inf"), -float("inf")])
+def test_hybrid_test_refuses_a_non_finite_hypothesis(boot_toy, monkeypatch, theta0):
+    import blockdid.inference
+
+    layout, coeffs, bm = boot_toy
+    member = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.5), bm).members[0]
+    target = overall_att_target(layout, coeffs.cells)
+    assert hybrid_test(coeffs, member, target, 100.0, draws=500, seed=3)
+    formed = []
+    monkeypatch.setattr(
+        blockdid.inference, "_target_basis", lambda *a: formed.append(a)
+    )
+    with pytest.raises(InvalidGrid) as info:
+        hybrid_test(coeffs, member, target, theta0, draws=500, seed=3)
+    assert info.value.code == "INVALID_GRID"
     assert formed == []  # refused before any moment is formed
 
 

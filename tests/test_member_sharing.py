@@ -64,8 +64,8 @@ def unshared_accepted(coeffs, family, target, grid, seed):
         if len(todo) == 0:
             break
         block = member_block(coeffs, member, _target_basis(coeffs, target))
-        block.lf_cv = _critical_values(block, ALPHA / 10, DRAWS, seed)
-        accepted[todo] = ~decisions(block, 0, points[todo], ALPHA, ALPHA / 10)
+        (lf_cv,) = _critical_values(block, ALPHA / 10, DRAWS, seed)
+        accepted[todo] = ~decisions(block, 0, lf_cv, points[todo], ALPHA, ALPHA / 10)
     return accepted
 
 
@@ -171,23 +171,25 @@ def toy_system(toy_panel):
 @pytest.fixture
 def counted(monkeypatch):
     """Record the X of every ray enumeration, and every block, its members
-    as (block id, member) pairs and its size, as ``confidence_set`` prepares
-    their critical values."""
+    as (block id, member) pairs and its size, as ``confidence_set`` forms
+    them."""
     seen = {"rays": [], "members": [], "blocks": [], "sizes": []}
-    cone_rays, critical_values = inference._cone_rays, inference._critical_values
+    cone_rays, block_moments = inference._cone_rays, inference._block_moments
 
     def count_rays(X):
         seen["rays"].append((X.shape, X.tobytes()))
         return cone_rays(X)
 
-    def count_blocks(block, *args):
-        seen["blocks"].append(block)
-        seen["members"].extend((id(block), i) for i in range(len(block.sd)))
-        seen["sizes"].append(len(block.sd))
-        return critical_values(block, *args)
+    def count_blocks(*args):
+        blocks = block_moments(*args)
+        for block in blocks:
+            seen["blocks"].append(block)
+            seen["members"].extend((id(block), i) for i in range(len(block.sd)))
+            seen["sizes"].append(len(block.sd))
+        return blocks
 
     monkeypatch.setattr(inference, "_cone_rays", count_rays)
-    monkeypatch.setattr(inference, "_critical_values", count_blocks)
+    monkeypatch.setattr(inference, "_block_moments", count_blocks)
     return seen
 
 
@@ -307,7 +309,7 @@ def test_no_block_is_formed_after_every_point_is_accepted(
         formed.extend(A)
         return block_moments(coeffs, A, *args)
 
-    def decisions(block, points, alpha, kappa):
+    def decisions(block, points, alpha, kappa, draws, seed):
         rows = []
         for i in range(len(block.sd)):  # the nth member decided rejects while n < 20
             decided.append((id(block), i))
@@ -338,7 +340,7 @@ def _accepting_from(member):
     member decided, which accepts them all."""
     left = {"n": member}
 
-    def decisions(block, points, alpha, kappa):
+    def decisions(block, points, alpha, kappa, draws, seed):
         rows = []
         for _ in block.sd:
             left["n"] -= 1

@@ -1,15 +1,17 @@
 """The stage-one screen of ``_critical_values`` against the unscreened path.
 
-Given the grid points still open, ``_screen`` keeps only the members that
-may accept one of them at stage one; the others get -inf, and so reject
-every open point at stage one, with no Monte Carlo product.  A member is
-screened out only when fewer than draws - hi of its draws reach c, its
-smallest stage-one statistic at the open points (hi the upper order
-statistic of the quantile).  So its unscreened critical value must lie below
-c, the kept members' critical values must not change, and neither may any
-set.
+Given c, each member's smallest stage-one statistic at the open points,
+``_screen`` keeps only the members that may accept one of them at stage
+one; the others get -inf, and so reject every open point at stage one, with
+no Monte Carlo product.  A member is screened out only when fewer than
+draws - hi of its draws reach c (hi the upper order statistic of the
+quantile).  So its unscreened critical value must lie below c, the kept
+members' critical values must not change, and neither may any set or
+``hybrid_test`` decision.
 """
 
+import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -17,14 +19,22 @@ import pytest
 
 import blockdid.inference as inference
 from blockdid.biasmap import build_w_imputation, invert
-from blockdid.inference import _critical_values, confidence_set, overall_att_target
+from blockdid.inference import (
+    _block_decisions,
+    _critical_values,
+    _target_basis,
+    confidence_set,
+    hybrid_test,
+    overall_att_target,
+)
 from blockdid.panel import build_layout
 from blockdid.restrictions import map_to_delta_space, rm_cohort
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
-from test_block_decisions import DESIGN, crossing_points
+from oracles import decisions, member_block
+from test_block_decisions import DESIGN, crossing_points, singular_basis_block
 from test_critical_values import KAPPA, assert_close, design_chunks
 from test_member_sharing import BUILDERS, _systems, _wide_grid, shared_set
 
@@ -63,10 +73,10 @@ def screen_violations(block, points, draws, seed):
     """Screened-out members whose unscreened critical value is not below
     their c, the screened-out and kept counts, and the critical values of
     the kept members, screened and unscreened."""
-    screened = _critical_values(block, KAPPA, draws, seed, points)
+    c = smallest_statistic(block, points)
+    screened = _critical_values(block, KAPPA, draws, seed, c)
     full = _critical_values(block, KAPPA, draws, seed)
     out = screened == -np.inf
-    c = smallest_statistic(block, points)
     bad = int((full[out] >= c[out]).sum())
     return bad, int(out.sum()), int((~out).sum()), screened[~out], full[~out]
 
@@ -105,7 +115,7 @@ def test_without_its_rounding_margin_and_with_half_the_norm_bound_the_screen_fai
     assert bad > 0
 
 
-def keep_every_member(block, products, *args):
+def keep_every_member(products, *args):
     return np.arange(len(products))
 
 
@@ -115,8 +125,8 @@ def test_sets_equal_those_without_the_screen_at_any_block_size(monkeypatch, kind
     screen = inference._screen
     out = []
 
-    def counted(block, products, *args):
-        keep = screen(block, products, *args)
+    def counted(products, *args):
+        keep = screen(products, *args)
         out.append(len(products) - len(keep))
         return keep
 
@@ -143,6 +153,79 @@ def test_sets_equal_those_without_the_screen_at_any_block_size(monkeypatch, kind
             checked += 1
     assert checked == 3
     assert sum(out) > 0
+
+
+@pytest.mark.parametrize("kind", ["rm-global", "rm-cohort"])
+def test_hybrid_test_decisions_equal_those_without_the_screen(monkeypatch, kind):
+    rng = np.random.default_rng({"rm-global": 61, "rm-cohort": 62}[kind])
+    screen = inference._screen
+    out = []
+
+    def counted(products, *args):
+        keep = screen(products, *args)
+        out.append(len(products) - len(keep))
+        return keep
+
+    checked, i, decided = 0, 0, []
+    while checked < 2 and i < 20:
+        i += 1
+        panel = gen_custom(random_spec(rng, **DESIGN[kind])).panel
+        seed = int(rng.integers(0, 1000))
+        estimator = ("imputation", "csnyt")[i % 2]
+        for _, coeffs, layout, bm, target in _systems(panel, estimator, seed)[:1]:
+            block = BUILDERS[kind](layout, coeffs.cells, float(rng.uniform(0.2, 1.2)))
+            fam = map_to_delta_space(block, bm)
+            basis = _target_basis(coeffs, target)
+            for m in range(0, fam.member_count, max(1, fam.member_count // 3)):
+                member = fam.member(m)
+                points = crossing_points([member_block(coeffs, member, basis)], n=15)
+                test = functools.partial(
+                    hybrid_test, coeffs, member, target, draws=301, seed=seed
+                )
+                for theta0 in points:
+                    monkeypatch.setattr(inference, "_screen", counted)
+                    got = test(theta0)
+                    monkeypatch.setattr(inference, "_screen", keep_every_member)
+                    assert got == test(theta0), (kind, i, m, theta0)
+                    decided.append(got)
+            monkeypatch.undo()
+            checked += 1
+    assert checked == 2
+    assert 0 < sum(decided) < len(decided)  # rejections and acceptances
+    assert sum(out) > 0 and len(out) > sum(out)  # members screened and kept
+
+
+def test_a_member_whose_deterministic_rows_reject_every_open_point_gets_no_draws(
+    monkeypatch,
+):
+    # member 0's deterministic row reads 1 at every point, so c is +inf for
+    # it; member 1 has no deterministic rejection and keeps its stage one
+    block = dataclasses.replace(
+        singular_basis_block(), det_a0=np.array([[1.0], [0.0]]),
+        det_a1=np.zeros((2, 1)), det_tol=np.full((2, 1), 1e-8),
+    )
+    seen = {"c": [], "kept": [], "rows": 0}
+    screen, stacked_maxima = inference._screen, inference._stacked_maxima
+
+    def count_kept(products, c, *args):
+        keep = screen(products, c, *args)
+        seen["c"].append(c), seen["kept"].append(keep)
+        return keep
+
+    def count_rows(stacked, n, z):
+        seen["rows"] += len(stacked)
+        return stacked_maxima(stacked, n, z)
+
+    monkeypatch.setattr(inference, "_screen", count_kept)
+    monkeypatch.setattr(inference, "_stacked_maxima", count_rows)
+    points = np.linspace(-3.9, 3.9, 27)
+    got = _block_decisions(block, points, 0.05, KAPPA, 300, 0)
+    (c,), (kept,) = seen["c"], seen["kept"]
+    assert c[0] == np.inf and 0 not in kept
+    assert seen["rows"] == len(kept) * block.vertices.shape[1]
+    assert got[0].all()
+    full = _critical_values(block, KAPPA, 300, 0)
+    assert np.array_equal(got[1], decisions(block, 1, full[1], points, 0.05, KAPPA))
 
 
 def test_the_screen_cuts_the_monte_carlo_rows_on_a_c12_shaped_family(monkeypatch):
