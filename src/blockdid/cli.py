@@ -126,8 +126,9 @@ def _noise_variance(config):
 def _parse_sweep(text):
     """``lo:hi:step`` inclusive sweep, or a single value; the values and the
     step must be finite, the values nonnegative and ascending and their count
-    finite.  No value exceeds ``hi``, and the last one is ``hi`` itself when
-    ``step`` divides ``hi - lo`` up to rounding."""
+    finite.  No value exceeds ``hi``, and the last one of two or more is
+    ``hi`` itself when ``step`` divides ``hi - lo`` up to rounding; a sweep of
+    one value is ``lo`` (0.0 for -0)."""
     try:
         values = [float(x) for x in text.split(":")]
         lo, hi, step = values if ":" in text else (values[0], values[0], 1.0)
@@ -141,7 +142,7 @@ def _parse_sweep(text):
             f"got {text!r}"
         )
     values = [lo + i * step for i in range(int((hi - lo) / step + 1e-9) + 1)]
-    if values[-1] >= hi - 1e-9 * step:  # the last step lands on hi
+    if len(values) > 1 and values[-1] >= hi - 1e-9 * step:  # the last value is hi
         values[-1] = hi
     return tuple(values)
 

@@ -12,8 +12,8 @@ of candidate values.  Writing the post effects as theta0 * lbar + X gamma
 moment inequalities linear in the nuisance gamma.  Stage one compares the
 studentized max moment, profiled over gamma, with a seeded Monte Carlo
 least-favorable critical value at level kappa; stage two is a truncated
-normal test at level (alpha-kappa)/(1-kappa) that conditions on the basis of
-the optimal dual vertex and on first-stage acceptance.  The profiled
+normal test at level (alpha-kappa)/(1-kappa) that conditions on first-stage
+acceptance and on the optimal dual vertex staying the argmax.  The profiled
 statistic is the max of vertices @ y over the vertices of its dual polytope:
 the extreme rays of {lam >= 0 : X'lam = 0}, by double description and shared
 by the members with one X (none when that cone is {0}: the statistic is then
@@ -82,8 +82,8 @@ _MC_CHUNK_VALUES = 1 << 15
 _QUANTILE_STRIDE = 16
 # the screen's rounding margin, relative to 1 + |c| (``_screen``)
 _SCREEN_MARGIN = 1e-9
-# values of one stacked stage-one statistic, or of the bases gathered for
-# the points of stage two (8 MiB)
+# values of one stacked stage-one statistic, or of one chunk of stage two's
+# vertex products (8 MiB)
 _STACK_VALUES = 1 << 20
 # the default grid: the plug-in set padded by this many standard errors of
 # the target estimate, at this many points
@@ -694,12 +694,11 @@ def _block_decisions(block, points, alpha, kappa, draws, seed):
     least eta* at the points its deterministic rows leave screens its
     least-favorable critical value (``_critical_values``), and stage one
     rejects when eta* exceeds that value.  Stage two (``_stage_two``)
-    conditions on the basis of the optimal dual vertex lam: the basis stays
-    optimal while every non-basic moment keeps its primal slack,
-    y_j <= [sd_j, X_j] W_B^-1 y_B, which is linear in the statistic along
-    y(S) = z + c S and so cuts out [vlo, vup].  A degenerate optimum (support
-    not of size 1+k, or a non-basic moment with zero slack, i.e. a tied
-    optimum) keeps the stage-one acceptance, which never over-rejects.
+    conditions on the optimal dual vertex lam staying the argmax: every
+    other vertex v keeps v'y <= lam'y, which is linear in the statistic
+    along y(S) = z + c S and so cuts out [vlo, vup].  A degenerate optimum
+    (support not of size 1+k) or a tied one (another vertex within rounding
+    of eta*) keeps the stage-one acceptance, which never over-rejects.
     """
     points = np.asarray(points, dtype=float)
     reject = _deterministic_rejections(block, points)
@@ -736,67 +735,48 @@ def _stage_two(block, points, g, p, eta, best, lf, reject):
     """Stage two, up to its quantile, of the (member ``g``, point ``p``)
     pairs that stage one accepts, given the block's (members, points) eta*,
     optimal vertices ``best`` and critical values ``lf``; rejections are
-    added to ``reject``.  All but z depends on the (member, optimal vertex)
-    pair alone, so points are grouped by pair, each distinct basis is
-    inverted once, and slack, vlo and vup are arrays.  A basis that LU finds
-    singular (``slogdet``'s sign 0, the factorization on which ``inv`` would
-    fail) keeps its points' stage-one acceptance.  Returns the (member,
-    point, eta, sigma, vlo, vup) of the points left to the quantile."""
-    V, sd = block.vertices, block.sd
-    # the conditional points' (member, vertex) pairs whose basis has 1+k rows
-    (nv, m), k1 = V.shape[1:], block.X.shape[1] + 1
-    pairs, of = np.unique(g * nv + best[g, p], return_inverse=True)
-    pg, pv = np.divmod(pairs, nv)
-    basic = V[pg, pv] > _VERTEX_TIE_TOL
-    ok = np.flatnonzero(basic.sum(axis=1) == k1)  # else a degenerate vertex
-    order = np.argsort(~basic[ok], axis=1, kind="stable")  # basic rows first
-    W = np.concatenate(  # each member's [sd, X]
-        [sd[:, :, None], np.broadcast_to(block.X, sd.shape + block.X.shape[1:])], axis=2
+    added to ``reject``.  With lam the optimal vertex, sigma^2 = lam'Sigma lam
+    and c = Sigma lam / sigma^2, y(S) = z + c S has lam'y(S) = S, and lam
+    stays optimal while v'z <= S (1 - v'c) for every vertex v: a lower bound
+    on S where 1 - v'c > 0, an upper one where it is < 0.  v'c comes from one
+    product per member with its distinct optima, and v'y = v'a0 - theta0 v'a1
+    from V a0 and V a1; the pairs go ``_STACK_VALUES`` values at a time.
+    Returns the (member, point, eta, sigma, vlo, vup) of the points left to
+    the quantile."""
+    if len(g) == 0:
+        return (g, p, *np.empty((4, 0)))
+    V, lam, e = block.vertices, best[g, p], eta[g, p]
+    optimal = np.zeros(V.shape[:2], dtype=bool)
+    optimal[g, lam] = True
+    # lam'Sigma V' of each member's distinct optima lam, a row per (member,
+    # optimum) in order; ``row`` is each pair's
+    vsl = np.concatenate(
+        [V[j, on] @ block.sigma[j] @ V[j].T for j, on in enumerate(optimal) if on.any()]
     )
-    bases = W[pg[ok, None], order[:, :k1]]
-    invertible = np.linalg.slogdet(bases)[0] != 0
-    ok, order = ok[invertible], order[invertible]
-    proj = W[pg[ok, None], order[:, k1:]] @ np.linalg.inv(bases[invertible])
-
-    # every product below is stacked matrix-vector products, which round as
-    # the product of one pair or one point alone does
-    def slack(v, q):  # proj @ v[basic] - v[~basic] per row of v, of pair q
-        v, out = np.take_along_axis(v, order[q], axis=1), np.empty((len(q), m - k1))
-        step = max(1, _STACK_VALUES // max((m - k1) * k1, 1))  # bounds proj[q]
-        for s in range(0, len(q), step):
-            rows = slice(s, s + step)
-            basic_part = np.matmul(proj[q[rows]], v[rows, :k1, None])[:, :, 0]
-            out[rows] = basic_part - v[rows, k1:]
-        return out
-
-    lam = V[pg[ok], pv[ok]]
-    ls, c = np.empty_like(lam), np.empty_like(lam)
-    for j in np.unique(pg[ok]):  # lam' Sigma and Sigma lam of j's pairs
-        mine, s = pg[ok] == j, block.sigma[j]
-        ls[mine] = np.matmul(lam[mine][:, None, :], s)[:, 0]
-        c[mine] = np.matmul(s, lam[mine][:, :, None])[:, :, 0]
-    sig2 = np.matmul(ls[:, None, :], lam[:, :, None])[:, 0, 0]
+    row = (np.cumsum(optimal) - 1).reshape(optimal.shape)[g, lam]
+    sig2, (vlo, vup) = vsl[row, lam], np.empty((2, len(g)))
+    # the acceptance stands at a degenerate (support not 1+k) or tied optimum
+    stands = ((V > _VERTEX_TIE_TOL).sum(axis=2) != block.X.shape[1] + 1)[g, lam]
     flat = sig2 <= 1e-24
-    c /= np.where(flat, 1.0, sig2)[:, None]
-    slope = slack(c, np.arange(len(ok)))
-
-    slot = np.full(len(pairs), -1)
-    slot[ok] = np.arange(len(ok))
-    g, p, q = (v[slot[of] >= 0] for v in (g, p, slot[of]))
-    y, e = block.a0[g] - block.a1[g] * points[p, None], eta[g, p]
-    tied = (slack(y, q) <= _VERTEX_TIE_TOL * (1.0 + np.abs(e))[:, None]).any(axis=1)
-    sure = ~tied & flat[q]
+    va0, va1 = (np.matmul(V, a[:, :, None])[:, :, 0] for a in (block.a0, block.a1))
+    step = max(1, _STACK_VALUES // V.shape[1])
+    for s in range(0, len(g), step):
+        q = slice(s, s + step)
+        vy = va0[g[q]] - va1[g[q]] * points[p[q], None]
+        other = np.arange(V.shape[1]) != lam[q, None]
+        floor = e[q] - _VERTEX_TIE_TOL * (1.0 + np.abs(e[q]))  # eta* less rounding
+        stands[q] |= (other & (vy >= floor[:, None])).any(axis=1)
+        vc = vsl[row[q]] / np.where(flat[q], 1.0, sig2[q])[:, None]
+        gap = 1.0 - vc  # v'z <= S gap, where v'z = v'y - v'c eta
+        lo_set, hi_set = gap > _VERTEX_TIE_TOL, gap < -_VERTEX_TIE_TOL
+        ratio = (vy - vc * e[q, None]) / np.where(lo_set | hi_set, gap, 1.0)
+        vlo[q] = np.where(lo_set, ratio, -np.inf).max(axis=1)
+        vup[q] = np.where(hi_set, ratio, np.inf).min(axis=1)
+    sure = ~stands & flat
     reject[g[sure], p[sure]] = e[sure] > 0
-    g, p, q, y, e = (v[~tied & ~flat[q]] for v in (g, p, q, y, e))
-    const = slack(y - c[q] * e[:, None], q)
-    lo_set = slope > _VERTEX_TIE_TOL  # slack requires const + slope*S >= 0
-    hi_set = slope < -_VERTEX_TIE_TOL
-    ratio = -const / np.where(lo_set | hi_set, slope, 1.0)[q]
-    vlo = np.where(lo_set[q], ratio, -np.inf).max(axis=1, initial=-np.inf)
-    vup = np.where(hi_set[q], ratio, np.inf).min(axis=1, initial=np.inf)
-    # every non-basic slack is positive, so vlo < eta <= vup; vup is capped
-    # by the critical value, conditioning on first-stage acceptance
-    return g, p, e, np.sqrt(sig2[q]), vlo, np.minimum(vup, lf[g, 0])
+    g, p, e, sig2, vlo, vup = (v[~stands & ~flat] for v in (g, p, e, sig2, vlo, vup))
+    # capping vup at the critical value conditions on first-stage acceptance
+    return g, p, e, np.sqrt(sig2), vlo, np.minimum(vup, lf[g, 0])
 
 
 def _first_stage_level(alpha, kappa):

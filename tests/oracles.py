@@ -1,12 +1,15 @@
 """Independent paths that tests compare the package against.
 
-``decisions`` is the hybrid test's stage two as it ran one member and one
-grid point at a time: for every point that stage one accepts, the basis of
-its optimal dual vertex is inverted, its slack checked and its truncated
-normal bounds taken on their own, with one quantile call per member.
-``inference._block_decisions`` groups the same work by (member, vertex)
-across a block of members, stacked.  ``member_block`` is the block of one
-member, ``take`` the block of some of a block's members.
+``decisions`` is the hybrid test's stage two by the primal basis, one
+member and one grid point at a time, with one quantile call per member.
+``basis_bounds`` gives its truncation: for every point that stage one
+accepts, the basis of the optimal dual vertex is inverted, the non-basic
+moments' primal slack checked for a tie, and [vlo, vup] taken from the
+slacks as linear functions of the statistic.  ``inference._stage_two``
+conditions on the dual vertices instead: the optimal vertex stays the
+argmax while no other vertex overtakes it, and it forms those products for
+a block of members at once.  ``member_block`` is the block of one member,
+``take`` the block of some of a block's members.
 
 ``vcov_csv`` is the covariance CSV as the per-element loop wrote it;
 ``estimators.write_vcov_csv`` formats each mirrored pair once.
@@ -112,7 +115,26 @@ def take(block, members):
 
 def decisions(block, i, lf_cv, points, alpha, kappa):
     """Hybrid rejection decision of member i of a block, with critical value
-    ``lf_cv``, at every value in ``points``."""
+    ``lf_cv``, at every value in ``points``: ``basis_bounds``, then one
+    truncated normal quantile call."""
+    reject, eta, conditional = basis_bounds(block, i, lf_cv, points)
+    if len(conditional):
+        at, sig, vlo, vup = conditional.T
+        at = at.astype(int)
+        vup = np.minimum(vup, lf_cv)  # condition on first-stage acceptance
+        alpha_mod = (alpha - kappa) / (1.0 - kappa)
+        q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
+        reject[at] = eta[at] > np.maximum(0.0, sig * q)
+    return reject
+
+
+def basis_bounds(block, i, lf_cv, points):
+    """Member i's rejections at ``points`` before the conditional quantile,
+    its eta* there (-inf where the deterministic rows reject), and the
+    (point, sigma, vlo, vup) rows of the points left to the quantile, by the
+    primal basis of the optimal vertex.  [vlo, vup] is the range of the
+    statistic over which that basis stays optimal, before ``decisions`` caps
+    vup by the critical value."""
     a0, a1, sd, sigma = block.a0[i], block.a1[i], block.sd[i], block.sigma[i]
     vertices = block.vertices[i]
     points = np.asarray(points, dtype=float)
@@ -120,21 +142,22 @@ def decisions(block, i, lf_cv, points, alpha, kappa):
         block.det_a0[i][:, None] - np.outer(block.det_a1[i], points)
         > block.det_tol[i][:, None]
     ).any(axis=0)
+    eta = np.full(len(points), -np.inf)
     if len(vertices) == 0:  # eta* is -inf at every point
-        return reject
+        return reject, eta, np.empty((0, 4))
     live = np.flatnonzero(~reject)
     Y = a0[:, None] - np.outer(a1, points[live])
     vals = vertices @ Y
-    eta, lam = vals.max(axis=0), vertices[vals.argmax(axis=0)]
-    reject[live] = eta > lf_cv
+    eta[live], lam = vals.max(axis=0), vertices[vals.argmax(axis=0)]
+    reject[live] = eta[live] > lf_cv
 
     W = np.column_stack([sd, block.X])
     conditional = []  # (point, sigma, vlo, vup)
-    for j in np.flatnonzero(eta <= lf_cv):
+    for j in np.flatnonzero(eta[live] <= lf_cv):
         basic = lam[j] > _VERTEX_TIE_TOL
         if int(basic.sum()) != W.shape[1]:
             continue  # degenerate vertex
-        y, eta_j, scale = Y[:, j], eta[j], 1.0 + abs(eta[j])
+        y, eta_j, scale = Y[:, j], eta[live[j]], 1.0 + abs(eta[live[j]])
         try:
             proj = W[~basic] @ np.linalg.inv(W[basic])
         except np.linalg.LinAlgError:
@@ -153,16 +176,9 @@ def decisions(block, i, lf_cv, points, alpha, kappa):
         hi_set = slope < -_VERTEX_TIE_TOL
         vlo = np.max(-const[lo_set] / slope[lo_set], initial=-np.inf)
         vup = np.min(-const[hi_set] / slope[hi_set], initial=np.inf)
-        vup = min(vup, lf_cv)  # condition on first-stage acceptance
-        # every non-basic slack is positive, so vlo < eta_j <= vup
-        conditional.append((j, math.sqrt(sig2), vlo, vup))
-    if conditional:
-        at, sig, vlo, vup = np.array(conditional).T
-        at = at.astype(int)
-        alpha_mod = (alpha - kappa) / (1.0 - kappa)
-        q = _truncnorm_quantile(1.0 - alpha_mod, vlo / sig, vup / sig)
-        reject[live[at]] = eta[at] > np.maximum(0.0, sig * q)
-    return reject
+        # every non-basic slack is positive, so vlo < eta_j < vup
+        conditional.append((live[j], math.sqrt(sig2), vlo, vup))
+    return reject, eta, np.array(conditional).reshape(-1, 4)
 
 
 def vcov_csv(coeffs):

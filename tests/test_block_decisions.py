@@ -1,12 +1,14 @@
 """A block of members decided at once, against the per-point oracle.
 
 ``_block_decisions`` decides a whole block of members: stage one stacked,
-stage two grouped by (member, optimal vertex) with one inverse per distinct
-basis, and one truncated normal quantile call.  ``oracles.decisions`` is the
-stage two as it ran one member and one grid point at a time.  Their products
-round alike, so the decisions must agree exactly, at singular bases too.
-The sets must not depend on the block size or on the order of the members,
-and the work per set is counted against what the block design promises.
+stage two conditioned on the dual vertices, and one truncated normal
+quantile call.  ``oracles.decisions`` is stage two by the primal basis of
+the optimal vertex, one member and one grid point at a time.  The two
+describe the same conditioning event, so the decisions must agree exactly,
+at tied optima too, and the truncation bounds within rounding
+(``oracles.basis_bounds``).  The sets must not depend on the block size or
+on the order of the members, and the work per set is counted against what
+the block design promises.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from blockdid.restrictions import map_to_delta_space, rm_cohort
 from blockdid.simgen import gen_custom
 
 from conftest import random_spec
-from oracles import decisions, member_block, take
+from oracles import basis_bounds, decisions, member_block, take
 from test_critical_values import KAPPA, design_chunks
 from test_inference import csnyt_boundary_system
 from test_member_sharing import BUILDERS, _systems, _wide_grid, shared_set
@@ -46,8 +48,8 @@ def crossing_points(blocks, n=61):
 def test_block_decisions_match_the_per_point_oracle_on_random_designs(
     monkeypatch, stack
 ):
-    # stack=1 splits the stage-one stack into single members and the
-    # gathered bases into single points
+    # stack=1 splits the stage-one stack into single members and stage two
+    # into single (member, point) pairs
     if stack is not None:
         monkeypatch.setattr(inference, "_STACK_VALUES", stack)
     calls, values = [], []
@@ -139,8 +141,8 @@ def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
     # one block per chunk of members (the toy family's members drop no row
     # and share one A[:, post], so one nuisance system for the set), one
     # deterministic check, one stage two, one stacked eigh and at most one
-    # quantile call per block, one inverse per distinct (member, optimal
-    # vertex) pair
+    # quantile call per block, and no basis factored or inverted: stage two
+    # conditions on the dual vertices
     coeffs, layout, bm, target = toy_system
     fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.7), bm)
     seen = dict.fromkeys([
@@ -190,21 +192,22 @@ def test_work_per_set_follows_the_blocks(toy_system, monkeypatch):
     shared_set(coeffs, fam, target, _wide_grid(coeffs, target, n=41), seed=3)
     assert seen["blocks"] == -(-fam.member_count // inference._MEMBER_BLOCK)
     assert seen["deterministic"] == seen["stage two"] == seen["blocks"]
-    assert seen["pairs"] > 0
-    assert seen["factored"] == seen["inverted"] == seen["pairs"]  # none singular
+    assert seen["pairs"] > 0  # stage two met non-degenerate optima
+    assert seen["factored"] == seen["inverted"] == 0
     assert 0 < seen["quantiles"] <= seen["blocks"]
     assert seen["eigh"] == seen["blocks"]  # every block has vertices
     assert seen["spans"] == 1
 
 
-def singular_basis_block():
-    """Two members whose moment rows 0 and 1 have equal [sd, X] rows.  The
-    first listed vertex has its support on those rows, so its basis is
-    singular; the second has the invertible basis of rows 2 and 3.  Member
-    0's optimum is the first vertex below theta0 = 0 and the second above,
-    member 1's the other way round."""
+def tied_vertex_block():
+    """Two members whose moment rows 0 and 1 have equal [sd, X] rows, with
+    their dual vertices e0, e1 and (0, 0, 1/2, 1/2), all of them: e0 and e1
+    tie wherever one of them is optimal.  Member 0's optimum is e0 below
+    theta0 = 0 and the third vertex above, member 1's the other way round."""
     X = np.array([[0.0], [0.0], [1.0], [-1.0]])
-    vertices = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+    vertices = np.array(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
+    )
     a1 = np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
     none = np.zeros((2, 0))
     return _Block(
@@ -215,12 +218,8 @@ def singular_basis_block():
     )
 
 
-def test_a_singular_basis_keeps_the_stage_one_acceptance(monkeypatch):
-    block = singular_basis_block()
-    basis = np.column_stack([block.sd[0], block.X])[:2]
-    assert np.linalg.slogdet(basis)[0] == 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(basis)
+def test_a_tied_optimum_keeps_the_stage_one_acceptance(monkeypatch):
+    block = tied_vertex_block()
     conditional = []
     quantile = inference._truncnorm_quantile
 
@@ -231,12 +230,119 @@ def test_a_singular_basis_keeps_the_stage_one_acceptance(monkeypatch):
     monkeypatch.setattr(inference, "_truncnorm_quantile", counted)
     # both members' critical value is 3.0
     monkeypatch.setattr(inference, "_critical_values", lambda *args: np.full(2, 3.0))
-    points = np.linspace(-3.9, 3.9, 27)  # no point at the tie theta0 = 0
+    points = np.linspace(-3.9, 3.9, 27)  # no point at theta0 = 0, where all tie
     got = _block_decisions(block, points, 0.05, KAPPA, 300, 0)
     want = [decisions(block, i, 3.0, points, 0.05, KAPPA) for i in range(2)]
     assert np.array_equal(got, want)
     inside = np.abs(points) <= 3.0  # eta* = |theta0| passes stage one
-    singular = np.array([points < 0, points > 0])  # the first vertex is optimal
-    assert not got[singular & inside].any()
+    tied = np.array([points < 0, points > 0])  # e0 and e1 are optimal
+    assert not got[tied & inside].any()
     assert got[:, ~inside].all()
     assert conditional and conditional[0] == 2 * int((inside & (points > 0)).sum())
+
+
+def test_a_tie_with_an_upper_bounding_vertex_keeps_the_stage_one_acceptance(
+    monkeypatch,
+):
+    # constant moments y = (1, 0, 1, 1): the third vertex, listed first and
+    # so the argmax, ties with e0, and e0'c = 1.5 makes e0 bound the statistic
+    # from above at eta* = 1 itself.  Conditioning on that bound would reject
+    # at every point; the tie keeps stage one's acceptance instead.
+    block = tied_vertex_block()
+    sigma = np.eye(4)
+    sigma[0, 2:] = sigma[2:, 0] = 0.6
+    sigma[2, 3] = sigma[3, 2] = -0.2
+    block = dataclasses.replace(
+        block, a0=np.array([[1.0, 0.0, 1.0, 1.0]] * 2), a1=np.zeros((2, 4)),
+        sigma=np.stack([sigma, sigma]), vertices=block.vertices[:, ::-1],
+    )
+    monkeypatch.setattr(inference, "_critical_values", lambda *args: np.full(2, 3.0))
+    points = np.linspace(-1.0, 1.0, 5)
+    # the same optimum without the tie: with e0'y just below eta*, e0's upper
+    # bound sits just above eta* and the conditional test rejects
+    apart = dataclasses.replace(block, a0=np.array([[1.0 - 1e-3, 0.0, 1.0, 1.0]] * 2))
+    for fixture, rejected in ((block, False), (apart, True)):
+        got = _block_decisions(fixture, points, 0.05, KAPPA, 300, 0)
+        assert (got == rejected).all()
+        want = [decisions(fixture, i, 3.0, points, 0.05, KAPPA) for i in range(2)]
+        assert np.array_equal(got, want)
+
+
+class Untouchable:
+    """Stands in for an array that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read [{key!r}]")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("read as an array")
+
+
+def test_a_block_whose_stage_one_accepts_no_pair_skips_stage_two(monkeypatch):
+    # critical values below every eta*: stage one rejects every point, and
+    # stage two returns before it reads what only it reads
+    untouchable = dict(sigma=Untouchable(), sd=Untouchable(), X=Untouchable())
+    block = dataclasses.replace(tied_vertex_block(), **untouchable)
+    monkeypatch.setattr(inference, "_critical_values", lambda *args: np.full(2, -1.0))
+    returned = []
+    stage_two = inference._stage_two
+
+    def counted(*args):
+        returned.append(stage_two(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(inference, "_stage_two", counted)
+    points = np.linspace(-3.9, 3.9, 27)
+    assert _block_decisions(block, points, 0.05, KAPPA, 300, 0).all()
+    ((g, p, eta, sig, vlo, vup),) = returned
+    assert all(len(v) == 0 for v in (g, p, eta, sig, vlo, vup))
+
+
+def test_stage_two_bounds_match_the_basis_path_on_random_designs(monkeypatch):
+    # stage two's sigma and [vlo, vup] at every conditional point against the
+    # primal basis path's, member by member, with the critical values it was
+    # given; vup is compared before the cap by the critical value, so that an
+    # upper bound above that value shows too
+    seen = {"lf": [], "out": []}
+    critical_values, stage_two = inference._critical_values, inference._stage_two
+
+    def keep_lf(*args):
+        seen["lf"].append(critical_values(*args))
+        return seen["lf"][-1]
+
+    def keep_out(block, points, g, p, eta, best, lf, reject):
+        uncapped = np.full_like(lf, np.inf)
+        seen["out"].append(stage_two(block, points, g, p, eta, best, uncapped, reject))
+        return stage_two(block, points, g, p, eta, best, lf, reject)
+
+    monkeypatch.setattr(inference, "_critical_values", keep_lf)
+    monkeypatch.setattr(inference, "_stage_two", keep_out)
+    rng = np.random.default_rng(2025)
+    compared, ends = 0, np.zeros(2, dtype=int)  # finite, infinite
+    for d in range(36):
+        kind = ("rm-global", "rm-cohort", "sd")[d % 3]
+        chunks, _ = design_chunks(rng, kind, ("imputation", "csnyt")[d // 3 % 2])
+        design = [block for chunk in chunks for block in chunk]
+        points = crossing_points(design)
+        for block in design:
+            seen["lf"].clear(), seen["out"].clear()
+            _block_decisions(block, points, 0.05, KAPPA, 300, d)
+            if not seen["out"]:  # no vertices
+                continue
+            (lf_cv,), ((g, p, _, sig, vlo, vup),) = seen["lf"], seen["out"]
+            for i, cv in enumerate(lf_cv):
+                want = basis_bounds(block, i, cv, points)[2]
+                mine = g == i
+                assert np.array_equal(p[mine], want[:, 0]), (d, kind, i)
+                got = np.column_stack([sig[mine], vlo[mine], vup[mine]])
+                want, infinite = want[:, 1:], np.isinf(want[:, 1:])
+                assert np.array_equal(got[infinite], want[infinite]), (d, kind, i)
+                error = np.abs(got[~infinite] - want[~infinite])
+                bound = 1e-9 * (1.0 + np.abs(want[~infinite]))
+                assert np.all(error <= bound), (d, kind, i)
+                compared += len(want)
+                ends += [(~infinite[:, 1:]).sum(), infinite[:, 1:].sum()]
+    assert compared > 1000 and ends.min() > 0

@@ -712,6 +712,8 @@ def test_config_hash_covers_the_noise_variance_simulate_uses():
         ("0:1:0.35", (0.0, 0.35, 0.7)),  # the step does not divide: stop below hi
         ("0.1:0.3:0.1", (0.1, 0.2, 0.3)),  # 0.1 + 2 * 0.1 rounds past 0.3
         ("0:1:0.25", (0.0, 0.25, 0.5, 0.75, 1.0)),
+        ("0:1:1e12", (0.0,)),  # one value: lo, never snapped to hi (was (1.0,))
+        ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.3)),  # 3 * 0.1 rounds past 0.3
     ],
 )
 def test_param_sweep_never_passes_hi_and_ends_on_it_when_the_step_divides(
@@ -720,6 +722,30 @@ def test_param_sweep_never_passes_hi_and_ends_on_it_when_the_step_divides(
     got = _parse_sweep(text)
     assert got == want
     assert max(got) <= float(text.split(":")[1])
+
+
+@pytest.mark.parametrize("text", ["-0", "-0:-0:1", "0:-0:1", "-0:1:0.5"])
+def test_param_sweep_starts_at_positive_zero(text):
+    got = _parse_sweep(text)
+    assert got[0] == 0.0 and np.copysign(1.0, got[0]) == 1.0
+
+
+def test_param_minus_zero_writes_the_record_and_config_hash_of_zero(
+    panel_csv, tmp_path
+):
+    # it used to write "parameter": -0.0 under a config_hash of its own
+    written = {}
+    for param in ("-0", "0"):
+        out = tmp_path / f"sets{param}.json"
+        assert run_cli(
+            "sets", "--input", str(panel_csv), f"--param={param}", "--bootstrap", "20",
+            "--draws", "200", "--grid=-8:9:35", "--out", str(out),
+        ) == 0
+        written[param] = json.loads(out.read_text())
+    minus, plain = written["-0"], written["0"]
+    assert minus["config_hash"] == plain["config_hash"]
+    assert [r["parameter"] for r in minus["results"]] == [0.0]
+    assert np.copysign(1.0, minus["results"][0]["parameter"]) == 1.0
 
 
 IMPORT_GRAPH = """

@@ -34,7 +34,7 @@ from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
 from oracles import decisions, member_block
-from test_block_decisions import DESIGN, crossing_points, singular_basis_block
+from test_block_decisions import DESIGN, crossing_points, tied_vertex_block
 from test_critical_values import KAPPA, assert_close, design_chunks
 from test_member_sharing import BUILDERS, _systems, _wide_grid, shared_set
 
@@ -201,7 +201,7 @@ def test_a_member_whose_deterministic_rows_reject_every_open_point_gets_no_draws
     # member 0's deterministic row reads 1 at every point, so c is +inf for
     # it; member 1 has no deterministic rejection and keeps its stage one
     block = dataclasses.replace(
-        singular_basis_block(), det_a0=np.array([[1.0], [0.0]]),
+        tied_vertex_block(), det_a0=np.array([[1.0], [0.0]]),
         det_a1=np.zeros((2, 1)), det_tol=np.full((2, 1), 1e-8),
     )
     seen = {"c": [], "kept": [], "rows": 0}
