@@ -21,15 +21,16 @@ by the members with one X (none when that cone is {0}: the statistic is then
 ``_MEMBER_BLOCK`` at a time and fall into blocks (``_Block``), one per shared
 nuisance system: on a built family, one block per chunk.  The block is the
 unit of work and stays stacked from its moments to its decisions: one
-stage-one pass, one stacked ``eigh`` and one Monte Carlo product for the
-critical values of the members ``_screen`` keeps, and one stage-two pass
-with one truncated normal quantile call.  Each member's critical value is
-read from the upper tail of its draws (``_row_quantiles``): only the values
-not below a threshold set on a strided sample are partitioned.
+stage-one pass, one stacked ``eigh``, one Monte Carlo pass over norm-ordered
+draws that screens the members and computes the critical values of those it
+keeps, and one stage-two pass with one truncated normal quantile call.  Each
+critical value is read from the upper tail of its draws (``_row_quantiles``):
+only the values not below a threshold set on a strided sample are partitioned.
 """
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -80,7 +81,7 @@ _MEMBER_BLOCK = 16
 _MC_CHUNK_VALUES = 1 << 15
 # every _QUANTILE_STRIDE-th draw is the sample that sets a row's tail threshold
 _QUANTILE_STRIDE = 16
-# the screen's rounding margin, relative to 1 + |c| (``_screen``)
+# the rounding margin of the c a member is screened against, relative to 1 + |c|
 _SCREEN_MARGIN = 1e-9
 # values of one stacked stage-one statistic, or of one chunk of stage two's
 # vertex products (8 MiB)
@@ -505,78 +506,77 @@ def _gaussian_root(sigma):
 
 @functools.lru_cache(maxsize=4)
 def _standard_normals(seed, draws, dim):
-    """The Monte Carlo stage's (draws, dim) standard normals, read-only and
-    drawn once for all the members of a set that have ``dim`` moments."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    z = rng.standard_normal((draws, dim))
-    z.setflags(write=False)
-    return z
-
-
-@functools.lru_cache(maxsize=4)
-def _norm_order(seed, draws, dim):
-    """Indices of the draws // 2 + 1 ``_standard_normals`` of largest norm,
-    by descending norm, and those norms negated: all that ``_screen`` reads."""
-    z = _standard_normals(seed, draws, dim)
+    """The Monte Carlo stage's (draws, dim) seeded standard normals, drawn
+    once for all the members of a set that have ``dim`` moments, stably
+    sorted by descending norm, and those norms negated; both read-only.  A
+    critical value is an order statistic of its draws, which their order
+    does not change."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
+    z = np.random.default_rng(seq).standard_normal((draws, dim))
     neg = -np.sqrt(np.einsum("ij,ij->i", z, z))  # no squared copy of z
-    order = np.argsort(neg, kind="stable")[:draws // 2 + 1].astype(np.int32)
-    return order, neg[order]
+    order = np.argsort(neg, kind="stable")
+    rng, step = np.random.default_rng(seq), max(1, _MC_CHUNK_VALUES // dim)
+    for at in np.split(np.argsort(order), range(step, draws, step)):  # the stream again
+        z[at] = rng.standard_normal((len(at), dim))
+    neg = neg[order]
+    for a in (z, neg):
+        a.setflags(write=False)
+    return z, neg
 
 
-def _critical_values(block, kappa, draws, seed, c=None):
+def _critical_values(block, kappa, draws, seed, c=-np.inf):
     """Least-favorable critical values of a block's members, the 1 - kappa
     quantiles over seeded normals Z of the max over vertices of P Z',
-    P = vertices @ root.  The roots come from one stacked ``eigh``, and the
-    members' P, stacked vertex-major (row j*n + i is member i's vertex j),
-    make one chunked product (``_stacked_maxima``); each row's quantile is
-    then read from its upper tail (``_row_quantiles``), exactly as
-    ``np.quantile`` gives it.  -inf, and no product, goes to members without
-    vertices and, given each member's least stage-one statistic ``c``, to
-    those whose critical value ``_screen`` shows to lie below it."""
+    P = vertices @ root (roots from one stacked ``eigh``), or -inf where they
+    lie below the member's least stage-one statistic ``c``.
+
+    A critical value is at most its draws' order statistic hi
+    (``_quantile_ranks``), so it lies below c, less a rounding margin, if
+    fewer than need = draws - hi draws reach c.  As P_j z <= max_j |P_j| |z|,
+    only the draws down to a norm of c / max_j |P_j|, the first ones of
+    ``_standard_normals``, can.  A member with fewer of them than need gets
+    no product.  The others' P, stacked vertex-major (row j*n + i is member
+    i's vertex j), multiply the draws in that order, ``_MC_CHUNK_VALUES``
+    values a chunk.  From need draws on, each time they have doubled and a
+    member could leave, one leaves once its draws that reached c and its
+    reachable draws ahead fall short of need.  The quantiles of the members
+    left are read from the upper tails of their maxima (``_row_quantiles``),
+    as ``np.quantile`` gives them."""
     n, nv, m = block.vertices.shape
     out = np.full(n, -np.inf)
     if nv == 0:
         return out
     products = block.vertices @ _gaussian_root(block.sigma)
-    z = _standard_normals(seed, draws, m)
-    keep = range(n) if c is None else _screen(products, c, kappa, z, seed)
-    if len(keep):
-        stacked = products[keep].transpose(1, 0, 2).reshape(-1, m)
-        out[keep] = _row_quantiles(_stacked_maxima(stacked, len(keep), z), 1.0 - kappa)
-    return out
-
-
-def _screen(products, c, kappa, z, seed):
-    """Indices of the members, P = ``products``, whose critical value may
-    reach c, their least eta* at the points their deterministic rows leave
-    (+inf when they leave none); the others reject every point at stage one.
-
-    A critical value is at most its draws' order statistic hi
-    (``_quantile_ranks``), so it lies below c if fewer than draws - hi draws
-    reach c, less a rounding margin.  As P_j z <= max_j |P_j| |z|, sorted
-    norms (``_norm_order``) bound how many can.  When that leaves at most
-    half the draws, they are counted exactly, largest norm first and a chunk
-    gathered by index at a time, up to draws - hi; past half, counting would
-    cost about what the member's Monte Carlo does, and the member is kept."""
-    n, nv, m = products.shape
-    need = len(z) - _quantile_ranks(len(z), 1.0 - kappa)[2]
+    z, neg = _standard_normals(seed, draws, m)
+    need = draws - _quantile_ranks(draws, 1.0 - kappa)[2]
     # c - margin (1 + |c|), far above the rounding of P z (|P_j| <= 1) and of
-    # the quantile; +inf stays +inf
-    c = c * (1.0 - _SCREEN_MARGIN * np.sign(c)) - _SCREEN_MARGIN
-    order, neg = _norm_order(seed, len(z), m)
+    # the quantile; an infinite c stays
+    c = np.broadcast_to(c * (1.0 - _SCREEN_MARGIN * np.sign(c)) - _SCREEN_MARGIN, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = c / np.linalg.norm(products, axis=2).max(axis=1)
-    reach = np.searchsorted(neg, -bound, side="right")  # |z| >= bound; nan: half + 1
-    half, count, s = len(z) // 2, np.zeros(n, dtype=int), 0
-    live = np.flatnonzero((need <= reach) & (reach <= half))
-    while len(live):
-        rows = products[live].transpose(1, 0, 2).reshape(-1, m)
-        step = max(1, min(_MC_CHUNK_VALUES // len(rows), s + need))  # doubling
-        top = (rows @ z[order[s:s + step]].T).reshape(nv, len(live), -1).max(axis=0)
-        count[live] += (top >= c[live, None]).sum(axis=1)
-        s += step
-        live = live[(count[live] < need) & (reach[live] > s)]
-    return np.flatnonzero((count >= need) | (reach > half))
+    reach = np.searchsorted(neg, -bound, side="right")  # |z| >= bound; nan: all
+    live = np.flatnonzero(reach >= need)
+    maxima, misses, done = np.empty((len(live), draws)), np.zeros(len(live), int), 0
+    rows = products[live].transpose(1, 0, 2).reshape(-1, m)
+    while len(live) and done < draws:
+        # count once the draws have doubled and a member could leave: its
+        # reachable draws ahead fall short of need
+        stop = min(max(need, 2 * done, reach[live].min() - need + 1), draws)
+        k, s, step = len(live), done, max(1, _MC_CHUNK_VALUES // len(rows))
+        while s < stop:
+            # one statement, so that no two chunks are held at once
+            maxima[:k, s:s + step] = (rows @ z[s:s + step].T).reshape(nv, k, -1).max(0)
+            s = min(s + step, draws)
+        misses += (maxima[:k, done:s] < c[live, None]).sum(axis=1)  # NaN reaches c
+        done = s
+        stay = np.flatnonzero(np.maximum(reach[live], done) - misses >= need)
+        if len(stay) < k:  # rows move up, so only live rows are touched
+            maxima[:len(stay), :done] = maxima[stay, :done]
+            live, misses = live[stay], misses[stay]
+            rows = products[live].transpose(1, 0, 2).reshape(-1, m)
+    if len(live):
+        out[live] = _row_quantiles(maxima[:len(live)], 1.0 - kappa)
+    return out
 
 
 def _row_quantiles(eta, q):
@@ -613,19 +613,6 @@ def _quantile_ranks(n, q):
     lo = math.floor(v)
     lo, hi = (-1, -1) if v >= n - 1 else (lo, lo + 1)  # numpy's clamp past the end
     return v - lo, lo % n, hi % n
-
-
-def _stacked_maxima(stacked, n, z):
-    """(n, draws) maxima over each system's rows of ``stacked @ z.T``, where
-    row j*n + i of ``stacked`` is system i's j-th row."""
-    out = np.empty((n, len(z)))
-    step = max(1, _MC_CHUNK_VALUES // len(stacked))
-    for s in range(0, len(z), step):
-        # one statement, so that no two chunks are held at once
-        out[:, s:s + step] = (
-            (stacked @ z[s:s + step].T).reshape(len(stacked) // n, n, -1).max(axis=0)
-        )
-    return out
 
 
 def _truncnorm_quantile(p, lo, hi):
@@ -691,9 +678,9 @@ def _block_decisions(block, points, alpha, kappa, draws, seed):
 
     Stage one forms eta* = max_v v'y at every point, stacked in chunks of
     ``_STACK_VALUES`` values, and keeps its optimal vertex.  Each member's
-    least eta* at the points its deterministic rows leave screens its
-    least-favorable critical value (``_critical_values``), and stage one
-    rejects when eta* exceeds that value.  Stage two (``_stage_two``)
+    least eta* at the points its deterministic rows leave is the c that
+    screens its least-favorable critical value (``_critical_values``), and
+    stage one rejects when eta* exceeds that value.  Stage two (``_stage_two``)
     conditions on the optimal dual vertex lam staying the argmax: every
     other vertex v keeps v'y <= lam'y, which is linear in the statistic
     along y(S) = z + c S and so cuts out [vlo, vup].  A degenerate optimum
@@ -791,9 +778,9 @@ def _first_stage_level(alpha, kappa):
 
 
 def _check_draws(draws):
-    """Refuse a least-favorable stage of fewer than one Monte Carlo draw."""
-    if draws < 1:
-        raise InvalidDraws(f"need at least 1 Monte Carlo draw, got {draws}")
+    """Refuse, before any work, a draw count that is not an integer >= 1."""
+    if isinstance(draws, bool) or not isinstance(draws, numbers.Integral) or draws < 1:
+        raise InvalidDraws(f"draws must be an integer of at least 1; got {draws!r}")
 
 
 def hybrid_test(
@@ -862,7 +849,7 @@ def confidence_set(
     ``_MEMBER_BLOCK`` at a time, and no block is formed once every point is
     accepted.  Each block is decided on the points still open, where a member
     whose critical value is sure to lie below its stage-one statistic at all
-    of them (``_screen``) rejects them at stage one, with no Monte Carlo draws.
+    of them (``_critical_values``) rejects them at stage one with few or no draws.
     """
     _check_alignment(coeffs, family)
     kappa = _first_stage_level(alpha, kappa)

@@ -9,7 +9,10 @@ slacks as linear functions of the statistic.  ``inference._stage_two``
 conditions on the dual vertices instead: the optimal vertex stays the
 argmax while no other vertex overtakes it, and it forms those products for
 a block of members at once.  ``member_block`` is the block of one member,
-``take`` the block of some of a block's members.
+``take`` the block of some of a block's members.  ``seeded_normals`` are
+the Monte Carlo stage's standard normals in the order of their stream, from
+one call; ``inference._standard_normals`` draws them in descending order of
+norm.
 
 ``vcov_csv`` is the covariance CSV as the per-element loop wrote it;
 ``estimators.write_vcov_csv`` formats each mirrored pair once.
@@ -101,6 +104,13 @@ def member_block(coeffs, member, basis):
     A, d = _reduced_rows(*rows, coeffs.cells, coeffs.positions)
     (block,) = _block_moments(coeffs, A, d, basis, {})
     return block
+
+
+def seeded_normals(seed, draws, dim):
+    """The (draws, dim) standard normals of the Monte Carlo stream of
+    ``seed``, in stream order."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    return rng.standard_normal((draws, dim))
 
 
 def take(block, members):

@@ -35,10 +35,13 @@ from test_member_sharing import toy_system  # noqa: F401 (a fixture)
 
 
 def crossing_points(blocks, n=61):
-    """Candidate values around where the blocks' moments change sign."""
-    cross = np.concatenate(
-        [b.a0[b.a1 != 0] / b.a1[b.a1 != 0] for b in blocks] + [np.zeros(1)]
-    )
+    """Candidate values around where the blocks' moments change sign.  A
+    loading on theta0 within rounding of zero, 1e-12 of the blocks' largest,
+    is zero: dividing by its residue would put the grid out near 1e15."""
+    a0 = np.concatenate([np.zeros(0)] + [b.a0.ravel() for b in blocks])
+    a1 = np.concatenate([np.zeros(0)] + [b.a1.ravel() for b in blocks])
+    moves = np.abs(a1) > 1e-12 * np.abs(a1).max(initial=0.0)
+    cross = np.concatenate([a0[moves] / a1[moves], np.zeros(1)])
     lo, hi = np.quantile(cross, [0.1, 0.9])
     pad = 0.5 * (hi - lo) + 1.0
     return np.linspace(lo - pad, hi + pad, n)

@@ -675,6 +675,24 @@ def test_run_refuses_a_negative_seed_before_the_panel_loads(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("draws", [500.0, True])
+@pytest.mark.parametrize("command", ["sets", "byperiod", "compare"])
+def test_run_refuses_a_non_integer_draw_count_before_the_panel_loads(
+    panel_csv, tmp_path, monkeypatch, command, draws
+):
+    import blockdid.cli
+
+    loads = []
+    monkeypatch.setattr(blockdid.cli, "load_panel", lambda *a, **k: loads.append(a))
+    out = tmp_path / "refused.out"
+    config = RunConfig(command, input=str(panel_csv), out=str(out), draws=draws)
+    with pytest.raises(ValueError, match="draws must be an integer") as info:
+        run(config)
+    assert info.value.code == "INVALID_DRAWS"
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_toy_honours_the_noise_variance(tmp_path):
     from blockdid.simgen import gen_example1, gen_toy
 

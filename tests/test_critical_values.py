@@ -2,7 +2,8 @@
 per-member product.
 
 The oracle is the Monte Carlo stage as it ran one member at a time: the
-member's draws xi = Z root' (Z the seeded standard normals, root its own
+member's draws xi = Z root' (Z the seeded standard normals in stream order,
+root its own
 Gaussian root), its profiled statistic per draw (the max over its vertices
 of vertices @ xi', or the profiling LP per draw for a member without
 vertices), and the 1 - kappa quantile.  ``_critical_values`` computes the
@@ -27,7 +28,6 @@ from blockdid.inference import (
     _critical_values,
     _gaussian_root,
     _reduced_rows,
-    _standard_normals,
     _target_basis,
     aggregated_att_target,
     aggregated_system,
@@ -46,7 +46,7 @@ from blockdid.simgen import gen_custom
 from blockdid.vcov import BootstrapSpec, bootstrap_vcov
 
 from conftest import random_spec
-from oracles import _eta_star_lp, take
+from oracles import _eta_star_lp, seeded_normals, take
 
 BUILDERS = {"rm-global": rm_global, "rm-cohort": rm_cohort, "sd": sd}
 W_BUILDERS = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}
@@ -64,7 +64,7 @@ def oracle_lf_cv(block, i, kappa, draws, seed):
     of vertices @ xi', or the profiling LP per draw for a member without
     vertices."""
     root = _gaussian_root(block.sigma[i])
-    xi = _standard_normals(seed, draws, root.shape[1]) @ root.T
+    xi = seeded_normals(seed, draws, root.shape[1]) @ root.T
     if block.vertices.shape[1]:
         eta = (block.vertices[i] @ xi.T).max(axis=0)
     else:
@@ -250,14 +250,28 @@ def test_a_members_critical_value_does_not_depend_on_its_block():
 
 @pytest.mark.parametrize("chunk", [1, 37, 1000])
 def test_chunked_product_matches_the_oracle(monkeypatch, chunk):
-    # chunks smaller than one draw's column, ragged and whole
+    # chunks smaller than one draw's column, ragged and whole; unscreened and
+    # screened, where every other member's c lies above its critical value,
+    # which may take it out of the product, and every other one's below it,
+    # which must keep it
     monkeypatch.setattr(inference, "_MC_CHUNK_VALUES", chunk)
     rng = np.random.default_rng(5)
     blocks = []
     while members(blocks) < 4:
         chunks = design_chunks(rng, "rm-global", "imputation")[0]
         blocks += [block for chunk in chunks for block in chunk]
+    out, kept = 0, 0
     for block in blocks:
-        lf_cv = _critical_values(block, KAPPA, 301, seed=3)
-        for i, cv in enumerate(lf_cv):
-            assert_close(cv, oracle_lf_cv(block, i, KAPPA, 301, seed=3))
+        want = [oracle_lf_cv(block, i, KAPPA, 301, 3) for i in range(len(block.sd))]
+        above = np.where(np.arange(len(want)) % 2, -1.0, 1.0)
+        for screened in (False, True):
+            c = np.array(want) + above if screened else np.full(len(want), -np.inf)
+            lf_cv = _critical_values(block, KAPPA, 301, 3, c)
+            for i, (cv, w) in enumerate(zip(lf_cv, want)):
+                if screened and cv == -np.inf and w != -np.inf:
+                    assert w < c[i]
+                    out += 1
+                else:
+                    assert_close(cv, w)
+                    kept += screened and w != -np.inf
+    assert out > 0 and kept > 0

@@ -54,6 +54,7 @@ from oracles import (
     lp_union,
     member_block,
     member_bounds,
+    seeded_normals,
 )
 from test_panel import grid_csv
 
@@ -629,11 +630,18 @@ def test_nuisance_basis_is_taken_again_after_rows_drop(rank_loss_system):
 
 
 def test_monte_carlo_normals_are_drawn_once_and_read_only():
-    z = _standard_normals(11, 50, 3)
-    assert _standard_normals(11, 50, 3) is z
-    assert not z.flags.writeable
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(1,)))
-    np.testing.assert_array_equal(z, rng.standard_normal((50, 3)))
+    # the cached draws are the seeded stream's rows, stably sorted by
+    # descending norm, with their norms negated; the stream is written a
+    # chunk at a time, in one chunk or in several
+    for draws, dim in ((50, 3), (5_000, 7), (40_000, 1)):
+        z, neg = _standard_normals(11, draws, dim)
+        assert _standard_normals(11, draws, dim)[0] is z
+        assert not z.flags.writeable and not neg.flags.writeable
+        stream = seeded_normals(11, draws, dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", stream, stream))
+        order = np.argsort(-norms, kind="stable")
+        np.testing.assert_array_equal(z, stream[order])
+        np.testing.assert_array_equal(neg, -norms[order])
 
 
 def test_nuisance_basis_invariance(boot_toy):
@@ -804,6 +812,28 @@ def test_confidence_set_refuses_fewer_than_one_draw(boot_toy, draws):
         confidence_set(coeffs, fam, target, draws=draws)
     with pytest.raises(InvalidDraws):
         hybrid_test(coeffs, fam.members[0], target, 0.0, draws=draws)
+
+
+@pytest.mark.parametrize("draws", [500.0, 1.5, True, "500", None])
+def test_a_non_integer_draw_count_is_refused_before_any_work(
+    boot_toy, monkeypatch, draws
+):
+    import blockdid.inference
+
+    layout, coeffs, bm = boot_toy
+    cells = coeffs.cells
+    fam = map_to_delta_space(sd(layout, cells, 0.1), bm)
+    target = overall_att_target(layout, cells)
+    formed = []
+    monkeypatch.setattr(
+        blockdid.inference, "_target_basis", lambda *a: formed.append(a)
+    )
+    with pytest.raises(InvalidDraws) as info:
+        confidence_set(coeffs, fam, target, draws=draws)
+    assert info.value.code == "INVALID_DRAWS"
+    with pytest.raises(InvalidDraws):
+        hybrid_test(coeffs, fam.members[0], target, 0.0, draws=draws)
+    assert formed == []  # refused before any moment is formed
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])

@@ -1,13 +1,14 @@
 """The stage-one screen of ``_critical_values`` against the unscreened path.
 
 Given c, each member's smallest stage-one statistic at the open points,
-``_screen`` keeps only the members that may accept one of them at stage
-one; the others get -inf, and so reject every open point at stage one, with
-no Monte Carlo product.  A member is screened out only when fewer than
-draws - hi of its draws reach c (hi the upper order statistic of the
-quantile).  So its unscreened critical value must lie below c, the kept
+``_critical_values`` gives the members that cannot accept one of them at
+stage one the critical value -inf, so that they reject every open point
+there.  A member leaves the Monte Carlo product, or never enters it, only
+once fewer than draws - hi of its draws can still reach c (hi the upper
+order statistic of the quantile).  So its unscreened critical value must lie below c, the kept
 members' critical values must not change, and neither may any set or
-``hybrid_test`` decision.
+``hybrid_test`` decision.  The unscreened reference is the same call with
+c = -inf, which no draw misses.
 """
 
 import dataclasses
@@ -95,18 +96,44 @@ def test_screened_out_members_reject_every_open_point_and_kept_ones_keep_their_v
     assert screened > 20 and kept > 20
 
 
+def test_a_member_stays_while_its_reachable_draws_ahead_can_still_reach_c(
+    monkeypatch,
+):
+    # one draw a chunk; member 0's c leaves it only its nine largest-norm
+    # draws, so the members are first counted after seven or eight.  Every
+    # other member's c lies just below its critical value, which it must
+    # keep, though few of its draws that reach c come that early
+    monkeypatch.setattr(inference, "_MC_CHUNK_VALUES", 1)
+    kept = 0
+    for draws in (301, 500):
+        for block, _, seed in screened_designs(draws, designs=6):
+            n, nv, m = block.vertices.shape
+            if n < 2:
+                continue
+            full = _critical_values(block, KAPPA, draws, seed)
+            neg = inference._standard_normals(seed, draws, m)[1]
+            P = block.vertices[0] @ inference._gaussian_root(block.sigma[0])
+            c = np.nextafter(full, -np.inf)
+            c[0] = -neg[8] * np.linalg.norm(P, axis=1).max()
+            got = _critical_values(block, KAPPA, draws, seed, c)
+            for g, w in zip(got[1:], full[1:]):
+                assert_close(g, w)
+            kept += n - 1
+    assert kept > 20
+
+
 def test_without_its_rounding_margin_and_with_half_the_norm_bound_the_screen_fails(
     monkeypatch,
 ):
     """Mutation check: the soundness check above sees an unsound screen."""
-    norm_order = inference._norm_order
+    normals = inference._standard_normals
 
     def half_the_bound(seed, draws, dim):
-        order, neg = norm_order(seed, draws, dim)
-        return order, neg / 2.0
+        z, neg = normals(seed, draws, dim)
+        return z, neg / 2.0
 
     monkeypatch.setattr(inference, "_SCREEN_MARGIN", 0.0)
-    monkeypatch.setattr(inference, "_norm_order", half_the_bound)
+    monkeypatch.setattr(inference, "_standard_normals", half_the_bound)
     bad = sum(
         screen_violations(block, points, draws, seed)[0]
         for draws in (301, 500)
@@ -115,21 +142,62 @@ def test_without_its_rounding_margin_and_with_half_the_norm_bound_the_screen_fai
     assert bad > 0
 
 
-def keep_every_member(products, *args):
-    return np.arange(len(products))
+class CountedNormals(np.ndarray):
+    """Monte Carlo draws that record, in ``seen``, the (rows, draws) of
+    every product they enter."""
+
+    def __array_finalize__(self, obj):
+        self.seen = getattr(obj, "seen", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.seen.append((inputs[0].shape[0], inputs[1].shape[-1]))
+        inputs = tuple(np.asarray(x) for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def count_products(monkeypatch):
+    """The (rows, draws) of every Monte Carlo product, as they are formed."""
+    seen, normals = [], inference._standard_normals
+
+    def counted(seed, draws, dim):
+        z, neg = normals(seed, draws, dim)
+        z = z.view(CountedNormals)
+        z.seen = seen
+        return z, neg
+
+    monkeypatch.setattr(inference, "_standard_normals", counted)
+    return seen
+
+
+def screening(monkeypatch, out):
+    """``_critical_values`` as it is, appending to ``out`` how many members
+    of each block with vertices it screens out."""
+    critical_values = inference._critical_values
+
+    def counted(block, kappa, draws, seed, c=-np.inf):
+        lf_cv = critical_values(block, kappa, draws, seed, c)
+        if block.vertices.shape[1]:
+            out.append(int((lf_cv == -np.inf).sum()))
+        return lf_cv
+
+    monkeypatch.setattr(inference, "_critical_values", counted)
+
+
+def unscreened(monkeypatch):
+    """``_critical_values`` at its default c = -inf, whatever stage one reads."""
+    critical_values = inference._critical_values
+
+    def without_c(block, kappa, draws, seed, c=-np.inf):
+        return critical_values(block, kappa, draws, seed)
+
+    monkeypatch.setattr(inference, "_critical_values", without_c)
 
 
 @pytest.mark.parametrize("kind", ["rm-global", "rm-cohort"])
 def test_sets_equal_those_without_the_screen_at_any_block_size(monkeypatch, kind):
     rng = np.random.default_rng({"rm-global": 51, "rm-cohort": 52}[kind])
-    screen = inference._screen
     out = []
-
-    def counted(products, *args):
-        keep = screen(products, *args)
-        out.append(len(products) - len(keep))
-        return keep
-
     checked, i = 0, 0
     while checked < 3 and i < 20:
         i += 1
@@ -144,10 +212,12 @@ def test_sets_equal_those_without_the_screen_at_any_block_size(monkeypatch, kind
             grid = _wide_grid(coeffs, target)
             for size in (1, inference._MEMBER_BLOCK, fam.member_count):
                 monkeypatch.setattr(inference, "_MEMBER_BLOCK", size)
-                monkeypatch.setattr(inference, "_screen", counted)
-                got = shared_set(coeffs, fam, target, grid, seed)
-                monkeypatch.setattr(inference, "_screen", keep_every_member)
-                want = shared_set(coeffs, fam, target, grid, seed)
+                with monkeypatch.context() as patched:
+                    screening(patched, out)
+                    got = shared_set(coeffs, fam, target, grid, seed)
+                with monkeypatch.context() as patched:
+                    unscreened(patched)
+                    want = shared_set(coeffs, fam, target, grid, seed)
                 assert got.intervals == want.intervals, (kind, i, size)
             monkeypatch.undo()
             checked += 1
@@ -158,14 +228,7 @@ def test_sets_equal_those_without_the_screen_at_any_block_size(monkeypatch, kind
 @pytest.mark.parametrize("kind", ["rm-global", "rm-cohort"])
 def test_hybrid_test_decisions_equal_those_without_the_screen(monkeypatch, kind):
     rng = np.random.default_rng({"rm-global": 61, "rm-cohort": 62}[kind])
-    screen = inference._screen
     out = []
-
-    def counted(products, *args):
-        keep = screen(products, *args)
-        out.append(len(products) - len(keep))
-        return keep
-
     checked, i, decided = 0, 0, []
     while checked < 2 and i < 20:
         i += 1
@@ -183,12 +246,13 @@ def test_hybrid_test_decisions_equal_those_without_the_screen(monkeypatch, kind)
                     hybrid_test, coeffs, member, target, draws=301, seed=seed
                 )
                 for theta0 in points:
-                    monkeypatch.setattr(inference, "_screen", counted)
-                    got = test(theta0)
-                    monkeypatch.setattr(inference, "_screen", keep_every_member)
-                    assert got == test(theta0), (kind, i, m, theta0)
+                    with monkeypatch.context() as patched:
+                        screening(patched, out)
+                        got = test(theta0)
+                    with monkeypatch.context() as patched:
+                        unscreened(patched)
+                        assert got == test(theta0), (kind, i, m, theta0)
                     decided.append(got)
-            monkeypatch.undo()
             checked += 1
     assert checked == 2
     assert 0 < sum(decided) < len(decided)  # rejections and acceptances
@@ -204,27 +268,24 @@ def test_a_member_whose_deterministic_rows_reject_every_open_point_gets_no_draws
         tied_vertex_block(), det_a0=np.array([[1.0], [0.0]]),
         det_a1=np.zeros((2, 1)), det_tol=np.full((2, 1), 1e-8),
     )
-    seen = {"c": [], "kept": [], "rows": 0}
-    screen, stacked_maxima = inference._screen, inference._stacked_maxima
+    full = _critical_values(block, KAPPA, 300, 0)
+    seen = {"c": []}
+    critical_values = inference._critical_values
 
-    def count_kept(products, c, *args):
-        keep = screen(products, c, *args)
-        seen["c"].append(c), seen["kept"].append(keep)
-        return keep
+    def record_c(block, kappa, draws, seed, c):
+        seen["c"].append(c)
+        return critical_values(block, kappa, draws, seed, c)
 
-    def count_rows(stacked, n, z):
-        seen["rows"] += len(stacked)
-        return stacked_maxima(stacked, n, z)
-
-    monkeypatch.setattr(inference, "_screen", count_kept)
-    monkeypatch.setattr(inference, "_stacked_maxima", count_rows)
+    monkeypatch.setattr(inference, "_critical_values", record_c)
+    products = count_products(monkeypatch)
     points = np.linspace(-3.9, 3.9, 27)
     got = _block_decisions(block, points, 0.05, KAPPA, 300, 0)
-    (c,), (kept,) = seen["c"], seen["kept"]
-    assert c[0] == np.inf and 0 not in kept
-    assert seen["rows"] == len(kept) * block.vertices.shape[1]
+    ((c0, c1),) = seen["c"]
+    assert c0 == np.inf and c1 < np.inf
+    # every product row is one of member 1's vertices
+    nv = block.vertices.shape[1]
+    assert products and all(rows == nv for rows, _ in products)
     assert got[0].all()
-    full = _critical_values(block, KAPPA, 300, 0)
     assert np.array_equal(got[1], decisions(block, 1, full[1], points, 0.05, KAPPA))
 
 
@@ -243,28 +304,22 @@ def test_the_screen_cuts_the_monte_carlo_rows_on_a_c12_shaped_family(monkeypatch
     bias_map = invert(build_w_imputation(layout, coeffs.cells))
     fam = map_to_delta_space(rm_cohort(layout, coeffs.cells, 0.5), bias_map)
     assert fam.member_count == 320
-    seen = {"members": 0, "vertex_rows": 0, "rows": 0, "kept": 0}
-    critical_values, stacked_maxima, screen = (
-        inference._critical_values, inference._stacked_maxima, inference._screen
-    )
+    seen = {"members": 0, "vertex_values": 0, "kept": 0}
+    critical_values = inference._critical_values
+    row_quantiles = inference._row_quantiles
 
-    def count_members(block, *args):
+    def count_members(block, kappa, draws, *args):
         seen["members"] += len(block.sd)
-        seen["vertex_rows"] += len(block.sd) * block.vertices.shape[1]
-        return critical_values(block, *args)
+        seen["vertex_values"] += len(block.sd) * block.vertices.shape[1] * draws
+        return critical_values(block, kappa, draws, *args)
 
-    def count_rows(stacked, n, z):
-        seen["rows"] += len(stacked)
-        return stacked_maxima(stacked, n, z)
-
-    def count_kept(*args):
-        keep = screen(*args)
-        seen["kept"] += len(keep)
-        return keep
+    def count_kept(eta, q):
+        seen["kept"] += len(eta)
+        return row_quantiles(eta, q)
 
     monkeypatch.setattr(inference, "_critical_values", count_members)
-    monkeypatch.setattr(inference, "_stacked_maxima", count_rows)
-    monkeypatch.setattr(inference, "_screen", count_kept)
+    monkeypatch.setattr(inference, "_row_quantiles", count_kept)
+    products = count_products(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the grid boundary
         cset = confidence_set(
@@ -272,4 +327,5 @@ def test_the_screen_cuts_the_monte_carlo_rows_on_a_c12_shaped_family(monkeypatch
         )
     assert not cset.is_empty
     assert 0 < seen["kept"] < seen["members"]
-    assert 0 < seen["rows"] < seen["vertex_rows"]  # members x vertices
+    # the product's row-draw values, against members x vertices x draws
+    assert 0 < sum(rows * draws for rows, draws in products) < seen["vertex_values"]
