@@ -5,16 +5,17 @@ bias plus size-weighted contributions from cohorts that adopted between the
 cell's cohort and the cell's calendar time.  Stacking cells in canonical
 order turns this into delta = W * Delta with W unit-diagonal and invertible:
 block diagonal across calendar times for the imputation estimator, block
-lower-triangular for the not-yet-treated estimator.  Pre-treatment rows are
-identity rows (pre-treatment overall bias is defined to equal the block
-bias).
+lower-triangular for the not-yet-treated estimator, each diagonal block unit
+upper-triangular.  Pre-treatment rows are identity rows (pre-treatment
+overall bias is defined to equal the block bias).  :func:`invert` uses that
+structure: it inverts the diagonal blocks together and forms the rest of
+W^-1 by block forward substitution, in numpy alone.
 """
 
 import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .panel import CellIndex, CohortLayout
 
@@ -77,36 +78,53 @@ def build_w_csnyt(layout: CohortLayout, cells: CellIndex) -> BiasMap:
     return _build_w(layout, cells, "csnyt")
 
 
-def invert(bias_map: BiasMap) -> BiasMap:
-    """Populate the inverse with one unit-triangular solve.
+def _unit_upper_inverses(U):
+    """Inverses of a stack of unit upper-triangular matrices, by one back
+    substitution over their rows: row i is e_i less U[i, i+1:] times the
+    rows below it, formed as 0.0 - s so that an all-zero s leaves +0.0, as
+    a triangular solve does."""
+    X = np.zeros_like(U)
+    for i in reversed(range(U.shape[-1])):
+        X[:, i, i] = 1.0
+        X[:, i, i + 1 :] = 0.0 - (U[:, i, None, i + 1 :] @ X[:, i + 1 :, i + 1 :])[:, 0]
+    return X
 
-    Cells sharing a calendar time form the diagonal blocks; each block is
-    unit upper-triangular, and any off-diagonal blocks sit strictly below the
-    diagonal.  Reversing the cell order within every block therefore makes W
-    unit lower-triangular.
+
+def invert(bias_map: BiasMap) -> BiasMap:
+    """Populate the inverse by block forward substitution over calendar times.
+
+    The cells of calendar time t form a G x G diagonal block W_tt, unit
+    upper-triangular; any other entries sit in blocks W_ts with s < t, and an
+    entry anywhere else is refused.  The T diagonal blocks are inverted
+    together by one stacked back substitution.  With nothing below them (the
+    imputation map) those inverses are W^-1's diagonal blocks.  Otherwise
+    (the not-yet-treated map) block row t of X = W^-1 is
+    W_tt^-1 (I_t - sum_{s<t} W_ts X_s), summed over the blocks W_ts that
+    carry entries.  Beyond W and W^-1 only O(G n) work arrays are held.
     """
     cells = bias_map.cells
-    cal = cells.cal
-    # reverses each run of equal calendar times; its own inverse
-    perm = (
-        np.searchsorted(cal, cal, "left")
-        + np.searchsorted(cal, cal, "right")
-        - 1
-        - np.arange(len(cal))
-    )
-    ix = np.ix_(perm, perm)
-    # gathered from W.T and transposed back: Fortran order, which LAPACK
-    # takes without a copy
-    lower = bias_map.W.T[ix].T
-    if np.any(np.triu(lower, 1)):
+    W, cal = bias_map.W, cells.cal
+    G, T = len(cells.times), cells.n_periods
+    rows, cols = np.nonzero(W)
+    row_t, col_t = cal[rows] - 1, cal[cols] - 1  # 0-based calendar blocks
+    if np.any((col_t > row_t) | ((col_t == row_t) & (cols < rows))):
         raise ValueError("W is not block-triangular over calendar times")
-    inverse = solve_triangular(
-        lower, np.eye(len(cal), order="F"), lower=True, unit_diagonal=True,
-        overwrite_b=True,
-    )
-    del lower  # at most two n x n temporaries alive besides W
-    W_inv = inverse[ix]
-    del inverse
+    blocks = np.arange(T)
+    diagonal = _unit_upper_inverses(W.reshape(T, G, T, G)[blocks, :, blocks, :])
+    W_inv = np.zeros((G * T, G * T))
+    W_inv.reshape(T, G, T, G)[blocks, :, blocks, :] = diagonal
+    below = col_t < row_t
+    # the blocks (t, s) below the diagonal that carry entries, t-major
+    pairs = np.unique(row_t[below] * T + col_t[below])
+    for t in np.unique(pairs // T).tolist():
+        # row block t of X is zero from column t G on, and the rows of
+        # earlier blocks are final; subtracting from +0.0 keeps zeros +0.0
+        block = slice(t * G, (t + 1) * G)
+        rhs = np.zeros((G, t * G))
+        for s in (pairs[pairs // T == t] % T).tolist():
+            end = (s + 1) * G
+            rhs[:, :end] -= W[block, s * G : end] @ W_inv[s * G : end, :end]
+        W_inv[block, : t * G] = diagonal[t] @ rhs
     W_inv.setflags(write=False)
     out = copy.copy(bias_map)  # shares the already-frozen W
     object.__setattr__(out, "W_inverse", W_inv)

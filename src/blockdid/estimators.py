@@ -22,7 +22,6 @@ check it against, live in ``tests/oracles.py``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as scilinalg
 
 from .panel import CellIndex, CohortLayout, PanelData, build_cell_index, build_layout
 
@@ -62,9 +61,10 @@ def _semidefinite(v, scale):
     shifted = v.copy()
     shifted.flat[:: len(v) + 1] += 1e-8 * scale
     try:
-        # shifted.T is Fortran-ordered, so it is factored in place, and its
-        # upper triangle is v's lower one, the triangle eigvalsh reads
-        scilinalg.cholesky(shifted.T, overwrite_a=True, check_finite=False)
+        # numpy's Cholesky reads the lower triangle, the one eigvalsh reads;
+        # shifting the diagonal of one copy, not adding a scaled np.eye(n),
+        # keeps an n x n temporary off the peak
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True

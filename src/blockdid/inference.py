@@ -26,6 +26,10 @@ draws that screens the members and computes the critical values of those it
 keeps, and one stage-two pass with one truncated normal quantile call.  Each
 critical value is read from the upper tail of its draws (``_row_quantiles``):
 only the values not below a threshold set on a strided sample are partitioned.
+
+``scipy.linalg`` and ``scipy.special`` are imported inside the functions that
+call them, so that importing the package, and every command that runs no set
+inference, loads no scipy module.
 """
 
 import functools
@@ -35,8 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as scilinalg
-from scipy import special as scispecial
 
 from .biasmap import BiasMap
 from .estimators import AggregatedSeries, CoefficientSet, _check_pre_zero_sum
@@ -453,6 +455,8 @@ def _cone_rays(X):
     it separates.  Two rays are adjacent when no third ray's zero set
     contains their common zero set, which holds at degenerate vertices too.
     """
+    from scipy import linalg as scilinalg
+
     m, k = X.shape
     r = m - k
     if r == 0:  # X is square and invertible
@@ -623,6 +627,8 @@ def _truncnorm_quantile(p, lo, hi):
     empty interval gives ``lo``, a far-tail one with no finite quantile its
     finite bound.
     """
+    from scipy import special as scispecial
+
     lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi)))
     free = np.isinf(lo) & np.isinf(hi) & (lo < hi)
     cut = ~(lo >= hi) & ~free
@@ -638,6 +644,8 @@ def _truncnorm_ppf(q, a, b):
     """scipy's ``truncnorm.ppf(q, a, b)`` by scipy 1.17's log-space
     algorithm, operation for operation: nan unless a < b, a at q == 0, b at
     q == 1, else ``ndtri_exp`` of the log cdf, from a's side when a < 0."""
+    from scipy import special as scispecial
+
     q, a, b = np.broadcast_arrays(np.asarray(q, dtype=float), a, b)
     out = np.full(q.shape, np.nan)
     ok = a < b
@@ -660,6 +668,8 @@ def _truncnorm_ppf(q, a, b):
 def _log_gauss_mass(a, b):
     """Log standard normal mass of [a, b] as scipy's ``truncnorm`` has it:
     ``log_ndtr`` differences (-e^x = e^(x + pi i)) in the tails, else log1p."""
+    from scipy import special as scispecial
+
     out = np.full_like(a, np.nan, dtype=np.complex128)
     left, right = b <= 0, a > 0
     for at, upper, lower in ((left, b, a), (right, -a, -b)):
@@ -916,6 +926,8 @@ def _pinned_path(cells: CellIndex, positions, family_kind, bias_map, target):
     theta = l'betahat - (u - R'U)'Delta_pre - U'delta: c is l less u - R'U
     on the pre cells.
     """
+    from scipy import linalg as scilinalg
+
     R = path_rows(cells, family_kind)
     _require_full_coverage(cells, positions)
     post = _post_cells(cells)

@@ -40,8 +40,9 @@ class InvalidSeed(ValueError):
 
 def _check_seed(seed):
     """Refuse, with a stable code and before any work, what ``SeedSequence``
-    would refuse: a seed that is not a nonnegative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    would refuse: a seed that is not a nonnegative integer.  A bool is
+    refused too, though ``SeedSequence`` would take ``True`` as 1."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidSeed(
             "seed must be a nonnegative integer (--seed on the command line); "
             f"got {seed!r}"

@@ -49,6 +49,11 @@ replaced, the studentized max moment minimised over the nuisance, and
 ``brute_force_vertices`` lists those vertices from every basis of
 ``[sd, X]``.
 
+``dense_inverse`` is W^-1 by one dense LAPACK unit-triangular solve, after
+reversing the cells of every calendar block so that W is lower-triangular.
+``biasmap.invert`` inverts the diagonal blocks together and forms the rest
+by block forward substitution instead.
+
 ``load_panel_csv`` is the panel loader as it read every file: through the
 csv reader, ``block`` rows at a time, a column at a time, with a block that
 has a bad field parsed again row by row.  ``panel.load_panel`` parses a
@@ -64,6 +69,7 @@ import math
 
 import numpy as np
 from scipy import optimize as sciopt
+from scipy.linalg import solve_triangular
 
 from blockdid.estimators import (
     CoefficientSet,
@@ -373,6 +379,28 @@ def corrected_weights_dense(cells, positions, family_kind, bias_map, target):
     post = cells.post[positions]
     l_vec = target.weights[positions]
     return l_vec - M[post].T @ l_vec[post]
+
+
+def dense_inverse(bias_map):
+    """W^-1 by one unit lower-triangular solve against the identity: the
+    cells of each calendar block are reversed, which makes W's unit
+    upper-triangular diagonal blocks lower-triangular and leaves the blocks
+    below them below."""
+    cal = bias_map.cells.cal
+    # reverses each run of equal calendar times; its own inverse
+    perm = (
+        np.searchsorted(cal, cal, "left")
+        + np.searchsorted(cal, cal, "right")
+        - 1
+        - np.arange(len(cal))
+    )
+    ix = np.ix_(perm, perm)
+    lower = bias_map.W[ix]
+    if np.any(np.triu(lower, 1)):
+        raise ValueError("W is not block-triangular over calendar times")
+    return solve_triangular(
+        lower, np.eye(len(cal)), lower=True, unit_diagonal=True
+    )[ix]
 
 
 def plugin_box_tails(coeffs, family, target):

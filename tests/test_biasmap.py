@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from blockdid.estimators import CoefficientSet, estimate
 from blockdid.panel import build_cell_index, build_layout, load_panel
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 
-from oracles import adjustment_cohorts, initial_control_units
+from conftest import random_spec
+from oracles import adjustment_cohorts, dense_inverse, initial_control_units
 from test_panel import grid_csv
 
 
@@ -104,15 +106,19 @@ def test_inverse_structure(staircase_layout):
             assert np.max(np.abs(bm.W_inverse[off_block])) == 0
 
 
+def _wide_layout(never):
+    # T=40, twenty cohorts adopting at t=2,4,...,40: 800 cells
+    units = [(f"g{t}_{i}", str(t)) for t in range(2, 41, 2) for i in range(t % 5 + 1)]
+    units += [(f"n{i}", "never") for i in range(never)]
+    return build_layout(load_panel(io.StringIO(grid_csv(units, T=40))))
+
+
 @pytest.mark.parametrize(
     "estimator, builder",
     [("imputation", build_w_imputation), ("csnyt", build_w_csnyt)],
 )
 def test_inverse_wide_layout(estimator, builder):
-    # T=40, twenty cohorts of unequal sizes: 800 cells
-    units = [(f"g{t}_{i}", str(t)) for t in range(2, 41, 2) for i in range(t % 5 + 1)]
-    units += [(f"n{i}", "never") for i in range(7)]
-    layout = build_layout(load_panel(io.StringIO(grid_csv(units, T=40))))
+    layout = _wide_layout(7)  # twenty cohorts of unequal sizes
     cells = build_cell_index(layout, 40, estimator)
     bm = invert(builder(layout, cells))
     resid = np.abs(bm.W @ bm.W_inverse - np.eye(len(cells))).sum(axis=1).max()
@@ -121,10 +127,58 @@ def test_inverse_wide_layout(estimator, builder):
 
 def test_invert_rejects_entries_in_later_calendar_blocks(staircase_layout):
     cells = build_cell_index(staircase_layout, 8, "imputation")
-    W = np.eye(len(cells))
-    W[cells.position(4, 1), cells.position(4, 2)] = 0.5  # t=4 row, t=5 column
-    with pytest.raises(ValueError, match="block-triangular"):
-        invert(BiasMap(estimator="imputation", cells=cells, W=W))
+    for row, col, value in (
+        ((4, 1), (4, 2), 0.5),  # t=4 row, t=5 column
+        ((8, 1), (4, 5), 0.5),  # below the diagonal inside the t=8 block
+        ((4, 2), (6, 1), np.nan),  # a nan in a later block is an entry too
+    ):
+        W = np.eye(len(cells))
+        W[cells.position(*row), cells.position(*col)] = value
+        with pytest.raises(ValueError, match="block-triangular"):
+            invert(BiasMap(estimator="imputation", cells=cells, W=W))
+
+
+def test_invert_matches_the_dense_triangular_solve():
+    # the block solve sums in another order than LAPACK's, so entries may
+    # differ in the last bits: each within 8 eps of the dense solve's entry,
+    # relative, with the same zeros and the same sign bits (-0.0 included),
+    # which the CSV writer prints
+    layouts = [_wide_layout(7), _wide_layout(400)]
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        panel = gen_custom(random_spec(rng, max_n=80, max_t=16, max_g=10)).panel
+        layouts.append(build_layout(panel))
+    for layout in layouts:
+        for estimator, builder in (
+            ("imputation", build_w_imputation),
+            ("csnyt", build_w_csnyt),
+        ):
+            cells = build_cell_index(layout, layout.n_periods, estimator)
+            bm = builder(layout, cells)
+            want, got = dense_inverse(bm), invert(bm).W_inverse
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(got == 0, want == 0)
+            tol = 8 * np.finfo(float).eps * np.abs(want)
+            assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
+def test_invert_holds_only_the_inverse_and_small_work_arrays(estimator):
+    # beyond W, the 800-cell inversion holds W^-1 and O(G n) floats; the
+    # dense solve held three n x n arrays at once
+    layout = _wide_layout(400)
+    cells = build_cell_index(layout, 40, estimator)
+    bm = {"imputation": build_w_imputation, "csnyt": build_w_csnyt}[estimator](
+        layout, cells
+    )
+    n, G = len(cells), layout.n_cohorts
+    tracemalloc.start()
+    try:
+        invert(bm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n * n + 8 * G * n)
 
 
 @pytest.mark.parametrize("estimator", ["imputation", "csnyt"])

@@ -665,14 +665,16 @@ def test_run_refuses_a_negative_seed_before_the_panel_loads(
     loads = []
     monkeypatch.setattr(blockdid.cli, "load_panel", lambda *a, **k: loads.append(a))
     out = tmp_path / "refused.out"
-    config = RunConfig(
-        command, input=str(panel_csv), out=str(out), seed=-1, example="toy"
-    )
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer") as info:
-        run(config)
-    assert info.value.code == "INVALID_SEED"
-    assert loads == []
-    assert list(tmp_path.iterdir()) == []
+    for seed in (-1, True):  # True too: SeedSequence would run it as seed 1
+        config = RunConfig(
+            command, input=str(panel_csv), out=str(out), seed=seed, example="toy"
+        )
+        refusal = "seed must be a nonnegative integer"
+        with pytest.raises(ValueError, match=refusal) as info:
+            run(config)
+        assert info.value.code == "INVALID_SEED"
+        assert loads == []
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("draws", [500.0, True])
@@ -802,3 +804,50 @@ def test_no_command_loads_scipy_stats_or_optimize(tmp_path):
     after_import, after_sets, quantile_calls = json.loads(done.stdout.splitlines()[-1])
     assert after_import == [] and after_sets == []
     assert quantile_calls > 0
+
+
+EXPORT_GRAPH = """
+import json, sys
+from blockdid.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+panel = ["--input", out + "/toy.csv"]
+codes = [
+    main(["simulate", "--example", "toy", "--seed", "3", "--out", out + "/toy.csv"]),
+    main(["validate", *panel]),
+    main(["estimate", *panel, "--out", out + "/coeffs.csv"]),
+    main(["vcov", *panel, "--bootstrap", "20", "--out", out + "/vcov.csv"]),
+]
+for estimator in ("imputation", "csnyt"):
+    codes.append(main([
+        "biasmap", *panel, "--estimator", estimator, "--inverse",
+        "--out", out + "/winv_" + estimator + ".csv",
+    ]))
+after_export = scipy_modules()
+codes.append(main([
+    "sets", *panel, "--param", "0:1:0.5", "--bootstrap", "20", "--draws", "200",
+    "--out", out + "/sets.json",
+]))
+print(json.dumps([codes, after_export, scipy_modules()]))
+"""
+
+
+def test_export_commands_load_no_scipy(tmp_path):
+    """A fresh process that imports the CLI and runs every export command
+    loads no scipy module; set inference then loads ``scipy.linalg`` and
+    ``scipy.special`` on first use and succeeds."""
+    src = str(Path(blockdid.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", EXPORT_GRAPH, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    codes, after_export, after_sets = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 7
+    assert after_export == []
+    assert {"scipy.linalg", "scipy.special"} <= set(after_sets)
+    assert json.loads((tmp_path / "sets.json").read_text())["results"]

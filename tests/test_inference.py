@@ -836,7 +836,7 @@ def test_a_non_integer_draw_count_is_refused_before_any_work(
     assert formed == []  # refused before any moment is formed
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 @pytest.mark.parametrize("test", ["confidence_set", "hybrid_test"])
 def test_monte_carlo_seed_must_be_a_nonnegative_integer(
     boot_toy, monkeypatch, test, seed

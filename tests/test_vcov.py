@@ -90,8 +90,9 @@ def test_replications_floor():
         BootstrapSpec(replications=1)
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None, True, False])
 def test_seed_must_be_a_nonnegative_integer(seed):
+    # a bool is an Integral, but True is no seed: SeedSequence would run it as 1
     with pytest.raises(InvalidSeed, match="seed must be a nonnegative integer") as info:
         BootstrapSpec(10, seed)
     assert info.value.code == "INVALID_SEED"
