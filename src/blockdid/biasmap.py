@@ -105,7 +105,9 @@ def invert(bias_map: BiasMap) -> BiasMap:
     cells = bias_map.cells
     W, cal = bias_map.W, cells.cal
     G, T = len(cells.times), cells.n_periods
-    rows, cols = np.nonzero(W)
+    # the same entries as np.nonzero(W) (nan counts, -0.0 does not), found
+    # faster in a bool array
+    rows, cols = np.nonzero(W != 0)
     row_t, col_t = cal[rows] - 1, cal[cols] - 1  # 0-based calendar blocks
     if np.any((col_t > row_t) | ((col_t == row_t) & (cols < rows))):
         raise ValueError("W is not block-triangular over calendar times")

@@ -52,21 +52,50 @@ def _check_pre_zero_sum(cells: CellIndex, positions, values, error=ValueError):
             )
 
 
+# columns per step of the blocked Cholesky check, and rows per strip of the
+# covariance's symmetry scans: each step holds O(_CHOL_BLOCK n) floats
+_CHOL_BLOCK = 128
+
+
+def _asymmetry(v):
+    """max |v - v.T| of a square ``v``, by strips of rows: strip r0:r1 meets
+    the columns from r0 on, which covers each mirrored pair once or twice,
+    and no temporary exceeds _CHOL_BLOCK rows."""
+    worst = 0.0
+    for r0 in range(0, len(v), _CHOL_BLOCK):
+        r1 = r0 + _CHOL_BLOCK
+        gap = v[r0:r1, r0:] - v[r0:, r0:r1].T
+        worst = max(worst, float(np.max(np.abs(gap, out=gap))))
+    return worst
+
+
 def _semidefinite(v, scale):
     """Whether no eigenvalue of the symmetric ``v`` lies below -1e-8 * scale,
     by a Cholesky factorization of v + 1e-8 * scale * I, which fails when one
-    does.  With scale <= 0 only the zero matrix passes."""
+    does.  With scale <= 0 only the zero matrix passes.
+
+    One shifted copy of ``v`` is factored in place, _CHOL_BLOCK columns at a
+    time, and only its lower triangle is read, as LAPACK reads it: numpy's
+    Cholesky factors the diagonal block (and fails exactly when the check
+    refuses), a solve turns the panel below it into the factor's panel, and
+    the trailing lower triangle is updated in column panels.  So beyond
+    ``v`` the check holds the copy and O(_CHOL_BLOCK n) work arrays."""
     if scale <= 0:
         return not np.any(v)
-    shifted = v.copy()
-    shifted.flat[:: len(v) + 1] += 1e-8 * scale
-    try:
-        # numpy's Cholesky reads the lower triangle, the one eigvalsh reads;
-        # shifting the diagonal of one copy, not adding a scaled np.eye(n),
-        # keeps an n x n temporary off the peak
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
+    n = len(v)
+    a = v.copy()
+    a.flat[:: n + 1] += 1e-8 * scale
+    for k0 in range(0, n, _CHOL_BLOCK):
+        k1 = k0 + _CHOL_BLOCK
+        try:
+            factor = np.linalg.cholesky(a[k0:k1, k0:k1])
+        except np.linalg.LinAlgError:
+            return False
+        panel = a[k1:, k0:k1]  # becomes L21, with L21 factor.T = A21
+        panel[...] = np.linalg.solve(factor, panel.T).T
+        for j0 in range(k1, n, _CHOL_BLOCK):
+            lead = panel[j0 - k1 : j0 - k1 + _CHOL_BLOCK]
+            a[j0:, j0 : j0 + _CHOL_BLOCK] -= panel[j0 - k1 :] @ lead.T
     return True
 
 
@@ -76,7 +105,11 @@ class CoefficientSet:
 
     ``positions`` are cell positions (canonical order, ascending); ``values``
     the coefficients at those cells: block biases on pre cells, estimated
-    effects on post cells.  ``vcov``, when present, is aligned to ``values``.
+    effects on post cells.  ``vcov``, when present, is aligned to ``values``
+    and refused unless its entries are finite, it is symmetric within
+    1e-10 times its largest variance and it passes :func:`_semidefinite`.
+    Beyond ``vcov`` these checks hold one n x n working copy, the
+    Cholesky check's, and O(_CHOL_BLOCK n) strips and panels.
     """
 
     estimator: str
@@ -108,9 +141,13 @@ class CoefficientSet:
             v = np.asarray(self.vcov, dtype=float)
             if v.shape != (len(values), len(values)):
                 raise ValueError("vcov shape does not match values")
+            # NaN slips through both checks below; min and max find any
+            # non-finite entry with no temporary
+            if not np.isfinite([np.min(v, initial=0.0), np.max(v, initial=0.0)]).all():
+                raise ValueError("vcov has non-finite entries")
             # rounding scales with the largest variance
             scale = np.max(np.diag(v), initial=0.0)
-            if np.max(np.abs(v - v.T), initial=0.0) > 1e-10 * scale:
+            if _asymmetry(v) > 1e-10 * scale:
                 raise ValueError("vcov is not symmetric")
             if not _semidefinite(v, scale):
                 raise ValueError("vcov is not positive semidefinite")

@@ -8,6 +8,7 @@ import pytest
 from blockdid import estimators
 from blockdid.estimators import (
     CoefficientSet,
+    _asymmetry,
     _semidefinite,
     aggregate,
     estimate,
@@ -357,10 +358,27 @@ def _cases(rng, n):
 
 
 def test_cholesky_psd_check_refuses_what_eigvalsh_refuses():
+    _check_psd_against_eigvalsh((1, 2, 3, 5, 8, 13, 21, 40, 80), reps=12)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_blocked_psd_check_refuses_what_eigvalsh_refuses(monkeypatch, block):
+    # the same cases, factored across many column blocks: block edges fall
+    # inside every matrix above the block size
+    monkeypatch.setattr(estimators, "_CHOL_BLOCK", block)
+    _check_psd_against_eigvalsh((1, 2, 3, 5, 8, 13, 21, 40), reps=4)
+
+
+def test_psd_check_above_the_shipped_block_size():
+    assert estimators._CHOL_BLOCK < 200
+    _check_psd_against_eigvalsh((estimators._CHOL_BLOCK + 1, 200, 300), reps=1)
+
+
+def _check_psd_against_eigvalsh(sizes, reps):
     rng = np.random.default_rng(11)
     below = 0
-    for n in (1, 2, 3, 5, 8, 13, 21, 40, 80):
-        for _ in range(12):
+    for n in sizes:
+        for _ in range(reps):
             for name, v in _cases(rng, n):
                 old = old_semidefinite(v)
                 new = _semidefinite(v, np.max(np.diag(v), initial=0.0))
@@ -371,13 +389,52 @@ def test_cholesky_psd_check_refuses_what_eigvalsh_refuses():
                 if name == "below":
                     assert not old  # the construction is below the threshold
                     below += 1
-    assert below == 8 * 12
+    assert below == sum(n > 1 for n in sizes) * reps
     # scale <= 0: only the zero matrix passes, as before
     for v in (np.zeros((0, 0)), np.zeros((3, 3))):
         assert _semidefinite(v, 0.0) and old_semidefinite(v)
     for v in (np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)):
         scale = np.max(np.diag(v))
         assert not _semidefinite(v, scale) and not old_semidefinite(v)
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+def test_blocked_asymmetry_matches_the_dense_measure(monkeypatch, block):
+    monkeypatch.setattr(estimators, "_CHOL_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (0, 1, 2, 7, 8, 15, 129, 300):
+        v = rng.normal(size=(n, n)) * np.exp(rng.uniform(-20, 20, size=(n, 1)))
+        assert _asymmetry(v) == np.max(np.abs(v - v.T), initial=0.0)
+        sym = (v + v.T) / 2.0
+        assert _asymmetry(sym) == 0.0
+        if n > 1:  # one pair off by an ulp, wherever it sits
+            i, j = rng.choice(n, size=2, replace=False)
+            sym[i, j] = np.nextafter(sym[i, j], np.inf)
+            assert _asymmetry(sym) == abs(sym[i, j] - sym[j, i]) > 0
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        ("off", np.nan),
+        ("diagonal", np.nan),
+        ("diagonal", np.inf),
+        ("off", np.inf),
+        ("off", -np.inf),
+    ],
+)
+def test_coefficient_set_refuses_a_non_finite_vcov(toy_panel, where, bad):
+    # nan passed the symmetry and Cholesky checks, and so did an infinite
+    # variance
+    coeffs = estimate(toy_panel, "imputation")
+    n = len(coeffs.values)
+    vcov = np.eye(n)
+    i, j = (2, 2) if where == "diagonal" else (1, 3)
+    vcov[i, j] = vcov[j, i] = bad
+    with pytest.raises(ValueError, match="vcov has non-finite entries"):
+        CoefficientSet(
+            coeffs.estimator, coeffs.cells, coeffs.positions, coeffs.values, vcov
+        )
 
 
 def test_vcov_csv_bytes_match_per_element_repr(toy_panel):

@@ -1,11 +1,20 @@
+import tracemalloc
 from itertools import groupby
 
 import numpy as np
 import pytest
 
+from blockdid import estimators, vcov
+from blockdid.estimators import CoefficientSet, estimate
 from blockdid.panel import PanelData, build_layout
 from blockdid.simgen import DGPSpec, Violation, gen_custom
-from blockdid.vcov import BootstrapSpec, InvalidSeed, _bootstrap_draws, bootstrap_vcov
+from blockdid.vcov import (
+    BootstrapSpec,
+    InvalidSeed,
+    _bootstrap_draws,
+    _symmetrize,
+    bootstrap_vcov,
+)
 
 from conftest import random_spec
 from oracles import bootstrap_draws, resample_rows
@@ -55,6 +64,53 @@ def test_vcov_bitwise_symmetric_on_random_designs(estimator):
         panel = gen_custom(random_spec(rng)).panel
         v = bootstrap_vcov(panel, BootstrapSpec(30, 4, estimator)).vcov
         assert (v.view(np.uint64) == v.T.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+def test_symmetrize_has_the_bits_of_the_dense_mean(monkeypatch, block):
+    monkeypatch.setattr(vcov, "_CHOL_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (0, 1, 2, 7, 8, 15, 129, 300):
+        v = rng.normal(size=(n, n)) * np.exp(rng.uniform(-20, 20, size=(n, 1)))
+        zeros = rng.random((n, n))
+        v[zeros < 0.1] = 0.0  # signed zeros, mirrored by either sign
+        v[zeros > 0.9] = -0.0
+        v[rng.random((n, n)) < 0.05] = 1.7e308  # sums that overflow
+        with np.errstate(over="ignore"):
+            want = (v + v.T) / 2.0
+            _symmetrize(v)
+        assert (v.view(np.uint64) == want.view(np.uint64)).all(), n
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_covariance_checks_hold_one_working_copy():
+    # tracemalloc sees numpy's arrays, not the buffers numpy's LAPACK calls
+    # allocate for themselves (here one _CHOL_BLOCK square at a time); the
+    # bound covers the arrays: one shifted n x n copy for the Cholesky check,
+    # O(_CHOL_BLOCK n) strips and panels, and numpy's iteration buffers.
+    # Each check formed two n x n temporaries at once before.
+    point = estimate(gen_custom(WIDE_SPEC).panel, "imputation")
+    n, block = len(point.values), estimators._CHOL_BLOCK
+    root = np.random.default_rng(6).normal(size=(50, n))
+    v = root.T @ root / 49  # bitwise symmetric, rank 50
+    assert n == 800 and (v == v.T).all()
+    peak = _traced_peak(
+        lambda: CoefficientSet(
+            point.estimator, point.cells, point.positions, point.values, v
+        )
+    )
+    assert peak < 8 * (n * n + 2 * block * n) + 2**18, peak / (8 * n * n)
+    # the bootstrap's symmetrization holds one strip at a time
+    peak = _traced_peak(lambda: _symmetrize(v))
+    assert peak < 8 * 2 * block * n + 2**18, peak / (8 * n * n)
 
 
 def test_point_values_from_original_sample(noisy_panel):
@@ -175,8 +231,6 @@ def _runs(sizes):
 @pytest.mark.filterwarnings("ignore:singleton cohort strata")
 @pytest.mark.parametrize("estimator", ["imputation", "csnyt"])
 def test_draws_equal_the_per_stratum_oracle_bitwise(estimator, monkeypatch):
-    import blockdid.vcov as vcov
-
     rng = np.random.default_rng(15)
     designs = [gen_custom(random_spec(rng)).panel for _ in range(12)]
     designs.append(gen_custom(RUNS_SPEC).panel)
@@ -219,8 +273,6 @@ def test_one_call_per_run_of_equal_sizes_draws_as_one_call_per_stratum(sizes):
 
 @pytest.mark.filterwarnings("ignore:singleton cohort strata")
 def test_each_replicate_makes_one_integers_call_per_run(monkeypatch):
-    import blockdid.vcov as vcov
-
     calls = []
 
     class Counting(np.random.Generator):
