@@ -78,7 +78,7 @@ def build_w_csnyt(layout: CohortLayout, cells: CellIndex) -> BiasMap:
     return _build_w(layout, cells, "csnyt")
 
 
-def _unit_upper_inverses(U):
+def _unit_upper_inverse_stack(U):
     """Inverses of a stack of unit upper-triangular matrices, by one back
     substitution over their rows: row i is e_i less U[i, i+1:] times the
     rows below it, formed as 0.0 - s so that an all-zero s leaves +0.0, as
@@ -112,7 +112,7 @@ def invert(bias_map: BiasMap) -> BiasMap:
     if np.any((col_t > row_t) | ((col_t == row_t) & (cols < rows))):
         raise ValueError("W is not block-triangular over calendar times")
     blocks = np.arange(T)
-    diagonal = _unit_upper_inverses(W.reshape(T, G, T, G)[blocks, :, blocks, :])
+    diagonal = _unit_upper_inverse_stack(W.reshape(T, G, T, G)[blocks, :, blocks, :])
     W_inv = np.zeros((G * T, G * T))
     W_inv.reshape(T, G, T, G)[blocks, :, blocks, :] = diagonal
     below = col_t < row_t

@@ -69,6 +69,21 @@ def _asymmetry(v):
     return worst
 
 
+def _symmetrize(v):
+    """Set the square ``v`` to (v + v.T) / 2.0 in place, with the same bits.
+
+    The strips are those of :func:`_asymmetry`: each mirrored pair, rows
+    r0:r1 from column r0 on and columns r0:r1 from row r0 on, is averaged
+    once and written to both; later strips read only rows and columns past
+    r1.  So no temporary exceeds _CHOL_BLOCK rows."""
+    for r0 in range(0, len(v), _CHOL_BLOCK):
+        r1 = r0 + _CHOL_BLOCK
+        mean = v[r0:r1, r0:] + v[r0:, r0:r1].T
+        mean /= 2.0
+        v[r0:r1, r0:] = mean
+        v[r0:, r0:r1] = mean.T
+
+
 def _semidefinite(v, scale):
     """Whether no eigenvalue of the symmetric ``v`` lies below -1e-8 * scale,
     by a Cholesky factorization of v + 1e-8 * scale * I, which fails when one

@@ -750,7 +750,9 @@ def _stage_two(block, points, g, p, eta, best, lf, reject):
     vsl = np.concatenate(
         [V[j, on] @ block.sigma[j] @ V[j].T for j, on in enumerate(optimal) if on.any()]
     )
-    row = (np.cumsum(optimal) - 1).reshape(optimal.shape)[g, lam]
+    rank = np.zeros(optimal.shape, dtype=int)
+    rank[optimal] = np.arange(np.count_nonzero(optimal))  # row-major, as vsl
+    row = rank[g, lam]
     sig2, (vlo, vup) = vsl[row, lam], np.empty((2, len(g)))
     # the acceptance stands at a degenerate (support not 1+k) or tied optimum
     stands = ((V > _VERTEX_TIE_TOL).sum(axis=2) != block.X.shape[1] + 1)[g, lam]

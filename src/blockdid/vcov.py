@@ -17,11 +17,11 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .estimators import (
-    _CHOL_BLOCK,
     CoefficientSet,
     _linear_system,
     _strata_means,
     _stratum_units,
+    _symmetrize,
     estimate,
 )
 from .panel import PanelData
@@ -99,29 +99,15 @@ def _bootstrap_draws(panel: PanelData, spec: BootstrapSpec, system=None) -> np.n
     return means.reshape(spec.replications, -1) @ E.T
 
 
-def _symmetrize(v):
-    """Set ``v`` to (v + v.T) / 2.0 in place, with the same bits.
-
-    Each mirrored pair of strips, rows r0:r1 from column r0 on and columns
-    r0:r1 from row r0 on, is averaged once and written to both; later strips
-    read only rows and columns past r1.  So no temporary exceeds
-    _CHOL_BLOCK rows."""
-    for r0 in range(0, len(v), _CHOL_BLOCK):
-        r1 = r0 + _CHOL_BLOCK
-        mean = v[r0:r1, r0:] + v[r0:, r0:r1].T
-        mean /= 2.0
-        v[r0:r1, r0:] = mean
-        v[r0:, r0:r1] = mean.T
-
-
 def bootstrap_vcov(panel: PanelData, spec: BootstrapSpec) -> CoefficientSet:
     """Point estimates from the original sample plus a bootstrap covariance.
 
     Replicate b draws from a dedicated random substream keyed by (seed, b),
     so its draw depends only on the seed and its index.  The point estimate
     and the draws share one layout, cell index and coefficient operator.
-    The covariance is symmetrized in place by :func:`_symmetrize`, to the
-    bits of (vcov + vcov.T) / 2.0, without an n x n temporary.
+    The covariance is formed in one n x n array and symmetrized in place by
+    :func:`~blockdid.estimators._symmetrize`, to the bits of the dense mean
+    of the covariance and its transpose, without an n x n temporary.
     """
     system = _linear_system(panel, spec.estimator)
     layout = system[0]
@@ -139,7 +125,8 @@ def bootstrap_vcov(panel: PanelData, spec: BootstrapSpec) -> CoefficientSet:
     stacked = _bootstrap_draws(panel, spec, system)
     del system  # the operator (5 MB at 800 cells) is not held through the covariance
     centered = stacked - stacked.mean(axis=0, keepdims=True)
-    vcov = centered.T @ centered / (spec.replications - 1)
+    vcov = centered.T @ centered
+    vcov /= spec.replications - 1
     _symmetrize(vcov)
     return CoefficientSet(
         estimator=point.estimator,

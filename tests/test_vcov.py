@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from blockdid import estimators, vcov
-from blockdid.estimators import CoefficientSet, estimate
+from blockdid.estimators import CoefficientSet, _symmetrize, estimate
 from blockdid.panel import PanelData, build_layout
 from blockdid.simgen import DGPSpec, Violation, gen_custom
 from blockdid.vcov import (
     BootstrapSpec,
     InvalidSeed,
     _bootstrap_draws,
-    _symmetrize,
     bootstrap_vcov,
 )
 
@@ -68,7 +67,7 @@ def test_vcov_bitwise_symmetric_on_random_designs(estimator):
 
 @pytest.mark.parametrize("block", [1, 7, 128])
 def test_symmetrize_has_the_bits_of_the_dense_mean(monkeypatch, block):
-    monkeypatch.setattr(vcov, "_CHOL_BLOCK", block)
+    monkeypatch.setattr(estimators, "_CHOL_BLOCK", block)
     rng = np.random.default_rng(block)
     for n in (0, 1, 2, 7, 8, 15, 129, 300):
         v = rng.normal(size=(n, n)) * np.exp(rng.uniform(-20, 20, size=(n, 1)))
