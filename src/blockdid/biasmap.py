@@ -134,18 +134,26 @@ def invert(bias_map: BiasMap) -> BiasMap:
 
 
 def write_biasmap_csv(bias_map: BiasMap, stream, inverse=False):
-    """Emit W (or its inverse) as labeled dense CSV."""
+    """Emit W (or its inverse) as labeled dense CSV.
+
+    W and W^-1 are mostly zeros: only entries that are not +0.0 bit for bit
+    (so -0.0, nan and inf too) are formatted, found by one ``np.nonzero``
+    over the matrix; each run of zeros between them is a slice of one
+    prebuilt row of ``",0.0"`` fields."""
     M = bias_map.W_inverse if inverse else bias_map.W
     if M is None:
         raise ValueError("inverse not populated; call invert() first")
     labels = bias_map.cells.labels()
     stream.write("cell," + ",".join(labels) + "\n")
-    # W and W^-1 are mostly zeros: only entries that are not +0.0 bit for
-    # bit (so -0.0, nan and inf too) are formatted, the rest written as "0.0"
-    written = (M != 0) | np.signbit(M)
-    for lab, row, nonzero in zip(labels, M, written):
-        cells = ["0.0"] * len(row)
-        at = np.flatnonzero(nonzero)
-        for j, value in zip(at.tolist(), row[at].tolist()):
-            cells[j] = repr(value)
-        stream.write(lab + "," + ",".join(cells) + "\n")
+    n = len(M)
+    rows, cols = np.nonzero((M != 0) | np.signbit(M))
+    text = list(map(repr, M[rows, cols].tolist()))
+    cols, bounds = cols.tolist(), np.searchsorted(rows, np.arange(n + 1)).tolist()
+    zeros = ",0.0" * n
+    for lab, start, end in zip(labels, bounds, bounds[1:]):
+        line, j = [lab], 0  # j: the first column not yet written
+        for c, value in zip(cols[start:end], text[start:end]):
+            line += (zeros[: 4 * (c - j)], ",", value)
+            j = c + 1
+        line.append(zeros[: 4 * (n - j)])
+        stream.write("".join(line) + "\n")

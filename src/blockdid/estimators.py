@@ -263,7 +263,14 @@ def _coefficient_operator(layout: CohortLayout, cells: CellIndex) -> np.ndarray:
         control[post] = 0.0
     E = ((own - control)[:, :, None] * period[:, None, :]).reshape(n, -1)
     if not csnyt:
-        E -= (period * post[:, None]) @ _period_effects_operator(adopt, sizes, T)
+        X = _period_effects_operator(adopt, sizes, T)
+        weight = period * post[:, None]
+        # two calendar periods' rows at a time, and never one row alone:
+        # numpy takes a one-row product by gemv, whose sums may round
+        # differently from the whole product's
+        edges = [*range(0, n - 1, 2 * G), n]
+        for r0, r1 in zip(edges, edges[1:]):
+            E[r0:r1] -= weight[r0:r1] @ X
     return E
 
 
@@ -355,12 +362,12 @@ def write_vcov_csv(coeffs: CoefficientSet, stream):
     Every entry is written as ``repr`` of its float, so the bytes equal the
     per-element loop's.  A mirrored pair is formatted once: each block of
     rows formats its upper part, from the diagonal rightwards, tile by tile,
-    and each tile column's text is appended to the pending left part of the
-    later row it mirrors.  A row uses that text when its left entries are
-    bitwise equal to their mirror images (``-0.0`` and ``0.0`` differ) and
-    formats its own entries otherwise.  Besides one tile and one block of
-    row text, only the pending left parts are held: at most about n²/4
-    entries of text.
+    and each tile column's text joins the list of pending chunks of the later
+    row it mirrors, to be joined once with the rest of that row when it is
+    written.  A row uses that text when its left entries are bitwise equal to
+    their mirror images (``-0.0`` and ``0.0`` differ) and formats its own
+    entries otherwise.  Besides one tile and one block of row text, only the
+    pending chunks are held: at most about n²/4 entries of text.
     """
     if coeffs.vcov is None:
         raise ValueError("coefficient set has no covariance matrix")
@@ -369,7 +376,7 @@ def write_vcov_csv(coeffs: CoefficientSet, stream):
     v = coeffs.vcov
     n = len(v)
     bits = v.view(np.uint64)
-    pending = [""] * n  # text of V[:r0, j] with a trailing comma, for row j
+    pending = [[] for _ in range(n)]  # text of V[:r0, j] by tile column, for row j
     for r0 in range(0, n, _VCOV_BLOCK):
         r1 = min(r0 + _VCOV_BLOCK, n)
         mirrored = (bits[r0:r1, :r0] == bits[:r0, r0:r1].T).all(axis=1).tolist()
@@ -381,11 +388,9 @@ def write_vcov_csv(coeffs: CoefficientSet, stream):
             for k, right in enumerate(rights):
                 right.append(",".join(text[k * width:(k + 1) * width]))
             for c in range(max(r1 - c0, 0), width):
-                pending[c0 + c] += ",".join(text[c::width]) + ","
+                pending[c0 + c].append(",".join(text[c::width]))
         for k, right in enumerate(rights):
             i = r0 + k
-            left = pending[i]
-            if not mirrored[k]:
-                left = ",".join(map(repr, v[i, :r0].tolist())) + ","
+            left = pending[i] if mirrored[k] else map(repr, v[i, :r0].tolist())
             pending[i] = None
-            stream.write(left + ",".join(right) + "\n")
+            stream.write(",".join([*left, *right]) + "\n")

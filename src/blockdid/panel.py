@@ -15,8 +15,10 @@ estimation works off three objects built here:
 :func:`load_panel` parses a block of plain CSV lines (ASCII, without quotes,
 NUL, comment lines or bare carriage returns, short text fields) with one
 ``np.loadtxt`` call, which is how the files ``simulate`` writes are read.
-From the first block that is not plain, the rest of the file goes through
-the csv reader; both give the same panel bit for bit, and the same errors.
+Such a block's unit and cohort fields are coded by runs of equal fields, and
+its times by ``np.unique``, without a Python step per row.  From the first
+block that is not plain, the rest of the file goes through the csv reader;
+both give the same panel bit for bit, and the same errors.
 """
 
 import csv
@@ -216,11 +218,8 @@ def load_panel(source) -> PanelData:
             )
         at = {name: i for i, name in enumerate(header)}  # a repeated name's last
         fields = [at[name] for name in ("unit", "time", "outcome", "cohort")]
-        for unit, t, y, g in _parsed_blocks(stream, reader, header, fields):
-            blocks.append(
-                (_codes(unit, units), _codes(t, times), _codes(g, labels),
-                 np.asarray(y, dtype=float))
-            )
+        index = units, times, labels
+        blocks.extend(_parsed_blocks(stream, reader, header, fields, index))
     except csv.Error as exc:
         raise MalformedCsv(f"CSV cannot be read: {exc}") from exc
     finally:
@@ -282,39 +281,46 @@ def _codes(values, index):
     return np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def _parsed_blocks(stream, reader, header, fields):
-    """Units, times, outcomes and cohort labels (None for never) of the data
-    lines of ``stream``, whose header row ``reader`` has read, a block at a
-    time.  Plain blocks take one ``np.loadtxt`` call each; from the first
-    block that is not plain, the csv reader takes the rest of the lines."""
+def _parsed_blocks(stream, reader, header, fields, index):
+    """Unit, time and cohort-label codes in ``index`` (three value -> code
+    dicts) and outcomes of the data lines of ``stream``, whose header row
+    ``reader`` has read, a block at a time.  Plain blocks take one
+    ``np.loadtxt`` call each; from the first block that is not plain, the
+    csv reader takes the rest of the lines."""
     line = 2  # data rows are numbered without the blank ones
     while chunk := list(itertools.islice(stream, _LOAD_BLOCK)):
-        parsed = _plain_block(chunk, fields)
+        parsed = _plain_block(chunk, fields, index)
         if parsed is None:
             lines = itertools.chain(chunk, stream)
             reader = csv.reader(s for s in lines if not s.startswith("#"))
             break
         yield parsed
-        line += len(parsed[2])
+        line += len(parsed[3])
     # a plain block is _LOAD_BLOCK reader rows, so these blocks start where
     # the csv reader's would have, had it read the whole file
     while chunk := list(itertools.islice(reader, _LOAD_BLOCK)):
         block = [row for row in chunk if row]
-        yield _parse_block(block, header, fields, line)
+        unit, t, y, label = _parse_block(block, header, fields, line)
+        yield (*map(_codes, (unit, t, label), index), np.asarray(y, dtype=float))
         line += len(block)
 
 
-def _plain_block(lines, fields):
-    """Units, times, outcomes and cohort labels of a block of CSV lines, by
-    one ``np.loadtxt`` call, or None if the block is not plain.
+def _plain_block(lines, fields, index):
+    """Unit, time and cohort-label codes in ``index`` and outcomes of a
+    block of CSV lines, by one ``np.loadtxt`` call, or None if the block is
+    not plain; ``index`` is only added to once the block is known plain.
 
     A plain block is ASCII (``np.loadtxt`` misreads some non-ASCII digits),
     has no quote (it opens a csv field) and no NUL (numpy text drops a
     trailing one), no comment line, no carriage return outside a CRLF ending
     and no line as long as the csv reader's field limit.  Each non-blank line
     must parse as a row, and no unit or cohort field may fill
-    ``_TEXT_WIDTH``.  Then every field reads as the csv reader and
-    ``str.strip``, ``int`` and ``float`` read it.
+    ``_TEXT_WIDTH`` (its last code point is set).  Then every field reads as
+    the csv reader and ``str.strip``, ``int`` and ``float`` read it.
+
+    Units and cohort labels are coded a run of equal fields at a time: only
+    a run's first field is stripped, converted and looked up.  Times are
+    coded through ``np.unique``, in order of first appearance.
     """
     text, limit = "".join(lines), csv.field_size_limit()
     if (
@@ -329,7 +335,8 @@ def _plain_block(lines, fields):
         return None
     n = len(lines) - lines.count("\n") - lines.count("\r\n")  # rows
     if not n:
-        return [], [], np.empty(0), []
+        none = np.empty(0, np.intp)
+        return none, none, none, np.empty(0)
     try:
         with warnings.catch_warnings():
             # older numpy reads an integer via a float ("1.0") with only
@@ -341,17 +348,33 @@ def _plain_block(lines, fields):
             )
     except (ValueError, DeprecationWarning):
         return None
-    unit, label = rows["unit"].tolist(), rows["cohort"].tolist()
-    if len(rows) != n or max(map(len, unit + label)) >= _TEXT_WIDTH:
+    unit, label = rows["unit"], rows["cohort"]
+    points = (np.uint32, unit.itemsize // 4)  # a text field's code points
+    if len(rows) != n or any(
+        f.view(points)[:, _TEXT_WIDTH - 1 :].any() for f in (unit, label)
+    ):
         return None
+    unit_runs, label_runs = _runs(unit), _runs(label)
     try:
-        label = _adoption_labels(label)
+        adoption = _adoption_labels(label[label_runs[0]].tolist())
     except ValueError:
         return None
+    units, times, labels = index
+    t, first, inverse = np.unique(rows["time"], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    t_codes = np.empty(len(t), np.intp)
+    t_codes[order] = _codes(t[order].tolist(), times)
+    stripped = list(map(str.strip, unit[unit_runs[0]].tolist()))
     return (
-        list(map(str.strip, unit)), rows["time"].tolist(), rows["outcome"].copy(),
-        label,
+        np.repeat(_codes(stripped, units), unit_runs[1]), t_codes[inverse],
+        np.repeat(_codes(adoption, labels), label_runs[1]), rows["outcome"].copy(),
     )
+
+
+def _runs(a):
+    """Starts and lengths of the runs of equal fields of ``a``."""
+    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    return starts, np.diff(starts, append=len(a))
 
 
 def _adoption_labels(label):

@@ -245,6 +245,43 @@ def test_biasmap_csv_writes_signed_zeros_and_non_finite_entries(staircase_layout
     assert out.getvalue().splitlines()[-1].endswith(",-0.0")
 
 
+def test_biasmap_csv_bytes_match_per_element_repr_on_random_sparse_maps(
+    staircase_layout,
+):
+    # rows are written from their nonzeros: empty rows, a dense row, entries
+    # in the first and the last column and every kind of non-+0.0 entry
+    cells = build_cell_index(staircase_layout, 8, "imputation")
+    n = len(cells)
+    bm = build_w_imputation(staircase_layout, cells)
+    rng = np.random.default_rng(28)
+    odd = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300])
+    for density in (0.0, 0.02, 0.1, 0.5):
+        M = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
+        spots = rng.integers(0, n, size=(8, 2))
+        M[spots[:, 0], spots[:, 1]] = rng.choice(odd, size=8)
+        M[rng.integers(n), :] = rng.normal(size=n)  # one dense row
+        M[rng.integers(n, size=3), 0] = [-0.0, 1.5, np.nan]
+        M[rng.integers(n, size=3), -1] = [-np.inf, -0.0, 2.5]
+        M[rng.integers(n, size=2), :] = 0.0  # empty rows
+        out = io.StringIO()
+        write_biasmap_csv(dataclasses.replace(bm, W_inverse=M), out, inverse=True)
+        assert out.getvalue().split("\n") == per_element_csv(cells, M).split("\n")
+
+
+@pytest.mark.parametrize(
+    "estimator, builder",
+    [("imputation", build_w_imputation), ("csnyt", build_w_csnyt)],
+)
+def test_biasmap_csv_bytes_match_per_element_repr_at_800_cells(estimator, builder):
+    layout = _wide_layout(400)
+    cells = build_cell_index(layout, 40, estimator)
+    bm = invert(builder(layout, cells))
+    for inverse, M in ((False, bm.W), (True, bm.W_inverse)):
+        out = io.StringIO()
+        write_biasmap_csv(bm, out, inverse=inverse)
+        assert out.getvalue() == per_element_csv(cells, M)
+
+
 def test_identity_map_inverts_to_identity():
     text = grid_csv([("a", "3"), ("n", "never")], T=4)
     layout = build_layout(load_panel(io.StringIO(text)))

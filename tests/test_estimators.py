@@ -162,6 +162,39 @@ def test_mean_preserving_perturbation_leaves_estimates(estimator):
         assert np.max(np.abs(a - b)) < 1e-12 * (1 + np.max(np.abs(a)))
 
 
+def test_operator_row_blocks_give_the_bits_of_one_product(monkeypatch):
+    """The imputation operator subtracts the period-effects term in row
+    blocks of at least two rows; stacked, the block products equal the
+    product over all rows bit for bit."""
+    products = []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            args = [np.asarray(a) for a in args]
+            out = getattr(ufunc, method)(*args, **kwargs)
+            products.append((*args, out))
+            return out
+
+    real = estimators._period_effects_operator
+    monkeypatch.setattr(
+        estimators, "_period_effects_operator", lambda *a: real(*a).view(Recorded)
+    )
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        panel = random_panel(rng, max_g=5).panel
+        layout = build_layout(panel)
+        products.clear()
+        estimators._coefficient_operator(
+            layout, build_cell_index(layout, panel.n_periods)
+        )
+        weight = np.concatenate([w for w, _, _ in products])
+        blocks = np.concatenate([b for _, _, b in products])
+        X = products[0][1]
+        assert len(weight) == len(layout.times) * panel.n_periods
+        assert min(len(w) for w, _, _ in products) >= 2
+        assert blocks.tobytes() == (weight @ X).tobytes()
+
+
 def test_sequential_single_cohort_is_plain_block_did():
     spec = DGPSpec(T=7, cohorts=((4, 3),), never_size=4, noise_sd=1.0, seed=3)
     panel = gen_custom(spec).panel

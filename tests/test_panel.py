@@ -322,9 +322,19 @@ def _field(text):
     return text
 
 
+def _respelled(field, rng):
+    """``field`` with white space around it, or a leading zero on a
+    non-negative integer: the same unit or adoption time to the loader."""
+    forms = [" {} ", "{} ", "\t{}"] + ["0{}"] * field.isdigit()
+    return rng.choice(forms).format(field)
+
+
 def fuzz_csv(rng):
     """A random panel CSV text: a unit-by-period grid, written plainly or
-    with the odds and ends of real exports at a random rate."""
+    with the odds and ends of real exports at a random rate.  Rows come
+    unit-major, time-major or cohort-major, and units and adoption times may
+    be spelled more than one way, so that the one-call parse meets runs of
+    equal fields of every length, broken and across block edges."""
     odd = 0.0 if rng.random() < 0.4 else rng.choice((0.01, 0.05, 0.2, 0.5))
     n, T = rng.randint(1, 6), rng.randint(1, 6)
     lo = rng.choice((1, 1, 1, 2001, -2, 2**63 - 3))
@@ -343,18 +353,29 @@ def fuzz_csv(rng):
     if rng.random() < odd:
         columns.append(rng.choice(columns))  # the later column is the one read
 
+    order = [(i, t) for i in range(n) for t in range(lo, lo + T)]
+    layout = rng.choice(("unit", "unit", "time", "cohort"))
+    if layout == "time":
+        order.sort(key=lambda it: it[1])
+    elif layout == "cohort":
+        order.sort(key=lambda it: units[it[0]][1])
+    respell = rng.choice((0.0, 0.0, 0.2, 0.5))
     rows = []
-    for name, label in units:
-        for t in range(lo, lo + T):
-            time = str(t)
-            if rng.random() < odd / 4:
-                time = rng.choice(_ODD_TIMES).format(t)
-            outcome = repr(rng.gauss(0.0, 10.0 ** rng.randint(-3, 3)))
-            if rng.random() < odd / 4:
-                outcome = rng.choice(_ODD_OUTCOMES)
-            row = {"unit": name, "time": time, "outcome": outcome,
-                   "cohort": label, "extra": "x"}
-            rows.append([row[c] for c in columns])
+    for i, t in order:
+        name, label = units[i]
+        if rng.random() < respell:
+            name = _respelled(name, rng)
+        if rng.random() < respell:
+            label = _respelled(label, rng)
+        time = str(t)
+        if rng.random() < odd / 4:
+            time = rng.choice(_ODD_TIMES).format(t)
+        outcome = repr(rng.gauss(0.0, 10.0 ** rng.randint(-3, 3)))
+        if rng.random() < odd / 4:
+            outcome = rng.choice(_ODD_OUTCOMES)
+        row = {"unit": name, "time": time, "outcome": outcome,
+               "cohort": label, "extra": "x"}
+        rows.append([row[c] for c in columns])
     if rng.random() < odd:
         rng.shuffle(rows)
     if rows and rng.random() < odd:
@@ -522,3 +543,23 @@ def test_a_simulated_panel_takes_the_one_call_parse(tmp_path, monkeypatch):
     plain = _spy_on_plain_blocks(monkeypatch)
     load_panel(str(path))
     assert len(plain) > 2 and all(plain)
+
+
+def test_a_time_major_simulated_panel_takes_the_one_call_parse(tmp_path, monkeypatch):
+    """Rows sorted by period, so that every unit field starts a run of its
+    own, still parse plain, every block, to the same panel."""
+    from blockdid import panel as panel_module
+    from blockdid.cli import RunConfig, run
+
+    path = tmp_path / "toy.csv"
+    run(RunConfig("simulate", example="toy", seed=3, out=str(path)))
+    lines = path.read_text().splitlines(keepends=True)
+    data = [line for line in lines if not line.startswith("#")]
+    header, rows = data[0], data[1:]
+    rows.sort(key=lambda line: int(line.split(",")[1]))
+    time_major = tmp_path / "time_major.csv"
+    time_major.write_text(header + "".join(rows))
+    monkeypatch.setattr(panel_module, "_LOAD_BLOCK", 16)
+    plain = _spy_on_plain_blocks(monkeypatch)
+    assert _result(load_panel, str(time_major)) == _result(load_panel, str(path))
+    assert len(plain) > 4 and all(plain)
